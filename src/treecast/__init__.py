@@ -19,10 +19,6 @@ from .addressing import (
     cover_mask,
     covered_set,
     encode,
-    encode_fbs,
-    encode_hbs,
-    encode_symbol,
-    encode_unicast,
     format_address,
     index_of,
     overcoverage,
@@ -44,15 +40,10 @@ from .experiment import (
 )
 from .nocsim import (
     EnergyModel,
-    Packet,
     RouteResult,
     SimReport,
     SwitchDecision,
-    Topology,
-    build_tree,
     divergence_depth,
-    filter_at_core,
-    make_packet,
     route_multicast,
     route_unicast_batch,
     simulate,
@@ -64,7 +55,6 @@ from .scaling import (
     capability_scaling_factor,
     emit_scaling_table,
     enumerate_capability,
-    lut_bits_per_source,
     routing_bits_formula,
     routing_scaling_factor,
     write_scaling_csv,
@@ -78,10 +68,8 @@ from .traffic import (
     default_tag_bits,
     derive_events,
     generate_connectivity,
-    load_mapping,
     load_trace,
     map_neurons,
-    save_mapping,
     save_trace,
     synth_trace,
 )

@@ -26,6 +26,7 @@ from .addressing import (
     format_address,
     overcoverage,
     parse_address,
+    tree_levels,
 )
 from .experiment import (
     ConfigError,
@@ -43,22 +44,13 @@ DEFAULT_SCALING_K = (2, 4)
 
 
 def _tree_from_flags(args: argparse.Namespace) -> TreeConfig:
-    """--k/--levels pick the tree directly; --n is shorthand for a power-of-two tree."""
+    """--k/--levels pick the tree; --n picks the tree of n cores with fan-out --k (default 2)."""
     if args.n is not None:
-        n = args.n
-        if args.k is not None:
-            levels = 0
-            m = 1
-            while m < n:
-                m *= args.k
-                levels += 1
-            if m != n or levels == 0:
-                raise ValueError(f"--n {n} is not a positive power of --k {args.k}")
-            return TreeConfig(fan_out=args.k, levels=levels)
-        bits = n.bit_length() - 1
-        if n < 2 or (1 << bits) != n:
-            raise ValueError(f"--n {n} must be a power of two >= 2 (or pass --k/--levels)")
-        return TreeConfig(fan_out=2, levels=bits)
+        k = 2 if args.k is None else args.k
+        try:
+            return TreeConfig(fan_out=k, levels=tree_levels(args.n, k))
+        except ValueError as exc:
+            raise ValueError(f"--n {args.n} --k {k}: {exc}") from None
     return TreeConfig(fan_out=args.k or 4, levels=args.levels or 2)
 
 
@@ -150,7 +142,7 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
 def _add_tree_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="children per switch (default 4)")
     p.add_argument("--levels", type=int, default=None, help="tree levels (default 2)")
-    p.add_argument("--n", type=int, default=None, help="core count shorthand (power of two)")
+    p.add_argument("--n", type=int, default=None, help="core count (a power of --k, default 2)")
 
 
 def build_parser() -> argparse.ArgumentParser:

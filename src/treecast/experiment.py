@@ -17,8 +17,8 @@ from typing import IO, Any, Sequence
 
 import yaml
 
-from .addressing import Scheme, TreeConfig
-from .nocsim import TURNAROUND_POLICIES, EnergyModel, SimReport, build_tree, simulate
+from .addressing import Scheme, TreeConfig, routing_bit_width
+from .nocsim import TURNAROUND_POLICIES, EnergyModel, SimReport, simulate
 from .traffic import (
     Layer,
     NetworkSpec,
@@ -43,7 +43,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     tree: TreeConfig = field(default_factory=lambda: TreeConfig(fan_out=4, levels=2))
-    schemes: tuple[Scheme, ...] = (Scheme.FBS, Scheme.SYMBOL, Scheme.HBS, Scheme.UNICAST)
+    schemes: tuple[Scheme, ...] = tuple(Scheme)
     tag_bits: int = 10
     turnaround: str = "root"
     energy: EnergyModel | None = None  # None -> EnergyModel.default(tree.levels)
@@ -144,11 +144,11 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
                     f"schemes[{i}]: unknown scheme {s!r} "
                     f"(expected one of {[m.value for m in Scheme]})"
                 )
-    n = tree.core_count
-    if any(s is Scheme.SYMBOL for s in schemes) and (n & (n - 1)) != 0:
-        errors.append(
-            f"schemes: symbol scheme requires a power-of-two core count, got {n}"
-        )
+    for s in schemes:
+        try:
+            routing_bit_width(s, tree)
+        except ValueError as exc:
+            errors.append(f"schemes: {s.value}: {exc}")
 
     turnaround = raw.get("turnaround", defaults.turnaround)
     if turnaround not in TURNAROUND_POLICIES:
@@ -315,7 +315,6 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
     back in canonical (scheme, mapping index) order regardless of how
     the grid was executed.
     """
-    topo = build_tree(config.tree)
     energy = config.energy_model()
     connectivity = generate_connectivity(config.network, config.network_seed)
     if trace is None:
@@ -342,7 +341,7 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
             report = simulate(
                 events,
                 scheme,
-                topo,
+                config.tree,
                 mapping,
                 energy,
                 luts,
@@ -354,6 +353,14 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
     order = {s.value: i for i, s in enumerate(config.schemes)}
     records.sort(key=lambda r: (order[r.scheme], r.mapping_index))
     return ExperimentResult(rows=tuple(records), summary=_summarize(records, config))
+
+
+#: Cross-scheme ratios in the summary: (name, numerator, denominator, statistic).
+_COMPARISONS = (
+    ("illegal_hbs_over_symbol", "hbs", "symbol", lambda s: s["illegal_deliveries"]),
+    ("total_energy_hbs_over_symbol", "hbs", "symbol", lambda s: s["total_energy"]["sum"]),
+    ("total_energy_hbs_over_fbs", "hbs", "fbs", lambda s: s["total_energy"]["sum"]),
+)
 
 
 def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[str, Any]:
@@ -384,27 +391,17 @@ def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[s
         }
 
     comparisons: dict[str, Any] = {}
+    for name, num, den, stat in _COMPARISONS:
+        if num in schemes and den in schemes:
+            a, b = stat(schemes[num]), stat(schemes[den])
+            comparisons[name] = a / b if b else None
 
-    def ratio(a: float, b: float) -> float | None:
-        return a / b if b else None
-
-    if "hbs" in schemes and "symbol" in schemes:
-        comparisons["illegal_hbs_over_symbol"] = ratio(
-            schemes["hbs"]["illegal_deliveries"], schemes["symbol"]["illegal_deliveries"]
-        )
-        comparisons["total_energy_hbs_over_symbol"] = ratio(
-            schemes["hbs"]["total_energy"]["sum"], schemes["symbol"]["total_energy"]["sum"]
-        )
-    if "hbs" in schemes and "fbs" in schemes:
-        comparisons["total_energy_hbs_over_fbs"] = ratio(
-            schemes["hbs"]["total_energy"]["sum"], schemes["fbs"]["total_energy"]["sum"]
-        )
-
-    dropped = sum({rec.mapping_index: rec.dropped_spikes for rec in records}.values())
     return {
         "tree": {"fan_out": config.tree.fan_out, "levels": config.tree.levels},
         "repetitions": config.repetitions,
-        "dropped_spikes_total": dropped,
+        # A spike is dropped when its neuron has no targets, whatever the
+        # mapping, so every record carries the same per-trace count.
+        "dropped_spikes_total": records[0].dropped_spikes if records else 0,
         "schemes": schemes,
         "comparisons": comparisons,
     }

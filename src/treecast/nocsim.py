@@ -3,10 +3,11 @@
 The fabric is a balanced k-ary tree: cores at the leaves, one switch per
 internal node, every switch with one Up port and ``fan_out`` Down ports.
 A multicast packet climbs from its source core to the root, then forks
-down every port selected by its routing field; hierarchical-mask packets
-rotate their field one level per hop so that every switch reads the same
-head position.  Unicast packets turn at the lowest common ancestor of
-source and target instead.
+down every port selected by its routing field.  Hierarchical-mask and
+symbol packets rotate their field one level per hop so that every switch
+reads the same head position; the router reads the field at the offset
+that rotation would have brought to the head.  Unicast packets turn at
+the lowest common ancestor of source and target instead.
 
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
@@ -15,17 +16,12 @@ from sources a core does not listen to are filtered out as illegal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .addressing import (
-    FbsAddress,
-    HbsAddress,
     MulticastAddress,
     Scheme,
-    Sym,
-    SymbolAddress,
     TreeConfig,
     UnicastAddress,
     cover_mask,
@@ -37,54 +33,19 @@ from .addressing import (
 TURNAROUND_POLICIES = ("root", "lca")
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Arithmetic model of the switch tree.
+def _up_edges(core: int, turn_level: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Links crossed climbing from ``core`` to the switch at R-level ``turn_level``.
 
-    Switches are addressed as (level, index): level L is the root, level
-    1 the leaf-adjacent row, and index counts switches left to right
-    within a row.  A link is identified by (level, child_index) -- the
-    edge between the level-``level`` switch ``child_index // fan_out``
-    and its child ``child_index`` one level below (a core when level
-    is 1).
+    A link is (level, child_index): the edge between the level-``level``
+    switch ``child_index // k`` and its child ``child_index`` one level
+    below (a core when level is 1).
     """
-
-    cfg: TreeConfig
-
-    @property
-    def core_count(self) -> int:
-        return self.cfg.core_count
-
-    @property
-    def switch_count(self) -> int:
-        k, n = self.cfg.fan_out, self.cfg.core_count
-        return (n - 1) // (k - 1)
-
-    def switches_at(self, level: int) -> int:
-        if not 1 <= level <= self.cfg.levels:
-            raise ValueError(f"switch level {level} out of range [1, {self.cfg.levels}]")
-        return self.cfg.core_count // self.cfg.fan_out**level
-
-    def up_edges(self, core: int, turn_level: int | None = None) -> tuple[tuple[int, int], ...]:
-        """Links crossed climbing from ``core`` to the turn switch (default: root)."""
-        if turn_level is None:
-            turn_level = self.cfg.levels
-        k = self.cfg.fan_out
-        edges = []
-        child = core
-        for level in range(1, turn_level + 1):
-            edges.append((level, child))
-            child //= k
-        return tuple(edges)
-
-    def leaf_path_edges(self, core: int) -> tuple[tuple[int, int], ...]:
-        """Links on the unique root-to-core path, root end first."""
-        return tuple(reversed(self.up_edges(core)))
-
-
-def build_tree(cfg: TreeConfig) -> Topology:
-    """Construct the switch tree for ``cfg``."""
-    return Topology(cfg)
+    edges = []
+    child = core
+    for level in range(1, turn_level + 1):
+        edges.append((level, child))
+        child //= k
+    return tuple(edges)
 
 
 @dataclass(frozen=True)
@@ -127,31 +88,6 @@ class EnergyModel:
         return self.link_energy_per_bit[level - 1]
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One injected spike packet: routing field plus source neuron tag."""
-
-    scheme: Scheme
-    routing_field: MulticastAddress
-    source_tag: int
-    header_bits: int
-
-
-def make_packet(
-    addr: MulticastAddress, cfg: TreeConfig, source_tag: int, tag_bits: int
-) -> Packet:
-    """Build a packet whose header is the routing field plus the source tag."""
-    scheme = addr.scheme
-    if source_tag < 0 or source_tag >= (1 << tag_bits):
-        raise ValueError(f"source tag {source_tag} does not fit in {tag_bits} bits")
-    return Packet(
-        scheme=scheme,
-        routing_field=addr,
-        source_tag=source_tag,
-        header_bits=routing_bit_width(scheme, cfg) + tag_bits,
-    )
-
-
 class SwitchDecision(NamedTuple):
     """Instrumentation record of one downward port selection."""
 
@@ -183,23 +119,6 @@ class RouteResult:
         return self.up_links + self.down_links
 
 
-def _symbol_digit_set(head: Sequence[Sym], k: int) -> tuple[int, ...]:
-    m = len(head)
-    out = []
-    for d in range(k):
-        for b, sym in enumerate(head):
-            bit = (d >> (m - 1 - b)) & 1
-            if sym is not Sym.STAR and int(sym.value) != bit:
-                break
-        else:
-            out.append(d)
-    return tuple(out)
-
-
-def _mask_digit_set(mask: int, k: int) -> tuple[int, ...]:
-    return tuple(d for d in range(k) if mask & (1 << d))
-
-
 def _multicast_turn_level(source: int, cover: int, cfg: TreeConfig) -> int:
     """Lowest R-level whose source-side subtree contains the whole cover."""
     k = cfg.fan_out
@@ -216,9 +135,9 @@ def _multicast_turn_level(source: int, cover: int, cfg: TreeConfig) -> int:
 
 
 def route_multicast(
-    pkt: Packet,
+    addr: MulticastAddress,
     source_core: int,
-    topo: Topology,
+    cfg: TreeConfig,
     turnaround: str = "root",
 ) -> RouteResult:
     """Route one multicast packet up from its source and down every selected port.
@@ -226,13 +145,13 @@ def route_multicast(
     With the default ``root`` turnaround the packet always climbs to the
     root before descending, so every switch at the same depth runs the
     same head-field logic.  The ``lca`` policy turns at the lowest
-    ancestor subtree containing the whole cover instead.
+    ancestor subtree containing the whole cover instead.  Each switch
+    picks its ports from its own head field (``addr.select``), never from
+    the cover, so the deliveries are a check on ``covered_set``.
     """
     if turnaround not in TURNAROUND_POLICIES:
         raise ValueError(f"unknown turnaround policy {turnaround!r}")
-    cfg = topo.cfg
-    addr = pkt.routing_field
-    if pkt.scheme is Scheme.UNICAST or isinstance(addr, UnicastAddress):
+    if isinstance(addr, UnicastAddress):
         raise ValueError("unicast packets are routed with route_unicast_batch")
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
@@ -242,48 +161,14 @@ def route_multicast(
     turn_level = levels
     if turnaround == "lca":
         turn_level = _multicast_turn_level(source_core, cover, cfg)
-    up_links = topo.up_edges(source_core, turn_level)
-
-    # Rotation state: the field as seen by a switch at the current depth.
-    if isinstance(addr, HbsAddress):
-        field: tuple = addr.masks
-    elif isinstance(addr, SymbolAddress):
-        field = addr.symbols
-    else:
-        field = ()
-    start_depth = levels - turn_level
-    if isinstance(addr, HbsAddress):
-        field = field[start_depth:] + field[:start_depth]
-    elif isinstance(addr, SymbolAddress):
-        m = _symbols_per_level(cfg)
-        cut = start_depth * m
-        field = field[cut:] + field[:cut]
 
     delivered: list[int] = []
     down_links: list[tuple[int, int]] = []
     decisions: list[SwitchDecision] = []
-    start_switch = source_core // k**turn_level
 
-    def descend(level: int, switch: int, field: tuple) -> None:
+    def descend(level: int, switch: int) -> None:
         depth = levels - level
-        if isinstance(addr, HbsAddress):
-            head = field[0]
-            selected = _mask_digit_set(head, k)
-            next_field = field[1:] + field[:1]
-        elif isinstance(addr, SymbolAddress):
-            m = _symbols_per_level(cfg)
-            head = field[:m]
-            selected = _symbol_digit_set(head, k)
-            next_field = field[m:] + field[:m]
-        else:
-            span = k ** (level - 1)
-            head = None
-            selected = tuple(
-                d
-                for d in range(k)
-                if cover & (((1 << span) - 1) << ((switch * k + d) * span))
-            )
-            next_field = field
+        head, selected = addr.select(depth, switch, cfg)
         decisions.append(SwitchDecision(level, switch, depth, head, selected))
         for d in selected:
             child = switch * k + d
@@ -291,37 +176,28 @@ def route_multicast(
             if level == 1:
                 delivered.append(child)
             else:
-                descend(level - 1, child, next_field)
+                descend(level - 1, child)
 
-    descend(turn_level, start_switch, field)
+    descend(turn_level, source_core // k**turn_level)
     return RouteResult(
         delivered=tuple(delivered),
-        up_links=up_links,
+        up_links=_up_edges(source_core, turn_level, k),
         down_links=tuple(down_links),
         decisions=tuple(decisions),
         packets=1,
     )
 
 
-def _symbols_per_level(cfg: TreeConfig) -> int:
-    k = cfg.fan_out
-    m = k.bit_length() - 1
-    if (1 << m) != k:
-        raise ValueError(f"symbol routing needs a power-of-two fan_out, got {k}")
-    return m
-
-
 def route_unicast_batch(
     addr: UnicastAddress,
     source_core: int,
-    topo: Topology,
+    cfg: TreeConfig,
 ) -> RouteResult:
     """Route one packet per target, each turning at the source/target LCA.
 
     A self-addressed packet still enters the network: it climbs to the
     leaf-adjacent switch and comes straight back down.
     """
-    cfg = topo.cfg
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
     cover_mask(addr, cfg)  # range-check targets
@@ -336,7 +212,7 @@ def route_unicast_batch(
         while common < levels and src_digits[common] == tgt_digits[common]:
             common += 1
         lca_level = max(1, levels - common)
-        up_links.extend(topo.up_edges(source_core, lca_level))
+        up_links.extend(_up_edges(source_core, lca_level, k))
         child = target
         down = []
         for level in range(1, lca_level + 1):
@@ -351,11 +227,6 @@ def route_unicast_batch(
         decisions=(),
         packets=len(addr.targets),
     )
-
-
-def filter_at_core(core: int, pkt: Packet, lut: Iterable[int]) -> bool:
-    """True when the arriving packet's source tag is one the core listens to."""
-    return pkt.source_tag in lut
 
 
 def divergence_depth(core: int, legal_targets: Iterable[int], cfg: TreeConfig) -> int:
@@ -394,12 +265,6 @@ class SimReport:
     illegal_filtering_energy: float
     total_energy: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False)
-
     @classmethod
     def csv_header(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
@@ -411,7 +276,7 @@ class SimReport:
 def simulate(
     events: Sequence[tuple[int, frozenset[int]]],
     scheme: Scheme,
-    topo: Topology,
+    cfg: TreeConfig,
     mapping,
     energy: EnergyModel,
     luts: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
@@ -430,7 +295,6 @@ def simulate(
     without changing any counter.
     """
     scheme = Scheme(scheme)
-    cfg = topo.cfg
     if len(energy.link_energy_per_bit) != cfg.levels:
         raise ValueError(
             f"energy model has {len(energy.link_energy_per_bit)} link levels, "
@@ -461,11 +325,10 @@ def simulate(
             except (KeyError, IndexError):
                 raise ValueError(f"unmapped neuron {tag}") from None
             addr = encode(scheme, key[1], cfg)
-            pkt = Packet(scheme, addr, tag, header)
             if scheme is Scheme.UNICAST:
-                route = route_unicast_batch(addr, source_core, topo)
+                route = route_unicast_batch(addr, source_core, cfg)
             else:
-                route = route_multicast(pkt, source_core, topo, turnaround)
+                route = route_multicast(addr, source_core, cfg, turnaround)
             links = route.links
             e_per_bit = 0.0
             for level, _child in links:

@@ -24,75 +24,25 @@ counts distinct covers.  All capability arithmetic is exact integers.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .addressing import (
-    Scheme,
-    Sym,
-    TreeConfig,
-    _hbs_cover_mask,
-    _symbol_cover_mask,
-)
+from .addressing import Scheme, TreeConfig, address_class
 
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when brute-force enumeration would exceed the address budget."""
 
 
-def _log2_exact(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    b = n.bit_length() - 1
-    if (1 << b) != n:
-        raise ValueError(f"node count {n} is not a power of two")
-    return b
-
-
-def _log_exact(n: int, k: int) -> int:
-    """levels L with k**L == n, or ValueError."""
-    if k < 2:
-        raise ValueError(f"nodes per level must be >= 2, got {k}")
-    levels = 0
-    m = 1
-    while m < n:
-        m *= k
-        levels += 1
-    if m != n or levels == 0:
-        raise ValueError(f"node count {n} is not a positive power of k={k}")
-    return levels
-
-
 def routing_bits_formula(scheme: Scheme, n: int, k: int | None = None) -> int:
     """Routing bits of ``scheme`` at node count ``n`` (``k`` only for hbs)."""
-    scheme = Scheme(scheme)
-    if scheme is Scheme.FBS:
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
-        return n
-    if scheme is Scheme.SYMBOL:
-        return 2 * _log2_exact(n)
-    if scheme is Scheme.HBS:
-        if k is None:
-            raise ValueError("hbs routing bits require k")
-        return k * _log_exact(n, k)
-    return n * _log2_exact(n)
+    return address_class(scheme).routing_bits(n, k)
 
 
 def capability_formula(scheme: Scheme, n: int, k: int | None = None) -> int:
     """Distinct nonempty covers expressible by ``scheme`` at node count ``n``."""
-    scheme = Scheme(scheme)
-    if scheme is Scheme.FBS or scheme is Scheme.UNICAST:
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
-        return 2**n - 1
-    if scheme is Scheme.SYMBOL:
-        return 3 ** _log2_exact(n)
-    if k is None:
-        raise ValueError("hbs capability requires k")
-    return (2**k - 1) ** _log_exact(n, k)
+    return address_class(scheme).capability(n, k)
 
 
 def routing_scaling_factor(k: int) -> float:
@@ -135,56 +85,34 @@ def enumerate_capability(
     Serves as the independent check of :func:`capability_formula`.
     Raises :class:`EnumerationBudgetError` when the scheme has more than
     ``max_addresses`` well-formed addresses on ``cfg`` (e.g. hbs with
-    fan_out 8 and 3+ levels runs into billions of addresses).
+    fan_out 8 and 3+ levels runs into billions of addresses).  The
+    address count is the product of the choices per address field, which
+    is what the closed form computes; the count of distinct covers comes
+    from the walk alone.
     """
-    scheme = Scheme(scheme)
-    n = cfg.core_count
-    covers: set[int] = set()
-
-    if scheme is Scheme.FBS or scheme is Scheme.UNICAST:
-        total = 2**n - 1
-        if total > max_addresses:
-            raise EnumerationBudgetError(
-                f"{scheme.value}: {total} addresses exceed budget {max_addresses}"
-            )
-        for mask in range(1, 1 << n):
-            covers.add(mask)
-        return len(covers)
-
-    if scheme is Scheme.SYMBOL:
-        bits = cfg.index_bits
-        total = 3**bits
-        if total > max_addresses:
-            raise EnumerationBudgetError(
-                f"symbol: {total} addresses exceed budget {max_addresses}"
-            )
-        for symbols in itertools.product((Sym.ZERO, Sym.ONE, Sym.STAR), repeat=bits):
-            covers.add(_symbol_cover_mask(symbols, bits))
-        return len(covers)
-
-    k, levels = cfg.fan_out, cfg.levels
-    total = (2**k - 1) ** levels
+    cls = address_class(scheme)
+    total = cls.capability(cfg.core_count, cfg.fan_out)
     if total > max_addresses:
         raise EnumerationBudgetError(
-            f"hbs: {total} addresses exceed budget {max_addresses}"
+            f"{cls.scheme.value}: {total} addresses exceed budget {max_addresses}"
         )
-    nonzero = range(1, 1 << k)
-    for masks in itertools.product(nonzero, repeat=levels):
-        covers.add(_hbs_cover_mask(masks, k, levels))
-    return len(covers)
+    return len({addr.cover(cfg) for addr in cls.addresses(cfg)})
 
 
 # ---------------------------------------------------------------------------
 # tabular report
-
-_SCHEME_ORDER = (Scheme.FBS, Scheme.SYMBOL, Scheme.HBS, Scheme.UNICAST)
 
 CSV_HEADER = ("scheme", "N", "k", "routing_bits", "capability", "lut_bits_per_source")
 
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """One (scheme, N, k) evaluation of the closed forms."""
+    """One (scheme, N, k) evaluation of the closed forms.
+
+    ``lut_bits_per_source`` is the per-source-neuron LUT storage.  Every
+    scheme stores one routing field per source (unicast: up to N targets
+    of log2(N) bits), so it equals ``routing_bits``.
+    """
 
     scheme: str
     n: int
@@ -192,19 +120,6 @@ class ScalingRow:
     routing_bits: int
     capability: int
     lut_bits_per_source: int
-
-
-def lut_bits_per_source(scheme: Scheme, n: int, k: int | None = None) -> int:
-    """Per-source-neuron LUT storage.
-
-    The parallel multicast schemes store one address per source, so this
-    equals their routing width; unicast stores up to N target entries of
-    log2(N) bits each.
-    """
-    scheme = Scheme(scheme)
-    if scheme is Scheme.UNICAST:
-        return n * _log2_exact(n)
-    return routing_bits_formula(scheme, n, k)
 
 
 def emit_scaling_table(n_values: Iterable[int], k_values: Iterable[int]) -> list[ScalingRow]:
@@ -215,17 +130,11 @@ def emit_scaling_table(n_values: Iterable[int], k_values: Iterable[int]) -> list
     """
     rows = []
     for n in n_values:
-        for scheme in _SCHEME_ORDER:
+        for scheme in Scheme:
             for k in k_values:
+                bits = routing_bits_formula(scheme, n, k)
                 rows.append(
-                    ScalingRow(
-                        scheme=scheme.value,
-                        n=n,
-                        k=k,
-                        routing_bits=routing_bits_formula(scheme, n, k),
-                        capability=capability_formula(scheme, n, k),
-                        lut_bits_per_source=lut_bits_per_source(scheme, n, k),
-                    )
+                    ScalingRow(scheme.value, n, k, bits, capability_formula(scheme, n, k), bits)
                 )
     return rows
 

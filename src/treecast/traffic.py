@@ -8,15 +8,15 @@ configurable density.  Neurons are packed onto cores in id order, either
 strictly sequentially or with random core switches, and a firing trace
 is an independent Bernoulli draw per neuron per timestep.
 
-Traces and mappings round-trip through small CSV-style text files so
-externally recorded traffic can be substituted for the synthetic one.
+Traces round-trip through a small CSV-style text file so externally
+recorded traffic can be substituted for the synthetic one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -88,28 +88,22 @@ def default_tag_bits(total_neurons: int) -> int:
     return max(MIN_TAG_BITS, need)
 
 
-def generate_connectivity(
-    spec: NetworkSpec, seed: int, require_fanout: bool = False
-) -> dict[int, tuple[int, ...]]:
+def generate_connectivity(spec: NetworkSpec, seed: int) -> dict[int, tuple[int, ...]]:
     """Random fan-out graph: source neuron id -> sorted target neuron ids.
 
     Recurrent layers draw every ordered intra-layer pair (self-edges
     excluded) at the spec density; every consecutive layer pair draws
     all cross pairs, at density 1.0 for transitions into feedforward
-    layers when ``literal_fc`` is set.  With ``require_fanout`` the draw
-    is rejected if any neuron that has candidate targets ends up with
-    none.
+    layers when ``literal_fc`` is set.
     """
     rng = np.random.default_rng(seed)
     ranges = spec.layer_ranges()
     targets: dict[int, list[int]] = {n: [] for n in range(spec.total_neurons)}
-    has_candidates = [False] * spec.total_neurons
 
     def wire(sources: range, sinks: range, density: float, skip_self: bool) -> None:
         draw = rng.random((len(sources), len(sinks)))
         hits = draw < density
         for i, s in enumerate(sources):
-            has_candidates[s] = True
             row = np.flatnonzero(hits[i])
             ts = [sinks[j] for j in row]
             if skip_self:
@@ -125,15 +119,7 @@ def generate_connectivity(
                 density = 1.0
             wire(ranges[li], ranges[li + 1], density, skip_self=False)
 
-    out = {n: tuple(sorted(ts)) for n, ts in targets.items()}
-    if require_fanout:
-        starved = [n for n in range(spec.total_neurons) if has_candidates[n] and not out[n]]
-        if starved:
-            raise ValueError(
-                f"{len(starved)} neurons with candidate targets drew no edges "
-                f"(first: {starved[0]}); lower the seed sensitivity or raise density"
-            )
-    return out
+    return {n: tuple(sorted(ts)) for n, ts in targets.items()}
 
 
 @dataclass(frozen=True)
@@ -152,15 +138,6 @@ class NeuronMapping:
 
     def __getitem__(self, neuron: int) -> int:
         return self.assignment[neuron]
-
-    def core_of(self, neuron: int) -> int:
-        return self.assignment[neuron]
-
-    def occupancy(self, n_cores: int) -> tuple[int, ...]:
-        counts = [0] * n_cores
-        for core in self.assignment:
-            counts[core] += 1
-        return tuple(counts)
 
 
 def map_neurons(
@@ -257,31 +234,6 @@ def load_trace(inp: IO[str], steps: int | None = None) -> SpikeTrace:
     return SpikeTrace(steps=steps, events=tuple(events))
 
 
-def save_mapping(mapping: NeuronMapping, out: IO[str]) -> None:
-    out.write("neuron_id,core_index\n")
-    for n, core in enumerate(mapping.assignment):
-        out.write(f"{n},{core}\n")
-
-
-def load_mapping(inp: IO[str], core_capacity: int) -> NeuronMapping:
-    """Read a mapping file; tolerates a missing header line."""
-    rows: dict[int, int] = {}
-    for line in inp:
-        line = line.strip()
-        if not line or line == "neuron_id,core_index":
-            continue
-        n_text, c_text = line.split(",")
-        rows[int(n_text)] = int(c_text)
-    if not rows:
-        raise ValueError("empty mapping file")
-    if sorted(rows) != list(range(len(rows))):
-        raise ValueError("mapping file must cover neuron ids 0..n-1 exactly once")
-    return NeuronMapping(
-        assignment=tuple(rows[n] for n in range(len(rows))),
-        core_capacity=core_capacity,
-    )
-
-
 def derive_events(
     trace: SpikeTrace,
     connectivity: Mapping[int, Sequence[int]],
@@ -306,7 +258,7 @@ def derive_events(
             )
         cores = core_cache.get(neuron)
         if cores is None:
-            cores = frozenset(mapping.core_of(t) for t in connectivity.get(neuron, ()))
+            cores = frozenset(mapping[t] for t in connectivity.get(neuron, ()))
             core_cache[neuron] = cores
         if not cores:
             dropped += 1
@@ -324,5 +276,5 @@ def build_core_luts(
     luts: list[set[int]] = [set() for _ in range(n_cores)]
     for source, targets in connectivity.items():
         for t in targets:
-            luts[mapping.core_of(t)].add(source)
+            luts[mapping[t]].add(source)
     return tuple(frozenset(s) for s in luts)

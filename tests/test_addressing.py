@@ -13,10 +13,6 @@ from treecast.addressing import (
     cover_mask,
     covered_set,
     encode,
-    encode_fbs,
-    encode_hbs,
-    encode_symbol,
-    encode_unicast,
     format_address,
     index_of,
     overcoverage,
@@ -89,33 +85,33 @@ def test_path_index_bijection(cfg):
 # encoders
 
 def test_encode_fbs_examples():
-    assert encode_fbs({5}, CFG16).mask == 1 << 5
-    assert encode_fbs(range(16), CFG16).mask == 0xFFFF
-    a = encode_fbs({0, 3, 12}, CFG16)
+    assert FbsAddress.encode({5}, CFG16).mask == 1 << 5
+    assert FbsAddress.encode(range(16), CFG16).mask == 0xFFFF
+    a = FbsAddress.encode({0, 3, 12}, CFG16)
     assert a.mask.bit_count() == 3
     assert covered_set(a, CFG16) == frozenset({0, 3, 12})
 
 
 def test_encode_rejects_empty_and_out_of_range():
-    for enc in (encode_fbs, encode_symbol, encode_hbs, encode_unicast):
+    for scheme in Scheme:
         with pytest.raises(ValueError):
-            enc([], CFG16)
+            encode(scheme, [], CFG16)
         with pytest.raises(ValueError):
-            enc([16], CFG16)
+            encode(scheme, [16], CFG16)
 
 
 def test_encode_symbol_examples():
-    a = encode_symbol({0b0000, 0b0001}, CFG16)
+    a = SymbolAddress.encode({0b0000, 0b0001}, CFG16)
     assert format_address(a, CFG16) == "000*"
     assert covered_set(a, CFG16) == frozenset({0, 1})
     assert overcoverage(a, {0, 1}, CFG16) == 0
 
-    b = encode_symbol({0b0000, 0b1111}, CFG16)
+    b = SymbolAddress.encode({0b0000, 0b1111}, CFG16)
     assert format_address(b, CFG16) == "****"
     assert len(covered_set(b, CFG16)) == 16
     assert overcoverage(b, {0, 15}, CFG16) == 14
 
-    c = encode_symbol({7}, CFG16)
+    c = SymbolAddress.encode({7}, CFG16)
     assert format_address(c, CFG16) == "0111"
     assert covered_set(c, CFG16) == frozenset({7})
 
@@ -125,7 +121,7 @@ def test_encode_symbol_minimality_matches_brute_force():
     rng = random.Random(11)
     for _ in range(100):
         dests = random_dests(rng, 16)
-        got = covered_set(encode_symbol(dests, CFG16), CFG16)
+        got = covered_set(SymbolAddress.encode(dests, CFG16), CFG16)
         best, hits = oracles.minimal_covers(dests, covers)
         assert len(got) == best
         assert got in hits
@@ -133,19 +129,19 @@ def test_encode_symbol_minimality_matches_brute_force():
 
 def test_encode_symbol_requires_power_of_two():
     with pytest.raises(ValueError):
-        encode_symbol({0, 1}, CFG27)
+        SymbolAddress.encode({0, 1}, CFG27)
 
 
 def test_encode_hbs_examples():
-    a = encode_hbs({0, 5}, CFG16)
+    a = HbsAddress.encode({0, 5}, CFG16)
     assert a.masks == (0b0011, 0b0011)
     assert covered_set(a, CFG16) == frozenset({0, 1, 4, 5})
     assert overcoverage(a, {0, 5}, CFG16) == 2
 
-    b = encode_hbs(range(16), CFG16)
+    b = HbsAddress.encode(range(16), CFG16)
     assert b.masks == (0b1111, 0b1111)
 
-    c = encode_hbs({9}, CFG16)
+    c = HbsAddress.encode({9}, CFG16)
     assert path_of(9, CFG16) == (2, 1)
     assert c.masks == (0b0100, 0b0010)
     assert covered_set(c, CFG16) == frozenset({9})
@@ -156,14 +152,14 @@ def test_encode_hbs_minimality_matches_brute_force():
     rng = random.Random(12)
     for _ in range(100):
         dests = random_dests(rng, 16)
-        got = covered_set(encode_hbs(dests, CFG16), CFG16)
+        got = covered_set(HbsAddress.encode(dests, CFG16), CFG16)
         best, hits = oracles.minimal_covers(dests, covers)
         assert len(got) == best
         assert got in hits
 
 
 def test_encode_hbs_works_for_non_power_of_two_fan_out():
-    a = encode_hbs({0, 26}, CFG27)
+    a = HbsAddress.encode({0, 26}, CFG27)
     assert a.masks == (0b101, 0b101, 0b101)
     assert covered_set(a, CFG27) == frozenset(
         oracles.index_from_digits(d, 3)
@@ -172,17 +168,9 @@ def test_encode_hbs_works_for_non_power_of_two_fan_out():
 
 
 def test_encode_unicast_examples():
-    assert encode_unicast({3}, CFG16).targets == (3,)
-    assert encode_unicast({11, 2, 7}, CFG16).targets == (2, 7, 11)
-    assert len(encode_unicast(range(16), CFG16).targets) == 16
-
-
-def test_encode_dispatch_matches_specific_encoders():
-    dests = {1, 6, 11}
-    assert encode(Scheme.FBS, dests, CFG16) == encode_fbs(dests, CFG16)
-    assert encode(Scheme.SYMBOL, dests, CFG16) == encode_symbol(dests, CFG16)
-    assert encode(Scheme.HBS, dests, CFG16) == encode_hbs(dests, CFG16)
-    assert encode(Scheme.UNICAST, dests, CFG16) == encode_unicast(dests, CFG16)
+    assert UnicastAddress.encode({3}, CFG16).targets == (3,)
+    assert UnicastAddress.encode({11, 2, 7}, CFG16).targets == (2, 7, 11)
+    assert len(UnicastAddress.encode(range(16), CFG16).targets) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +209,8 @@ def test_nesting_hbs_within_symbol():
     for cfg in (CFG16, CFG16_BIN, TreeConfig(4, 3)):
         for _ in range(150):
             dests = random_dests(rng, cfg.core_count, max_size=min(cfg.core_count, 10))
-            hbs = cover_mask(encode_hbs(dests, cfg), cfg)
-            sym = cover_mask(encode_symbol(dests, cfg), cfg)
+            hbs = cover_mask(HbsAddress.encode(dests, cfg), cfg)
+            sym = cover_mask(SymbolAddress.encode(dests, cfg), cfg)
             assert hbs & ~sym == 0  # hbs cover is a subset
             assert hbs.bit_count() <= sym.bit_count()
 
@@ -244,7 +232,7 @@ def test_overcoverage_examples_and_error():
     rng = random.Random(15)
     for _ in range(50):
         dests = random_dests(rng, 16)
-        assert overcoverage(encode_fbs(dests, CFG16), dests, CFG16) == 0
+        assert overcoverage(FbsAddress.encode(dests, CFG16), dests, CFG16) == 0
     sym = parse_address(Scheme.SYMBOL, "00**", CFG16)
     assert overcoverage(sym, {0, 3}, CFG16) == 2
     hbs = HbsAddress((0b0011, 0b0011))

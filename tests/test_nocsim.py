@@ -5,23 +5,16 @@ import pytest
 from treecast.addressing import (
     HbsAddress,
     Scheme,
+    Sym,
+    SymbolAddress,
     TreeConfig,
     UnicastAddress,
     covered_set,
     encode,
-    encode_fbs,
-    encode_hbs,
-    encode_symbol,
-    encode_unicast,
-    path_of,
 )
 from treecast.nocsim import (
     EnergyModel,
-    Packet,
-    build_tree,
     divergence_depth,
-    filter_at_core,
-    make_packet,
     route_multicast,
     route_unicast_batch,
     simulate,
@@ -31,39 +24,12 @@ import oracles
 
 CFG16 = TreeConfig(4, 2)
 CFG64 = TreeConfig(4, 3)
-TOPO16 = build_tree(CFG16)
-TOPO64 = build_tree(CFG64)
 
 MULTICAST_SCHEMES = (Scheme.FBS, Scheme.SYMBOL, Scheme.HBS)
 
 
-def mc_packet(scheme, dests, cfg, tag=0, tag_bits=10):
-    return make_packet(encode(scheme, dests, cfg), cfg, tag, tag_bits)
-
-
 # ---------------------------------------------------------------------------
-# topology
-
-def test_build_tree_examples():
-    assert TOPO16.switch_count == 5
-    assert TOPO16.switches_at(1) == 4
-    assert TOPO16.switches_at(2) == 1
-    assert build_tree(TreeConfig(2, 1)).switch_count == 1
-    assert TOPO64.switch_count == 21
-
-
-def test_every_core_has_unique_root_path():
-    for topo in (TOPO16, TOPO64, build_tree(TreeConfig(3, 3))):
-        cfg = topo.cfg
-        paths = set()
-        for core in range(cfg.core_count):
-            edges = topo.leaf_path_edges(core)
-            assert len(edges) == cfg.levels
-            assert edges[-1] == (1, core)
-            assert edges[0][0] == cfg.levels
-            paths.add(edges)
-        assert len(paths) == cfg.core_count
-
+# energy model
 
 def test_energy_model_validation_and_default():
     e = EnergyModel.default(2)
@@ -78,21 +44,14 @@ def test_energy_model_validation_and_default():
         EnergyModel((1.0, 4.0), -1.0)
 
 
-def test_make_packet_header_and_tag_guard():
-    pkt = make_packet(encode_hbs({0, 5}, CFG16), CFG16, source_tag=7, tag_bits=10)
-    assert pkt.header_bits == 18
-    with pytest.raises(ValueError):
-        make_packet(encode_fbs({1}, CFG16), CFG16, source_tag=1024, tag_bits=10)
-
-
 # ---------------------------------------------------------------------------
 # multicast routing
 
 def test_route_hbs_worked_example():
     # root-level digits {1, 2}, leaf-level digit {0}
-    assert encode_hbs({4, 8}, CFG16) == HbsAddress((0b0110, 0b0001))
-    pkt = make_packet(HbsAddress((0b0110, 0b0001)), CFG16, 0, 10)
-    r = route_multicast(pkt, 0, TOPO16)
+    addr = HbsAddress((0b0110, 0b0001))
+    assert HbsAddress.encode({4, 8}, CFG16) == addr
+    r = route_multicast(addr, 0, CFG16)
     assert r.delivered == (4, 8)
     assert r.up_links == ((1, 0), (2, 0))
     assert set(r.down_links) == {(2, 1), (2, 2), (1, 4), (1, 8)}
@@ -101,8 +60,8 @@ def test_route_hbs_worked_example():
 
 def test_route_fbs_sibling_transits_root():
     # singleton mask for the source's sibling still climbs to the root
-    pkt = mc_packet(Scheme.FBS, {1}, CFG16)
-    r = route_multicast(pkt, 0, TOPO16)
+    addr = encode(Scheme.FBS, {1}, CFG16)
+    r = route_multicast(addr, 0, CFG16)
     assert r.delivered == (1,)
     assert len(r.up_links) == 2
     assert len(r.down_links) == 2
@@ -110,8 +69,8 @@ def test_route_fbs_sibling_transits_root():
 
 
 def test_route_hbs_broadcast_uses_every_link_once():
-    pkt = mc_packet(Scheme.HBS, range(16), CFG16)
-    r = route_multicast(pkt, 3, TOPO16)
+    addr = encode(Scheme.HBS, range(16), CFG16)
+    r = route_multicast(addr, 3, CFG16)
     assert set(r.delivered) == set(range(16))
     all_edges = {(1, c) for c in range(16)} | {(2, c) for c in range(4)}
     assert sorted(r.down_links) == sorted(all_edges)
@@ -119,38 +78,36 @@ def test_route_hbs_broadcast_uses_every_link_once():
 
 
 def test_source_receives_own_packet_when_covered():
-    pkt = mc_packet(Scheme.HBS, {6}, CFG16)
-    r = route_multicast(pkt, 6, TOPO16)
+    addr = encode(Scheme.HBS, {6}, CFG16)
+    r = route_multicast(addr, 6, CFG16)
     assert r.delivered == (6,)
     assert len(r.links) == 4  # up to root and straight back down
 
 
 def test_delivery_exactness_random():
     rng = random.Random(21)
-    for topo in (TOPO16, TOPO64):
-        cfg = topo.cfg
+    for cfg in (CFG16, CFG64):
         n = cfg.core_count
         for _ in range(300):
             dests = frozenset(rng.sample(range(n), rng.randint(1, n)))
             source = rng.randrange(n)
             scheme = rng.choice(MULTICAST_SCHEMES)
             addr = encode(scheme, dests, cfg)
-            r = route_multicast(make_packet(addr, cfg, 0, 10), source, topo)
+            r = route_multicast(addr, source, cfg)
             assert frozenset(r.delivered) == covered_set(addr, cfg)
             assert len(r.delivered) == len(set(r.delivered))
 
 
 def test_no_link_twice_per_phase_and_down_is_path_union():
     rng = random.Random(22)
-    for topo in (TOPO16, TOPO64):
-        cfg = topo.cfg
+    for cfg in (CFG16, CFG64):
         n = cfg.core_count
         for _ in range(200):
             dests = frozenset(rng.sample(range(n), rng.randint(1, n // 2)))
             source = rng.randrange(n)
             scheme = rng.choice(MULTICAST_SCHEMES)
             addr = encode(scheme, dests, cfg)
-            r = route_multicast(make_packet(addr, cfg, 0, 10), source, topo)
+            r = route_multicast(addr, source, cfg)
             assert len(r.up_links) == len(set(r.up_links))
             assert len(r.down_links) == len(set(r.down_links))
             union = set()
@@ -161,33 +118,43 @@ def test_no_link_twice_per_phase_and_down_is_path_union():
 
 
 def test_rotation_state_is_depth_indexed():
+    # After d per-hop rotations the head is level d's slice of the field.
     rng = random.Random(23)
-    for cfg in (CFG16, TreeConfig(2, 3), TreeConfig(3, 2), CFG64):
-        topo = build_tree(cfg)
-        for _ in range(60):
-            masks = tuple(
-                rng.randint(1, (1 << cfg.fan_out) - 1) for _ in range(cfg.levels)
-            )
-            addr = HbsAddress(masks)
-            source = rng.randrange(cfg.core_count)
-            r = route_multicast(make_packet(addr, cfg, 0, 10), source, topo)
-            assert r.decisions
-            for d in r.decisions:
-                assert d.field == masks[d.depth]
+    for turnaround in ("root", "lca"):
+        for cfg in (CFG16, TreeConfig(2, 3), TreeConfig(3, 2), CFG64):
+            for _ in range(60):
+                masks = tuple(
+                    rng.randint(1, (1 << cfg.fan_out) - 1) for _ in range(cfg.levels)
+                )
+                addr = HbsAddress(masks)
+                source = rng.randrange(cfg.core_count)
+                r = route_multicast(addr, source, cfg, turnaround)
+                assert r.decisions
+                for d in r.decisions:
+                    assert d.field == masks[d.depth]
+        for cfg in (CFG16, TreeConfig(2, 4), CFG64):
+            m = cfg.index_bits // cfg.levels
+            for _ in range(60):
+                symbols = tuple(rng.choice(list(Sym)) for _ in range(cfg.index_bits))
+                addr = SymbolAddress(symbols)
+                source = rng.randrange(cfg.core_count)
+                r = route_multicast(addr, source, cfg, turnaround)
+                assert r.decisions
+                for d in r.decisions:
+                    assert d.field == symbols[d.depth * m : (d.depth + 1) * m]
 
 
 def test_multicast_rejects_unicast_and_bad_policy():
-    upkt = Packet(Scheme.UNICAST, UnicastAddress((1,)), 0, 14)
     with pytest.raises(ValueError):
-        route_multicast(upkt, 0, TOPO16)
-    pkt = mc_packet(Scheme.FBS, {1}, CFG16)
+        route_multicast(UnicastAddress((1,)), 0, CFG16)
+    addr = encode(Scheme.FBS, {1}, CFG16)
     with pytest.raises(ValueError):
-        route_multicast(pkt, 0, TOPO16, turnaround="bounce")
+        route_multicast(addr, 0, CFG16, turnaround="bounce")
 
 
 def test_lca_turnaround_shortens_local_traffic():
-    pkt = mc_packet(Scheme.FBS, {1}, CFG16)
-    r = route_multicast(pkt, 0, TOPO16, turnaround="lca")
+    addr = encode(Scheme.FBS, {1}, CFG16)
+    r = route_multicast(addr, 0, CFG16, turnaround="lca")
     assert r.delivered == (1,)
     assert r.links == ((1, 0), (1, 1))
     # deliveries are policy-independent
@@ -197,9 +164,9 @@ def test_lca_turnaround_shortens_local_traffic():
         dests = frozenset(rng.sample(range(64), rng.randint(1, 10)))
         source = rng.randrange(64)
         scheme = rng.choice(MULTICAST_SCHEMES)
-        pkt = mc_packet(scheme, dests, cfg)
-        root = route_multicast(pkt, source, TOPO64, turnaround="root")
-        lca = route_multicast(pkt, source, TOPO64, turnaround="lca")
+        addr = encode(scheme, dests, cfg)
+        root = route_multicast(addr, source, CFG64, turnaround="root")
+        lca = route_multicast(addr, source, CFG64, turnaround="lca")
         assert frozenset(root.delivered) == frozenset(lca.delivered)
         assert len(lca.links) <= len(root.links)
 
@@ -208,17 +175,17 @@ def test_lca_turnaround_shortens_local_traffic():
 # unicast routing
 
 def test_unicast_examples():
-    r = route_unicast_batch(UnicastAddress((1,)), 0, TOPO16)
+    r = route_unicast_batch(UnicastAddress((1,)), 0, CFG16)
     assert r.links == ((1, 0), (1, 1))
-    r = route_unicast_batch(UnicastAddress((5,)), 0, TOPO16)
+    r = route_unicast_batch(UnicastAddress((5,)), 0, CFG16)
     assert len(r.links) == 4
-    r = route_unicast_batch(encode_unicast(range(16), CFG16), 0, TOPO16)
+    r = route_unicast_batch(UnicastAddress.encode(range(16), CFG16), 0, CFG16)
     assert r.packets == 16
     assert r.delivered == tuple(range(16))
 
 
 def test_unicast_self_delivery_turns_at_leaf_switch():
-    r = route_unicast_batch(UnicastAddress((7,)), 7, TOPO16)
+    r = route_unicast_batch(UnicastAddress((7,)), 7, CFG16)
     assert r.links == ((1, 7), (1, 7))
 
 
@@ -228,8 +195,8 @@ def test_unicast_dominance_two_levels():
     for _ in range(500):
         dests = frozenset(rng.sample(range(16), rng.randint(1, 16)))
         source = rng.randrange(16)
-        fbs = route_multicast(mc_packet(Scheme.FBS, dests, CFG16), source, TOPO16)
-        uni = route_unicast_batch(encode_unicast(dests, CFG16), source, TOPO16)
+        fbs = route_multicast(encode(Scheme.FBS, dests, CFG16), source, CFG16)
+        uni = route_unicast_batch(UnicastAddress.encode(dests, CFG16), source, CFG16)
         assert len(fbs.down_links) <= len(uni.links)
 
 
@@ -246,21 +213,14 @@ def test_unicast_dominance_three_levels_outside_local_region():
         local = {c for c in dests if c // k == source // k}
         if dests == local and len(dests) < levels - 1:
             continue
-        fbs = route_multicast(mc_packet(Scheme.FBS, dests, CFG64), source, TOPO64)
-        uni = route_unicast_batch(encode_unicast(dests, CFG64), source, TOPO64)
+        fbs = route_multicast(encode(Scheme.FBS, dests, CFG64), source, CFG64)
+        uni = route_unicast_batch(UnicastAddress.encode(dests, CFG64), source, CFG64)
         assert len(fbs.down_links) <= len(uni.links)
         checked += 1
 
 
 # ---------------------------------------------------------------------------
 # filtering and divergence
-
-def test_filter_at_core():
-    pkt = mc_packet(Scheme.HBS, {1}, CFG16, tag=42)
-    assert filter_at_core(1, pkt, {42, 7})
-    assert not filter_at_core(1, pkt, {7})
-    assert not filter_at_core(1, pkt, frozenset())
-
 
 def test_divergence_depth():
     # legal targets {0, 5}: cores 1 and 4 diverge at the leaf switches,
@@ -287,7 +247,7 @@ def luts_from_events(events, n_cores):
 
 
 def test_simulate_empty_event_list():
-    report = simulate([], Scheme.FBS, TOPO16, {}, EnergyModel.default(2), [set()] * 16)
+    report = simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(2), [set()] * 16)
     assert report.events == 0
     assert report.packets_injected == 0
     assert report.total_energy == 0.0
@@ -300,7 +260,7 @@ def test_simulate_single_fbs_event_energy():
     events = [(3, frozenset({5}))]
     mapping = {3: 0}
     luts = luts_from_events(events, 16)
-    report = simulate(events, Scheme.FBS, TOPO16, mapping, EnergyModel.default(2), luts)
+    report = simulate(events, Scheme.FBS, CFG16, mapping, EnergyModel.default(2), luts)
     assert report.packets_injected == 1
     assert report.illegal_deliveries == 0
     assert report.legal_deliveries == 1
@@ -324,7 +284,7 @@ def test_simulate_counters_close_against_manual_recount():
     energy = EnergyModel.default(2)
 
     for scheme in Scheme:
-        report = simulate(events, scheme, TOPO16, mapping, energy, luts)
+        report = simulate(events, scheme, CFG16, mapping, energy, luts)
         routing = 0.0
         link_bits = 0
         legal = illegal = packets = 0
@@ -332,9 +292,9 @@ def test_simulate_counters_close_against_manual_recount():
         for tag, dests in events:
             addr = encode(scheme, dests, CFG16)
             if scheme is Scheme.UNICAST:
-                r = route_unicast_batch(addr, mapping[tag], TOPO16)
+                r = route_unicast_batch(addr, mapping[tag], CFG16)
             else:
-                r = route_multicast(make_packet(addr, CFG16, tag, 10), mapping[tag], TOPO16)
+                r = route_multicast(addr, mapping[tag], CFG16)
             packets += r.packets
             link_bits += len(r.links) * header
             routing += header * sum(energy.link_energy(lvl) for lvl, _ in r.links)
@@ -368,8 +328,8 @@ def test_simulate_hbs_never_more_illegal_than_symbol():
     mapping = {tag: rng.randrange(16) for tag in range(60)}
     luts = luts_from_events(events, 16)
     energy = EnergyModel.default(2)
-    hbs = simulate(events, Scheme.HBS, TOPO16, mapping, energy, luts)
-    sym = simulate(events, Scheme.SYMBOL, TOPO16, mapping, energy, luts)
+    hbs = simulate(events, Scheme.HBS, CFG16, mapping, energy, luts)
+    sym = simulate(events, Scheme.SYMBOL, CFG16, mapping, energy, luts)
     assert hbs.illegal_deliveries <= sym.illegal_deliveries
     assert hbs.routing_energy <= sym.routing_energy
 
@@ -377,12 +337,12 @@ def test_simulate_hbs_never_more_illegal_than_symbol():
 def test_simulate_rejects_unmapped_and_overwide_tags():
     events = [(5, frozenset({1}))]
     with pytest.raises(ValueError, match="unmapped"):
-        simulate(events, Scheme.FBS, TOPO16, {}, EnergyModel.default(2), [set()] * 16)
+        simulate(events, Scheme.FBS, CFG16, {}, EnergyModel.default(2), [set()] * 16)
     with pytest.raises(ValueError, match="tag"):
         simulate(
             [(5000, frozenset({1}))],
             Scheme.FBS,
-            TOPO16,
+            CFG16,
             {5000: 0},
             EnergyModel.default(2),
             [set()] * 16,
@@ -391,7 +351,7 @@ def test_simulate_rejects_unmapped_and_overwide_tags():
 
 def test_simulate_energy_model_must_match_tree_depth():
     with pytest.raises(ValueError):
-        simulate([], Scheme.FBS, TOPO16, {}, EnergyModel.default(3), [set()] * 16)
+        simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(3), [set()] * 16)
 
 
 def test_simulate_deterministic():
@@ -401,6 +361,6 @@ def test_simulate_deterministic():
     ]
     mapping = {tag: rng.randrange(16) for tag in range(30)}
     luts = luts_from_events(events, 16)
-    a = simulate(events, Scheme.SYMBOL, TOPO16, mapping, EnergyModel.default(2), luts)
-    b = simulate(events, Scheme.SYMBOL, TOPO16, mapping, EnergyModel.default(2), luts)
+    a = simulate(events, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
+    b = simulate(events, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
     assert a == b

@@ -10,7 +10,6 @@ from treecast.scaling import (
     capability_scaling_factor,
     emit_scaling_table,
     enumerate_capability,
-    lut_bits_per_source,
     routing_bits_formula,
     routing_scaling_factor,
     write_scaling_csv,
@@ -97,12 +96,19 @@ def test_enumerate_hbs_matches_formula_and_brute_covers():
 
 
 def test_enumerate_matches_formula_grid():
-    grid = [(2, 5), (3, 3), (4, 3), (8, 2), (5, 2)]
-    for k, levels in grid:
-        cfg = TreeConfig(k, levels)
-        assert enumerate_capability(Scheme.HBS, cfg) == capability_formula(
-            Scheme.HBS, cfg.core_count, k
-        )
+    grids = {
+        Scheme.HBS: [(2, 5), (3, 3), (4, 3), (8, 2), (5, 2)],
+        Scheme.SYMBOL: [(2, 1), (2, 4), (4, 2), (8, 1)],
+        # fbs and unicast have one address per subset: keep N small
+        Scheme.FBS: [(2, 1), (2, 3), (3, 2), (4, 2)],
+        Scheme.UNICAST: [(2, 1), (2, 3), (3, 2), (4, 2)],
+    }
+    for scheme, grid in grids.items():
+        for k, levels in grid:
+            cfg = TreeConfig(k, levels)
+            assert enumerate_capability(scheme, cfg) == capability_formula(
+                scheme, cfg.core_count, k
+            )
 
 
 def test_enumerate_budget_error():
@@ -126,19 +132,16 @@ def test_emit_scaling_table_shape_and_values():
         225,
         65535,
     ]
-    assert at16["unicast"].lut_bits_per_source == 64
-    assert at16["hbs"].lut_bits_per_source == 8
+    assert [at16[s].lut_bits_per_source for s in ("fbs", "symbol", "hbs", "unicast")] == [
+        16,
+        8,
+        8,
+        64,
+    ]
 
 
 def test_emit_scaling_table_empty():
     assert emit_scaling_table([], [2, 4]) == []
-
-
-def test_lut_bits_per_source_values():
-    assert lut_bits_per_source(Scheme.FBS, 16) == 16
-    assert lut_bits_per_source(Scheme.SYMBOL, 16) == 8
-    assert lut_bits_per_source(Scheme.HBS, 16, 4) == 8
-    assert lut_bits_per_source(Scheme.UNICAST, 16) == 64
 
 
 def test_scaling_csv_deterministic_bytes():
