@@ -1,8 +1,12 @@
 import io
+import json
 
 import pytest
 
-from treecast.experiment import ConfigError, load_config
+from treecast.addressing import TreeConfig
+from treecast.experiment import ConfigError, ExperimentConfig, load_config
+from treecast.nocsim import EnergyModel
+from treecast.traffic import Layer, NetworkSpec
 
 
 def test_load_config_rejects_scheme_that_does_not_fit_tree():
@@ -12,3 +16,125 @@ def test_load_config_rejects_scheme_that_does_not_fit_tree():
     assert any(e.startswith("schemes") for e in info.value.errors)
     config = load_config(io.StringIO(text.replace("symbol", "hbs")))
     assert config.tree.core_count == 9
+
+
+# The three perfbench workload configs at benchmark seed 0, as
+# perfbench/workloads.py writes them.
+PAPER16 = {
+    "mapping": {"seed": 7},
+    "network": {"seed": 5},
+    "output": {"runs_csv": "runs.csv", "summary_json": "summary.json"},
+    "trace": {"seed": 42},
+}
+DEEP1024 = {
+    "mapping": {"repetitions": 1, "seed": 7, "switch_prob": 0.2},
+    "network": {"seed": 5},
+    "output": {"runs_csv": "runs.csv", "summary_json": "summary.json"},
+    "trace": {"seed": 42},
+    "tree": {"fan_out": 2, "levels": 10},
+}
+LOCAL256 = {
+    "mapping": {"capacity": 50, "repetitions": 1, "seed": 7, "strategy": "sequential"},
+    "network": {"layer_size": 2000, "seed": 5},
+    "output": {"runs_csv": "runs.csv", "summary_json": "summary.json"},
+    "tag_bits": 14,
+    "trace": {"path": "trace.csv", "source": "file"},
+    "tree": {"fan_out": 4, "levels": 4},
+    "turnaround": "lca",
+}
+
+ACCEPTED = [
+    ("paper16", json.dumps(PAPER16), ExperimentConfig(energy=EnergyModel.default(2))),
+    (
+        "deep1024",
+        json.dumps(DEEP1024),
+        ExperimentConfig(
+            tree=TreeConfig(2, 10),
+            energy=EnergyModel.default(10),
+            repetitions=1,
+            switch_prob=0.2,
+        ),
+    ),
+    (
+        "local256",
+        json.dumps(LOCAL256),
+        ExperimentConfig(
+            tree=TreeConfig(4, 4),
+            tag_bits=14,
+            turnaround="lca",
+            energy=EnergyModel.default(4),
+            network=NetworkSpec.default_rsnn(2000),
+            strategy="sequential",
+            capacity=50,
+            repetitions=1,
+            trace_source="file",
+            trace_path="trace.csv",
+        ),
+    ),
+    ("empty", "", ExperimentConfig(energy=EnergyModel.default(2))),
+    (
+        "network_layers",
+        "network:\n  layers: [{size: 50, kind: recurrent}, {size: 30, kind: feedforward}]\n"
+        "  density: 0.2\n  literal_fc: true\n",
+        ExperimentConfig(
+            energy=EnergyModel.default(2),
+            network=NetworkSpec((Layer(50, "recurrent"), Layer(30, "feedforward")), 0.2, True),
+        ),
+    ),
+    (
+        "energy_link",
+        "energy: {link: [1, 3], filter_lookup: 2}\n",
+        ExperimentConfig(energy=EnergyModel((1.0, 3.0), 2.0)),
+    ),
+]
+
+
+@pytest.mark.parametrize("text,expected", [a[1:] for a in ACCEPTED], ids=[a[0] for a in ACCEPTED])
+def test_load_config_accepts(text, expected):
+    assert load_config(io.StringIO(text)) == expected
+
+
+REJECTED = [
+    (
+        "many_fields",
+        "tree: {fan_out: x, levels: 1.5}\ntag_bits: true\n"
+        "mapping: {capacity: 0, switch_prob: 2, strategy: foo}\n"
+        "trace: {rate: -1, source: file}\n",
+        [
+            "mapping.capacity",
+            "mapping.strategy",
+            "mapping.switch_prob",
+            "tag_bits",
+            "trace.path",
+            "trace.rate",
+            "tree.fan_out",
+            "tree.levels",
+        ],
+    ),
+    ("unknown_keys", "foo: 1\ntree: {bar: 1}\nenergy: {baz: 1}\n", ["energy.baz", "foo", "tree.bar"]),
+    ("link_length", "energy: {link: [1]}\n", ["energy.link"]),
+    (
+        "layer_entries",
+        "network: {layers: [{size: 0, kind: recurrent}, 5]}\n",
+        ["network.layers[0]", "network.layers[1]"],
+    ),
+    ("unknown_scheme", "schemes: [fbs, nope]\n", ["schemes[1]"]),
+    ("no_schemes", "schemes: []\n", ["schemes"]),
+    ("density", "network: {density: 0}\n", ["network.density"]),
+    ("section_not_mapping", "tree: 3\n", ["tree"]),
+    ("empty_output_path", "output: {runs_csv: ''}\n", ["output.runs_csv"]),
+    ("turnaround", "turnaround: up\n", ["turnaround"]),
+    ("top_level_list", "- 1\n- 2\n", ["top level"]),
+    ("over_capacity", "network: {layer_size: 1000}\n", ["mapping.capacity"]),
+]
+
+
+def error_paths(text):
+    with pytest.raises(ConfigError) as info:
+        load_config(io.StringIO(text))
+    return sorted(e.split(": ", 1)[0] for e in info.value.errors)
+
+
+@pytest.mark.parametrize("text,paths", [r[1:] for r in REJECTED], ids=[r[0] for r in REJECTED])
+def test_load_config_error_paths(text, paths):
+    assert error_paths(text) == paths
