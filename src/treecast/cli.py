@@ -51,7 +51,9 @@ def _tree_from_flags(args: argparse.Namespace) -> TreeConfig:
             return TreeConfig(fan_out=k, levels=tree_levels(args.n, k))
         except ValueError as exc:
             raise ValueError(f"--n {args.n} --k {k}: {exc}") from None
-    return TreeConfig(fan_out=args.k or 4, levels=args.levels or 2)
+    return TreeConfig(
+        fan_out=4 if args.k is None else args.k, levels=2 if args.levels is None else args.levels
+    )
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:

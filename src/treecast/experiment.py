@@ -5,6 +5,10 @@ single spike trace, producing one :class:`~treecast.nocsim.SimReport`
 row per combination plus an aggregate summary with per-scheme energy
 statistics and cross-scheme ratios.  Everything is seeded, so a config
 reproduces its reports byte for byte.
+
+:data:`FIELDS` is the reference for the YAML config that
+:func:`load_config` reads: one row per field, with its type, bounds or
+choices, and the fields it cannot be combined with.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
-from typing import IO, Any, Sequence
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
+from typing import IO, Any, Callable, Sequence
 
 import yaml
 
@@ -24,6 +29,7 @@ from .traffic import (
     NetworkSpec,
     SpikeTrace,
     build_core_luts,
+    default_tag_bits,
     derive_events,
     generate_connectivity,
     load_trace,
@@ -44,7 +50,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     tree: TreeConfig = field(default_factory=lambda: TreeConfig(fan_out=4, levels=2))
     schemes: tuple[Scheme, ...] = tuple(Scheme)
-    tag_bits: int = 10
+    tag_bits: int | None = None  # None -> default_tag_bits(network.total_neurons)
     turnaround: str = "root"
     energy: EnergyModel | None = None  # None -> EnergyModel.default(tree.levels)
     network: NetworkSpec = field(default_factory=NetworkSpec.default_rsnn)
@@ -62,6 +68,10 @@ class ExperimentConfig:
     runs_csv: str = "runs.csv"
     summary_json: str = "summary.json"
 
+    def __post_init__(self) -> None:
+        if self.tag_bits is None:
+            object.__setattr__(self, "tag_bits", default_tag_bits(self.network.total_neurons))
+
     def energy_model(self) -> EnergyModel:
         return self.energy if self.energy is not None else EnergyModel.default(self.tree.levels)
 
@@ -74,218 +84,139 @@ def default_config() -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config file loading
 
-def _expect_keys(section: dict, allowed: set[str], prefix: str, errors: list[str]) -> None:
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{prefix}{key}: unknown field")
+_Field = namedtuple("_Field", "path keyword kind allowed excludes", defaults=(None, ()))
+
+#: The config reference: one row per YAML field, with the ExperimentConfig
+#: field it sets, its kind (int, float, bool, str or dict; ``[kind]`` is a
+#: nonempty list), the interval (on a str's length) or choices it must lie in,
+#: and the fields it may not be set with.  Rows setting ``tree``, ``energy`` or
+#: ``network`` are arguments of TreeConfig, EnergyModel.default or
+#: NetworkSpec.default_rsnn; ``energy.link`` and ``network.layers`` replace
+#: what those built.  An absent field keeps the default of what it sets.
+FIELDS = (
+    _Field("tree.fan_out", "tree", int, "[2, inf)"),
+    _Field("tree.levels", "tree", int, "[1, inf)"),
+    _Field("tag_bits", "tag_bits", int, "[1, inf)"),
+    _Field("schemes", "schemes", [str], tuple(s.value for s in Scheme)),
+    _Field("turnaround", "turnaround", str, TURNAROUND_POLICIES),
+    _Field("energy.link", "energy", [float]),
+    _Field("energy.base", "energy", float, excludes=("energy.link",)),
+    _Field("energy.level_ratio", "energy", float, excludes=("energy.link",)),
+    _Field("energy.filter_lookup", "energy", float),
+    _Field("network.layers", "network", [dict]),
+    _Field("network.layer_size", "network", int, "[1, inf)", excludes=("network.layers",)),
+    _Field("network.recurrent_layers", "network", int, "[0, inf)", excludes=("network.layers",)),
+    _Field("network.feedforward_layers", "network", int, "[0, inf)", excludes=("network.layers",)),
+    _Field("network.density", "network", float, "(0, 1]"),
+    _Field("network.literal_fc", "network", bool),
+    _Field("network.seed", "network_seed", int),
+    _Field("mapping.strategy", "strategy", str, ("sequential", "random_switch")),
+    _Field("mapping.capacity", "capacity", int, "[1, inf)"),
+    _Field("mapping.repetitions", "repetitions", int, "[1, inf)"),
+    _Field("mapping.switch_prob", "switch_prob", float, "[0, 1]"),
+    _Field("mapping.seed", "mapping_seed", int),
+    _Field("trace.source", "trace_source", str, ("synth", "file")),
+    _Field("trace.steps", "trace_steps", int, "[0, inf)"),
+    _Field("trace.rate", "trace_rate", float, "[0, 1]"),
+    _Field("trace.seed", "trace_seed", int),
+    _Field("trace.path", "trace_path", str),
+    _Field("output.runs_csv", "runs_csv", str, "[1, inf)"),
+    _Field("output.summary_json", "summary_json", str, "[1, inf)"),
+)
+_ROWS = {f.path: f for f in FIELDS}
+_SECTIONS = {f.path.split(".")[0] for f in FIELDS if "." in f.path}
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", dict: "a mapping"}
+
+
+def _within(x: float, span: str) -> bool:
+    lo, hi = (float(b) for b in span[1:-1].split(","))
+    return (lo < x or x == lo and span[0] == "[") and (x < hi or x == hi and span[-1] == "]")
+
+
+def _check(path: str, kind: Any, allowed: Any, value: Any, errors: list[str]) -> Any:
+    """``value`` if it fits, else None and why in ``errors``; a list keeps None per bad item."""
+    if isinstance(kind, list) and not (isinstance(value, list) and value):
+        errors.append(f"{path}: must be a nonempty list")
+    elif isinstance(kind, list):
+        return [_check(f"{path}[{i}]", kind[0], allowed, v, errors) for i, v in enumerate(value)]
+    elif type(value) not in ((int, float) if kind is float else (kind,)):
+        errors.append(f"{path}: must be {_KINDS[kind]}")
+    elif isinstance(allowed, tuple) and value not in allowed:
+        errors.append(f"{path}: must be one of {allowed}, got {value!r}")
+    elif isinstance(allowed, str) and not _within(len(value) if kind is str else value, allowed):
+        errors.append(f"{path}: {'length ' * (kind is str)}must be in {allowed}, got {value!r}")
+    else:
+        return float(value) if kind is float else value
+    return None
+
+
+def _built(errors: list[str], label: str, build: Callable[..., Any], *args: Any, **kw: Any) -> Any:
+    """``build(*args, **kw)``, or None with its error in ``errors`` under ``label``."""
+    try:
+        return build(*args, **kw)
+    except (TypeError, ValueError) as exc:
+        errors.append(f"{label}: {exc}")
+        return None
 
 
 def load_config(inp: IO[str]) -> ExperimentConfig:
-    """Parse a YAML experiment config, collecting every field error at once."""
+    """Parse a YAML experiment config against :data:`FIELDS`, collecting every error at once."""
     raw = yaml.safe_load(inp)
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
+    if not isinstance(raw, (dict, type(None))):
         raise ConfigError(["top level: config must be a mapping"])
     errors: list[str] = []
+    given: dict[Any, Any] = {}
+    for key, value in (raw or {}).items():
+        if key not in _SECTIONS:
+            given[key] = value
+        elif isinstance(value, (dict, type(None))):
+            given.update((f"{key}.{sub}", v) for sub, v in (value or {}).items())
+        else:
+            errors.append(f"{key}: must be a mapping")
+    kw: dict[str, Any] = {}
+    args: dict[str, dict[str, Any]] = {"tree": {}, "energy": {}, "network": {}}
+    for path, value in given.items():
+        row = _ROWS.get(path)
+        if row is None or "." in path and path in raw:  # or a dotted key at the top level
+            errors.append(f"{path}: unknown field")
+            continue
+        errors.extend(f"{path}: not allowed with {x}" for x in row.excludes if x in given)
+        value = _check(path, row.kind, row.allowed, value, errors)
+        if value is not None and row.keyword in args:
+            args[row.keyword][path.split(".")[1]] = value
+        elif value is not None:
+            kw[row.keyword] = value
     defaults = ExperimentConfig()
-
-    _expect_keys(
-        raw,
-        {"tree", "tag_bits", "schemes", "turnaround", "energy", "network", "mapping", "trace", "output"},
-        "",
-        errors,
-    )
-
-    def section(name: str) -> dict:
-        sec = raw.get(name, {})
-        if sec is None:
-            sec = {}
-        if not isinstance(sec, dict):
-            errors.append(f"{name}: must be a mapping")
-            return {}
-        return sec
-
-    def intval(sec: dict, name: str, path: str, default: int, minimum: int | None = None) -> int:
-        v = sec.get(name, default)
-        if not isinstance(v, int) or isinstance(v, bool):
-            errors.append(f"{path}: must be an integer")
-            return default
-        if minimum is not None and v < minimum:
-            errors.append(f"{path}: must be >= {minimum}")
-            return default
-        return v
-
-    def floatval(sec: dict, name: str, path: str, default: float) -> float:
-        v = sec.get(name, default)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            errors.append(f"{path}: must be a number")
-            return default
-        return float(v)
-
-    tree_sec = section("tree")
-    _expect_keys(tree_sec, {"fan_out", "levels"}, "tree.", errors)
-    fan_out = intval(tree_sec, "fan_out", "tree.fan_out", 4, minimum=2)
-    levels = intval(tree_sec, "levels", "tree.levels", 2, minimum=1)
-    tree = TreeConfig(fan_out=fan_out, levels=levels)
-
-    tag_bits = intval(raw, "tag_bits", "tag_bits", defaults.tag_bits, minimum=1)
-
-    schemes: list[Scheme] = []
-    raw_schemes = raw.get("schemes", [s.value for s in defaults.schemes])
-    if not isinstance(raw_schemes, list) or not raw_schemes:
-        errors.append("schemes: must be a nonempty list of scheme names")
-    else:
-        for i, s in enumerate(raw_schemes):
-            try:
-                schemes.append(Scheme(s))
-            except ValueError:
-                errors.append(
-                    f"schemes[{i}]: unknown scheme {s!r} "
-                    f"(expected one of {[m.value for m in Scheme]})"
-                )
-    for s in schemes:
-        try:
-            routing_bit_width(s, tree)
-        except ValueError as exc:
-            errors.append(f"schemes: {s.value}: {exc}")
-
-    turnaround = raw.get("turnaround", defaults.turnaround)
-    if turnaround not in TURNAROUND_POLICIES:
-        errors.append(f"turnaround: must be one of {TURNAROUND_POLICIES}, got {turnaround!r}")
-
-    energy_sec = section("energy")
-    _expect_keys(energy_sec, {"link", "base", "level_ratio", "filter_lookup"}, "energy.", errors)
-    filter_lookup = floatval(energy_sec, "filter_lookup", "energy.filter_lookup", 8.0)
-    energy: EnergyModel | None = None
-    if "link" in energy_sec:
-        link = energy_sec["link"]
-        if (
-            not isinstance(link, list)
-            or not link
-            or any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in link)
-        ):
-            errors.append("energy.link: must be a nonempty list of numbers (leaf level first)")
-        elif len(link) != tree.levels:
-            errors.append(f"energy.link: expected {tree.levels} levels, got {len(link)}")
-        else:
-            try:
-                energy = EnergyModel(tuple(float(e) for e in link), filter_lookup)
-            except ValueError as exc:
-                errors.append(f"energy.link: {exc}")
-    else:
-        base = floatval(energy_sec, "base", "energy.base", 1.0)
-        ratio = floatval(energy_sec, "level_ratio", "energy.level_ratio", 4.0)
-        try:
-            energy = EnergyModel.default(tree.levels, base, ratio, filter_lookup)
-        except ValueError as exc:
-            errors.append(f"energy: {exc}")
-
-    net_sec = section("network")
-    _expect_keys(
-        net_sec,
-        {"layers", "layer_size", "recurrent_layers", "feedforward_layers", "density", "literal_fc", "seed"},
-        "network.",
-        errors,
-    )
-    density = floatval(net_sec, "density", "network.density", 0.1)
-    if not 0.0 < density <= 1.0:
-        errors.append(f"network.density: must be in (0, 1], got {density}")
-        density = 0.1
-    literal_fc = net_sec.get("literal_fc", False)
-    if not isinstance(literal_fc, bool):
-        errors.append("network.literal_fc: must be a boolean")
-        literal_fc = False
-    network: NetworkSpec | None = None
-    if "layers" in net_sec:
-        raw_layers = net_sec["layers"]
-        layers: list[Layer] = []
-        if not isinstance(raw_layers, list) or not raw_layers:
-            errors.append("network.layers: must be a nonempty list of {size, kind}")
-        else:
-            for i, entry in enumerate(raw_layers):
-                if not isinstance(entry, dict):
-                    errors.append(f"network.layers[{i}]: must be a mapping with size and kind")
-                    continue
-                try:
-                    layers.append(Layer(entry.get("size", 0), entry.get("kind", "")))
-                except ValueError as exc:
-                    errors.append(f"network.layers[{i}]: {exc}")
-        if layers and not errors:
-            network = NetworkSpec(tuple(layers), density, literal_fc)
-    else:
-        layer_size = intval(net_sec, "layer_size", "network.layer_size", 100, minimum=1)
-        rec = intval(net_sec, "recurrent_layers", "network.recurrent_layers", 3, minimum=0)
-        ff = intval(net_sec, "feedforward_layers", "network.feedforward_layers", 3, minimum=0)
-        if rec + ff < 1:
-            errors.append("network: needs at least one layer")
-        else:
-            network = NetworkSpec.default_rsnn(layer_size, rec, ff, density, literal_fc)
-    network_seed = intval(net_sec, "seed", "network.seed", defaults.network_seed)
-
-    map_sec = section("mapping")
-    _expect_keys(map_sec, {"strategy", "capacity", "repetitions", "switch_prob", "seed"}, "mapping.", errors)
-    strategy = map_sec.get("strategy", defaults.strategy)
-    if strategy not in ("sequential", "random_switch"):
-        errors.append(f"mapping.strategy: must be sequential or random_switch, got {strategy!r}")
-    capacity = intval(map_sec, "capacity", "mapping.capacity", defaults.capacity, minimum=1)
-    repetitions = intval(map_sec, "repetitions", "mapping.repetitions", defaults.repetitions, minimum=1)
-    switch_prob = floatval(map_sec, "switch_prob", "mapping.switch_prob", defaults.switch_prob)
-    if not 0.0 <= switch_prob <= 1.0:
-        errors.append(f"mapping.switch_prob: must be in [0, 1], got {switch_prob}")
-    mapping_seed = intval(map_sec, "seed", "mapping.seed", defaults.mapping_seed)
-    if network is not None and network.total_neurons > tree.core_count * capacity:
-        errors.append(
-            f"mapping.capacity: {network.total_neurons} neurons exceed "
-            f"{tree.core_count} cores x {capacity}"
-        )
-
-    trace_sec = section("trace")
-    _expect_keys(trace_sec, {"source", "steps", "rate", "seed", "path"}, "trace.", errors)
-    trace_source = trace_sec.get("source", defaults.trace_source)
-    if trace_source not in ("synth", "file"):
-        errors.append(f"trace.source: must be synth or file, got {trace_source!r}")
-    trace_steps = intval(trace_sec, "steps", "trace.steps", defaults.trace_steps, minimum=0)
-    trace_rate = floatval(trace_sec, "rate", "trace.rate", defaults.trace_rate)
-    if not 0.0 <= trace_rate <= 1.0:
-        errors.append(f"trace.rate: must be in [0, 1], got {trace_rate}")
-    trace_seed = intval(trace_sec, "seed", "trace.seed", defaults.trace_seed)
-    trace_path = trace_sec.get("path")
-    if trace_source == "file" and not isinstance(trace_path, str):
+    tree = replace(defaults.tree, **args["tree"])
+    link = args["energy"].pop("link", None)
+    energy = _built(errors, "energy", EnergyModel.default, tree.levels, **args["energy"])
+    if link is not None and len(link) != tree.levels:
+        errors.append(f"energy.link: expected {tree.levels} levels, got {len(link)}")
+    elif link is not None and energy is not None and None not in link:
+        energy = _built(errors, "energy.link", replace, energy, link_energy_per_bit=tuple(link))
+    layers = args["network"].pop("layers", None)
+    network = _built(errors, "network", NetworkSpec.default_rsnn, **args["network"])
+    for i, entry in enumerate(layers or ()):
+        if entry is not None:
+            size_kind = (entry.get("size", 0), entry.get("kind", ""))
+            layers[i] = _built(errors, f"network.layers[{i}]", Layer, *size_kind)
+    if layers:
+        network = replace(network, layers=tuple(layers)) if network and all(layers) else None
+    kw["schemes"] = tuple(Scheme(s) for s in kw.get("schemes", defaults.schemes) if s is not None)
+    for scheme in kw["schemes"]:
+        _built(errors, f"schemes: {scheme.value}", routing_bit_width, scheme, tree)
+    if network is not None:
+        n, cores = network.total_neurons, tree.core_count
+        capacity = kw.get("capacity", defaults.capacity)
+        if n > cores * capacity:
+            errors.append(f"mapping.capacity: {n} neurons exceed {cores} cores x {capacity}")
+        if "tag_bits" in kw and (n - 1).bit_length() > kw["tag_bits"]:
+            errors.append(f"tag_bits: {kw['tag_bits']} bits cannot hold neuron id {n - 1}")
+    if kw.get("trace_source") == "file" and "trace.path" not in given:
         errors.append("trace.path: required when trace.source is file")
-
-    out_sec = section("output")
-    _expect_keys(out_sec, {"runs_csv", "summary_json"}, "output.", errors)
-    runs_csv = out_sec.get("runs_csv", defaults.runs_csv)
-    summary_json = out_sec.get("summary_json", defaults.summary_json)
-    for path, label in ((runs_csv, "output.runs_csv"), (summary_json, "output.summary_json")):
-        if not isinstance(path, str) or not path:
-            errors.append(f"{label}: must be a nonempty path")
-
     if errors:
         raise ConfigError(errors)
-    assert network is not None and energy is not None
-    return ExperimentConfig(
-        tree=tree,
-        schemes=tuple(schemes),
-        tag_bits=tag_bits,
-        turnaround=turnaround,
-        energy=energy,
-        network=network,
-        network_seed=network_seed,
-        strategy=strategy,
-        capacity=capacity,
-        repetitions=repetitions,
-        switch_prob=switch_prob,
-        mapping_seed=mapping_seed,
-        trace_source=trace_source,
-        trace_steps=trace_steps,
-        trace_rate=trace_rate,
-        trace_seed=trace_seed,
-        trace_path=trace_path,
-        runs_csv=runs_csv,
-        summary_json=summary_json,
-    )
+    return ExperimentConfig(tree=tree, energy=energy, network=network, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +252,13 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
         if config.trace_source == "file":
             with open(config.trace_path, "r", encoding="utf-8") as fh:
                 trace = load_trace(fh)
+            total = config.network.total_neurons
+            bad = next((n for _t, n in trace.events if not 0 <= n < total), None)
+            if bad is not None:
+                raise ValueError(
+                    f"trace.path: {config.trace_path}: neuron id {bad} is outside the network's "
+                    f"{total} neurons"
+                )
         else:
             trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
 

@@ -218,17 +218,29 @@ def save_trace(trace: SpikeTrace, out: IO[str]) -> None:
 
 
 def load_trace(inp: IO[str], steps: int | None = None) -> SpikeTrace:
-    """Read a trace file; ``steps`` defaults to last timestep + 1."""
+    """Read a trace file; ``steps`` defaults to last timestep + 1.
+
+    A malformed line, or a timestep below 0 or below the one before, raises
+    ValueError naming the file and line number.
+    """
+    name = getattr(inp, "name", "<trace>")
     header = inp.readline().strip()
     if header != "timestep,neuron_id":
-        raise ValueError(f"bad trace header {header!r}")
+        raise ValueError(f"{name}:1: bad trace header {header!r}")
     events = []
-    for line in inp:
+    for lineno, line in enumerate(inp, start=2):
         line = line.strip()
         if not line:
             continue
-        t_text, n_text = line.split(",")
-        events.append((int(t_text), int(n_text)))
+        try:
+            t_text, n_text = line.split(",")
+            t, n = int(t_text), int(n_text)
+        except ValueError:
+            raise ValueError(f"{name}:{lineno}: expected two integers, got {line!r}") from None
+        last = events[-1][0] if events else 0
+        if t < last:
+            raise ValueError(f"{name}:{lineno}: timestep {t} is below {last}; it must not decrease")
+        events.append((t, n))
     if steps is None:
         steps = events[-1][0] + 1 if events else 0
     return SpikeTrace(steps=steps, events=tuple(events))

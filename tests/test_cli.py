@@ -46,9 +46,46 @@ def test_bad_core_count_exits_1(capsys, tree):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tree,field", [(("--k", "0", "--levels", "0"), "fan_out"), (("--k", "4", "--levels", "0"), "levels")]
+)
+def test_zero_tree_flags_exit_1(capsys, tree, field):
+    code = main(["encode", "--scheme", "hbs", "--dests", "0", *tree])
+    assert code == 1
+    assert field in capsys.readouterr().err
+
+
 def test_scaling_to_stdout_starts_with_header(capsys):
     code, out = run(capsys, "scaling")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) > 1
+
+
+def simulate_trace(tmp_path, capsys, lines, tag_bits=None):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("timestep,neuron_id\n" + "".join(line + "\n" for line in lines))
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        ("" if tag_bits is None else f"tag_bits: {tag_bits}\n")
+        + "network: {layer_size: 10}\nmapping: {repetitions: 1}\n"
+        + f"trace: {{source: file, path: '{trace}'}}\n"
+        + f"output: {{runs_csv: '{tmp_path / 'runs.csv'}', summary_json: '{tmp_path / 'summary.json'}'}}\n"
+    )
+    code = main(["simulate", "--config", str(config)])
+    return code, capsys.readouterr().err, str(trace)
+
+
+@pytest.mark.parametrize("bad", ["0,1,2", "0,x", "0,2"])
+def test_malformed_trace_line_names_file_and_line(tmp_path, capsys, bad):
+    code, err, path = simulate_trace(tmp_path, capsys, ["1,1", bad])
+    assert code == 1
+    assert f"{path}:3" in err
+
+
+@pytest.mark.parametrize("neuron,tag_bits", [(99999, 17), (-3, None)])
+def test_trace_id_outside_network_exits_1(tmp_path, capsys, neuron, tag_bits):
+    code, err, _ = simulate_trace(tmp_path, capsys, ["0,1", f"1,{neuron}"], tag_bits)
+    assert code == 1
+    assert "trace.path" in err and str(neuron) in err

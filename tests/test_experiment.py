@@ -4,7 +4,7 @@ import json
 import pytest
 
 from treecast.addressing import TreeConfig
-from treecast.experiment import ConfigError, ExperimentConfig, load_config
+from treecast.experiment import ConfigError, ExperimentConfig, load_config, run_experiment
 from treecast.nocsim import EnergyModel
 from treecast.traffic import Layer, NetworkSpec
 
@@ -138,3 +138,37 @@ def error_paths(text):
 @pytest.mark.parametrize("text,paths", [r[1:] for r in REJECTED], ids=[r[0] for r in REJECTED])
 def test_load_config_error_paths(text, paths):
     assert error_paths(text) == paths
+
+
+@pytest.mark.parametrize(
+    "text,paths",
+    [
+        ("energy: {link: [1, 2], base: 5, level_ratio: 9}\n", ["energy.base", "energy.level_ratio"]),
+        (
+            "network:\n  layers: [{size: 50, kind: recurrent}]\n  layer_size: 50\n  recurrent_layers: 7\n",
+            ["network.layer_size", "network.recurrent_layers"],
+        ),
+    ],
+    ids=["energy", "network"],
+)
+def test_load_config_rejects_exclusive_fields(text, paths):
+    assert error_paths(text) == paths
+
+
+def test_tag_bits_default_follows_network():
+    big = NetworkSpec.default_rsnn(1000)
+    assert ExperimentConfig().tag_bits == 10
+    assert ExperimentConfig(network=big).tag_bits == 13
+    text = "network: {layer_size: 1000}\nmapping: {capacity: 400}\n"
+    config = load_config(io.StringIO(text))
+    assert config == ExperimentConfig(network=big, capacity=400, energy=EnergyModel.default(2))
+    assert error_paths("tag_bits: 12\n" + text) == ["tag_bits"]
+
+
+def test_default_tag_bits_run_past_1024_neurons():
+    text = (
+        "schemes: [hbs]\nnetwork: {layer_size: 200}\n"
+        "mapping: {capacity: 80, repetitions: 1}\ntrace: {steps: 3}\n"
+    )
+    result = run_experiment(load_config(io.StringIO(text)))
+    assert result.summary["schemes"]["hbs"]["legal_deliveries"] > 0

@@ -1,0 +1,87 @@
+import io
+
+import pytest
+
+from treecast.addressing import TreeConfig
+from treecast.experiment import default_config
+from treecast.traffic import (
+    Layer,
+    NetworkSpec,
+    NeuronMapping,
+    SpikeTrace,
+    build_core_luts,
+    derive_events,
+    generate_connectivity,
+    load_trace,
+    map_neurons,
+    save_trace,
+    synth_trace,
+)
+
+SMALL = NetworkSpec((Layer(20, "recurrent"), Layer(15, "feedforward"), Layer(10, "recurrent")), 0.3)
+
+
+def test_trace_round_trip():
+    trace = synth_trace(SMALL, steps=30, rate=0.1, seed=3)
+    assert trace.events
+    buf = io.StringIO()
+    save_trace(trace, buf)
+    buf.seek(0)
+    assert load_trace(buf, steps=trace.steps) == trace
+    buf.seek(0)
+    assert load_trace(buf).steps == trace.events[-1][0] + 1
+
+
+def test_load_trace_rejects_bad_header():
+    with pytest.raises(ValueError, match="header"):
+        load_trace(io.StringIO("time,neuron\n0,1\n"))
+
+
+def test_connectivity_is_seeded_sorted_and_free_of_self_edges():
+    conn = generate_connectivity(SMALL, seed=11)
+    assert conn == generate_connectivity(SMALL, seed=11)
+    assert conn != generate_connectivity(SMALL, seed=12)
+    assert sorted(conn) == list(range(SMALL.total_neurons))
+    assert all(list(ts) == sorted(ts) for ts in conn.values())
+    for layer, ids in zip(SMALL.layers, SMALL.layer_ranges()):
+        if layer.kind == "recurrent":
+            assert not any(n in conn[n] for n in ids)
+    # The last layer has no successor and, being recurrent, wires only to itself.
+    assert all(set(conn[n]) <= set(SMALL.layer_ranges()[2]) for n in SMALL.layer_ranges()[2])
+
+
+def test_sequential_mapping_packs_in_id_order():
+    mapping = map_neurons(SMALL, TreeConfig(4, 2), strategy="sequential", capacity=4)
+    assert mapping.assignment == tuple(n // 4 for n in range(SMALL.total_neurons))
+
+
+def test_mapping_rejects_too_many_neurons():
+    with pytest.raises(ValueError, match="exceed"):
+        map_neurons(SMALL, TreeConfig(2, 2), capacity=10)
+    with pytest.raises(ValueError, match="capacity"):
+        NeuronMapping(assignment=(0, 0, 0), core_capacity=2)
+
+
+def test_derive_events_on_hand_built_network():
+    conn = {0: (1, 2), 1: (), 2: (0, 3), 3: (3,)}
+    mapping = NeuronMapping(assignment=(0, 0, 1, 2), core_capacity=2)
+    trace = SpikeTrace(steps=3, events=((0, 0), (0, 1), (1, 2), (2, 3), (2, 1)))
+    events, dropped = derive_events(trace, conn, mapping, tag_bits=10)
+    assert events == [(0, frozenset({0, 1})), (2, frozenset({0, 2})), (3, frozenset({2}))]
+    assert dropped == 2
+
+
+def test_core_luts_hold_exactly_the_destination_tags():
+    config = default_config()
+    conn = generate_connectivity(config.network, config.network_seed)
+    mapping = map_neurons(
+        config.network, config.tree, config.strategy, config.capacity, config.mapping_seed,
+        config.switch_prob,
+    )
+    every_neuron = SpikeTrace(steps=1, events=tuple((0, n) for n in range(config.network.total_neurons)))
+    events, dropped = derive_events(every_neuron, conn, mapping, config.tag_bits)
+    dests = dict(events)
+    assert dropped == config.network.total_neurons - len(dests)
+    luts = build_core_luts(conn, mapping, config.tree.core_count)
+    for core, lut in enumerate(luts):
+        assert lut == {tag for tag, cores in dests.items() if core in cores}
