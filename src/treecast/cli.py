@@ -8,15 +8,17 @@ Subcommands::
     treecast simulate  --config experiment.yaml
     treecast trace-gen --output trace.csv --steps 400 --rate 0.05 --seed 42
 
-Exit codes: 0 on success, 1 on input/config validation errors, 2 on
-runtime failures (unwritable paths, enumeration budgets, ...).
+Exit codes: 0 on success; 1 on input/config validation errors, including
+a ``simulate`` config or output path that cannot be opened (checked before
+the sweep); 2 on runtime failures (other unopenable paths, enumeration
+budgets, ...).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import IO, Sequence
 
 from .addressing import (
     Scheme,
@@ -99,20 +101,31 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open(path: str, mode: str, what: str) -> IO[str]:
+    """``open(path, mode)``; a path that cannot be opened is an input error naming ``what``."""
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"{what} {path}: {exc.strerror}") from None
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with _open(args.config, "r", "--config") as fh:
             config = load_config(fh)
     else:
         config = default_config()
     runs_csv = args.runs_csv or config.runs_csv
     summary_json = args.summary_json or config.summary_json
 
-    result = run_experiment(config)
-    with open(runs_csv, "w", encoding="utf-8", newline="") as fh:
-        write_runs_csv(result.rows, fh)
-    with open(summary_json, "w", encoding="utf-8") as fh:
-        write_summary_json(result.summary, fh)
+    # Both outputs are opened before the sweep, so a bad path costs no run.
+    with (
+        _open(runs_csv, "w", "output.runs_csv") as runs_fh,
+        _open(summary_json, "w", "output.summary_json") as summary_fh,
+    ):
+        result = run_experiment(config)
+        write_runs_csv(result.rows, runs_fh)
+        write_summary_json(result.summary, summary_fh)
 
     for scheme, stats in result.summary["schemes"].items():
         print(

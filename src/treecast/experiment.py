@@ -68,9 +68,11 @@ class ExperimentConfig:
     runs_csv: str = "runs.csv"
     summary_json: str = "summary.json"
 
-    def __post_init__(self) -> None:
+    def tag_width(self) -> int:
+        """``tag_bits`` if set, else the width that holds every neuron id of ``network``."""
         if self.tag_bits is None:
-            object.__setattr__(self, "tag_bits", default_tag_bits(self.network.total_neurons))
+            return default_tag_bits(self.network.total_neurons)
+        return self.tag_bits
 
     def energy_model(self) -> EnergyModel:
         return self.energy if self.energy is not None else EnergyModel.default(self.tree.levels)
@@ -242,11 +244,12 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) -> ExperimentResult:
     """Sweep the scheme x mapping grid over one trace.
 
-    Every scheme sees the exact same events per mapping; reports come
+    Every scheme sees the exact same sources per mapping; reports come
     back in canonical (scheme, mapping index) order regardless of how
     the grid was executed.
     """
     energy = config.energy_model()
+    tag_bits = config.tag_width()
     connectivity = generate_connectivity(config.network, config.network_seed)
     if trace is None:
         if config.trace_source == "file":
@@ -273,17 +276,17 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
             seed=seed,
             switch_prob=config.switch_prob,
         )
-        events, dropped = derive_events(trace, connectivity, mapping, config.tag_bits)
+        sources, dropped = derive_events(trace, connectivity, mapping, tag_bits)
         luts = build_core_luts(connectivity, mapping, config.tree.core_count)
         for scheme in config.schemes:
             report = simulate(
-                events,
+                sources,
                 scheme,
                 config.tree,
                 mapping,
                 energy,
                 luts,
-                tag_bits=config.tag_bits,
+                tag_bits=tag_bits,
                 turnaround=config.turnaround,
             )
             records.append(RunRecord(scheme.value, rep, seed, dropped, report))

@@ -12,6 +12,9 @@ the lowest common ancestor of source and target instead.
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
 from sources a core does not listen to are filtered out as illegal.
+Within one mapping every spike of a neuron carries the same packet, so
+:func:`simulate` routes each firing neuron once and weights its counters
+by its spike count.
 """
 
 from __future__ import annotations
@@ -248,7 +251,7 @@ def divergence_depth(core: int, legal_targets: Iterable[int], cfg: TreeConfig) -
 
 
 # ---------------------------------------------------------------------------
-# event-level simulation
+# simulation over source neurons
 
 @dataclass(frozen=True)
 class SimReport:
@@ -274,7 +277,7 @@ class SimReport:
 
 
 def simulate(
-    events: Sequence[tuple[int, frozenset[int]]],
+    sources: Iterable[tuple[int, int, Iterable[int]]],
     scheme: Scheme,
     cfg: TreeConfig,
     mapping,
@@ -283,16 +286,19 @@ def simulate(
     tag_bits: int = 10,
     turnaround: str = "root",
 ) -> SimReport:
-    """Run a spike event list through the fabric under one addressing scheme.
+    """Run the spikes of each source neuron through the fabric under one scheme.
 
-    Each event is (source neuron tag, destination core set); the source
-    core comes from ``mapping[tag]``.  Every arriving packet pays one
-    LUT lookup; lookups whose tag is absent from the core's legal-source
-    set count as illegal and the packet is dropped there.
+    Each source is (neuron tag, spike count, destination core set); the
+    source core comes from ``mapping[tag]``.  Every spike of a source
+    carries the same packet, so each source is encoded and routed once
+    and its counters are multiplied by the spike count.  Every arriving
+    packet pays one LUT lookup; lookups whose tag is absent from the
+    core's legal-source set count as illegal and the packet is dropped
+    there.
 
-    Identical (tag, destination set) events route identically, so their
-    outcome is computed once and replayed, which keeps long traces cheap
-    without changing any counter.
+    With integer-valued energies every field equals a spike-by-spike sum.
+    Otherwise the float fields, summed per source, may differ from it by
+    rounding; the tests allow a relative drift of 1e-12.
     """
     scheme = Scheme(scheme)
     if len(energy.link_energy_per_bit) != cfg.levels:
@@ -301,68 +307,44 @@ def simulate(
             f"tree has {cfg.levels}"
         )
     header = routing_bit_width(scheme, cfg) + tag_bits
-    fe = energy.filter_energy_per_lookup
 
+    spikes = 0
     packets = 0
     link_bits = 0
     legal = 0
     illegal = 0
     routing_energy = 0.0
-    filtering_energy = 0.0
-    illegal_filtering_energy = 0.0
+    for tag, count, dests in sources:
+        if tag < 0 or tag >= (1 << tag_bits):
+            raise ValueError(f"source tag {tag} does not fit in {tag_bits} bits")
+        try:
+            source_core = mapping[tag]
+        except (KeyError, IndexError):
+            raise ValueError(f"unmapped neuron {tag}") from None
+        addr = encode(scheme, dests, cfg)
+        if scheme is Scheme.UNICAST:
+            route = route_unicast_batch(addr, source_core, cfg)
+        else:
+            route = route_multicast(addr, source_core, cfg, turnaround)
+        e_per_bit = sum(energy.link_energy(level) for level, _child in route.links)
+        src_legal = sum(1 for core in route.delivered if tag in luts[core])
+        spikes += count
+        packets += count * route.packets
+        link_bits += count * len(route.links) * header
+        routing_energy += count * header * e_per_bit
+        legal += count * src_legal
+        illegal += count * (len(route.delivered) - src_legal)
 
-    cache: dict[tuple[int, frozenset[int]], tuple[int, int, float, int, int]] = {}
-    n_events = 0
-    for tag, targets in events:
-        n_events += 1
-        key = (tag, targets if isinstance(targets, frozenset) else frozenset(targets))
-        hit = cache.get(key)
-        if hit is None:
-            if tag < 0 or tag >= (1 << tag_bits):
-                raise ValueError(f"source tag {tag} does not fit in {tag_bits} bits")
-            try:
-                source_core = mapping[tag]
-            except (KeyError, IndexError):
-                raise ValueError(f"unmapped neuron {tag}") from None
-            addr = encode(scheme, key[1], cfg)
-            if scheme is Scheme.UNICAST:
-                route = route_unicast_batch(addr, source_core, cfg)
-            else:
-                route = route_multicast(addr, source_core, cfg, turnaround)
-            links = route.links
-            e_per_bit = 0.0
-            for level, _child in links:
-                e_per_bit += energy.link_energy_per_bit[level - 1]
-            ev_legal = 0
-            for core in route.delivered:
-                if tag in luts[core]:
-                    ev_legal += 1
-            hit = (
-                route.packets,
-                len(links),
-                e_per_bit,
-                ev_legal,
-                len(route.delivered) - ev_legal,
-            )
-            cache[key] = hit
-        ev_packets, ev_links, ev_energy_per_bit, ev_legal, ev_illegal = hit
-        packets += ev_packets
-        link_bits += ev_links * header
-        routing_energy += header * ev_energy_per_bit
-        legal += ev_legal
-        illegal += ev_illegal
-        filtering_energy += (ev_legal + ev_illegal) * fe
-        illegal_filtering_energy += ev_illegal * fe
-
+    filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
     return SimReport(
         scheme=scheme.value,
-        events=n_events,
+        events=spikes,
         packets_injected=packets,
         link_bit_traversals=link_bits,
         legal_deliveries=legal,
         illegal_deliveries=illegal,
         routing_energy=routing_energy,
         filtering_energy=filtering_energy,
-        illegal_filtering_energy=illegal_filtering_energy,
+        illegal_filtering_energy=illegal * energy.filter_energy_per_lookup,
         total_energy=routing_energy + filtering_energy,
     )

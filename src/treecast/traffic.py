@@ -15,6 +15,7 @@ recorded traffic can be substituted for the synthetic one.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -251,32 +252,28 @@ def derive_events(
     connectivity: Mapping[int, Sequence[int]],
     mapping: NeuronMapping,
     tag_bits: int,
-) -> tuple[list[tuple[int, frozenset[int]]], int]:
-    """Turn spikes into (source tag, destination core set) events.
+) -> tuple[list[tuple[int, int, frozenset[int]]], int]:
+    """Group spikes by source neuron: (source tag, spike count, destination core set).
 
-    The tag is the global neuron id and must fit ``tag_bits``.  Spikes
-    whose fan-out is empty produce no event; the count of those dropped
-    spikes is returned alongside the event list.
+    The tag is the global neuron id and must fit ``tag_bits``; the first
+    spike that does not raises.  Sources come in the order of their first
+    spike.  Spikes of a neuron whose fan-out is empty produce no source;
+    the count of those dropped spikes is returned alongside the sources.
     """
-    limit = 1 << tag_bits
-    events: list[tuple[int, frozenset[int]]] = []
+    sources = []
     dropped = 0
-    core_cache: dict[int, frozenset[int]] = {}
-    for _t, neuron in trace.events:
-        if neuron >= limit:
+    for neuron, count in Counter(neuron for _t, neuron in trace.events).items():
+        if neuron >= 1 << tag_bits:
             raise ValueError(
                 f"neuron id {neuron} does not fit in {tag_bits} tag bits; "
                 f"need at least {default_tag_bits(neuron + 1)}"
             )
-        cores = core_cache.get(neuron)
-        if cores is None:
-            cores = frozenset(mapping[t] for t in connectivity.get(neuron, ()))
-            core_cache[neuron] = cores
-        if not cores:
-            dropped += 1
-            continue
-        events.append((neuron, cores))
-    return events, dropped
+        cores = frozenset(mapping[t] for t in connectivity.get(neuron, ()))
+        if cores:
+            sources.append((neuron, count, cores))
+        else:
+            dropped += count
+    return sources, dropped
 
 
 def build_core_luts(

@@ -77,3 +77,11 @@ def root_to_leaf_edges(core, k, levels):
         edges.append((level, child))
         child //= k
     return list(reversed(edges))
+
+
+def core_luts(connectivity, assignment, n_cores):
+    """Per core, the source neurons with a synapse onto a neuron placed on it."""
+    return [
+        {s for s, targets in connectivity.items() if any(assignment[t] == core for t in targets)}
+        for core in range(n_cores)
+    ]

@@ -1,6 +1,7 @@
 import pytest
 
 from treecast.addressing import Scheme
+from treecast import cli
 from treecast.cli import main
 from treecast.scaling import CSV_HEADER
 
@@ -89,3 +90,18 @@ def test_trace_id_outside_network_exits_1(tmp_path, capsys, neuron, tag_bits):
     code, err, _ = simulate_trace(tmp_path, capsys, ["0,1", f"1,{neuron}"], tag_bits)
     assert code == 1
     assert "trace.path" in err and str(neuron) in err
+
+
+def test_missing_config_exits_1_naming_it(tmp_path, capsys):
+    missing = tmp_path / "nope.yaml"
+    assert main(["simulate", "--config", str(missing)]) == 1
+    assert f"--config {missing}" in capsys.readouterr().err
+
+
+def test_unopenable_output_exits_1_before_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the sweep ran"))
+    bad = tmp_path / "no_such_dir" / "runs.csv"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"output: {{runs_csv: '{bad}', summary_json: '{tmp_path / 's.json'}'}}\n")
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert f"output.runs_csv {bad}" in capsys.readouterr().err

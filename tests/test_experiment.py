@@ -1,10 +1,17 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from treecast.addressing import TreeConfig
-from treecast.experiment import ConfigError, ExperimentConfig, load_config, run_experiment
+from treecast.addressing import Scheme, TreeConfig
+from treecast.experiment import (
+    ConfigError,
+    ExperimentConfig,
+    default_config,
+    load_config,
+    run_experiment,
+)
 from treecast.nocsim import EnergyModel
 from treecast.traffic import Layer, NetworkSpec
 
@@ -157,8 +164,8 @@ def test_load_config_rejects_exclusive_fields(text, paths):
 
 def test_tag_bits_default_follows_network():
     big = NetworkSpec.default_rsnn(1000)
-    assert ExperimentConfig().tag_bits == 10
-    assert ExperimentConfig(network=big).tag_bits == 13
+    assert ExperimentConfig().tag_width() == 10
+    assert ExperimentConfig(network=big).tag_width() == 13
     text = "network: {layer_size: 1000}\nmapping: {capacity: 400}\n"
     config = load_config(io.StringIO(text))
     assert config == ExperimentConfig(network=big, capacity=400, energy=EnergyModel.default(2))
@@ -172,3 +179,16 @@ def test_default_tag_bits_run_past_1024_neurons():
     )
     result = run_experiment(load_config(io.StringIO(text)))
     assert result.summary["schemes"]["hbs"]["legal_deliveries"] > 0
+
+
+def test_tag_bits_follow_a_replaced_network():
+    small_run = dict(schemes=(Scheme.HBS,), repetitions=1, trace_steps=3)
+    bigger = dict(network=NetworkSpec.default_rsnn(200), capacity=80)
+    config = replace(default_config(), **small_run, **bigger)
+    assert config.tag_width() == 11
+    assert run_experiment(config).summary["schemes"]["hbs"]["legal_deliveries"] > 0
+    # An explicit width is kept through replace and still checked.
+    narrow = replace(ExperimentConfig(tag_bits=10, **small_run), **bigger)
+    assert narrow.tag_width() == 10
+    with pytest.raises(ValueError, match="does not fit in 10 tag bits"):
+        run_experiment(narrow)

@@ -1,6 +1,11 @@
+import math
 import random
+from collections import Counter
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecast.addressing import (
     HbsAddress,
@@ -11,14 +16,18 @@ from treecast.addressing import (
     UnicastAddress,
     covered_set,
     encode,
+    routing_bit_width,
 )
 from treecast.nocsim import (
+    TURNAROUND_POLICIES,
     EnergyModel,
+    SimReport,
     divergence_depth,
     route_multicast,
     route_unicast_batch,
     simulate,
 )
+from treecast.traffic import NeuronMapping, SpikeTrace, build_core_luts, derive_events
 
 import oracles
 
@@ -237,10 +246,10 @@ def test_divergence_depth():
 # ---------------------------------------------------------------------------
 # simulate
 
-def luts_from_events(events, n_cores):
-    """Legal-source sets consistent with the event list itself."""
+def luts_from_sources(sources, n_cores):
+    """Legal-source sets consistent with the source list itself."""
     luts = [set() for _ in range(n_cores)]
-    for tag, cores in events:
+    for tag, _count, cores in sources:
         for c in cores:
             luts[c].add(tag)
     return tuple(frozenset(s) for s in luts)
@@ -257,10 +266,11 @@ def test_simulate_empty_event_list():
 def test_simulate_single_fbs_event_energy():
     # one spike from core 0 to core 5: 26-bit header over links costing
     # 1 + 4 + 4 + 1 energy units per bit
-    events = [(3, frozenset({5}))]
+    sources = [(3, 1, frozenset({5}))]
     mapping = {3: 0}
-    luts = luts_from_events(events, 16)
-    report = simulate(events, Scheme.FBS, CFG16, mapping, EnergyModel.default(2), luts)
+    luts = luts_from_sources(sources, 16)
+    report = simulate(sources, Scheme.FBS, CFG16, mapping, EnergyModel.default(2), luts)
+    assert report.events == 1
     assert report.packets_injected == 1
     assert report.illegal_deliveries == 0
     assert report.legal_deliveries == 1
@@ -273,23 +283,23 @@ def test_simulate_single_fbs_event_energy():
 
 def test_simulate_counters_close_against_manual_recount():
     rng = random.Random(27)
-    events = []
+    sources = []
     for tag in range(40):
         dests = frozenset(rng.sample(range(16), rng.randint(1, 6)))
-        for _ in range(rng.randint(1, 3)):
-            events.append((tag, dests))
-    rng.shuffle(events)
+        sources.append((tag, rng.randint(1, 3), dests))
+    rng.shuffle(sources)
     mapping = {tag: rng.randrange(16) for tag in range(40)}
-    luts = luts_from_events(events, 16)
+    luts = luts_from_sources(sources, 16)
     energy = EnergyModel.default(2)
 
     for scheme in Scheme:
-        report = simulate(events, scheme, CFG16, mapping, energy, luts)
+        report = simulate(sources, scheme, CFG16, mapping, energy, luts)
         routing = 0.0
         link_bits = 0
         legal = illegal = packets = 0
         header = {"fbs": 26, "symbol": 18, "hbs": 18, "unicast": 14}[scheme.value]
-        for tag, dests in events:
+        spikes = [(tag, dests) for tag, count, dests in sources for _ in range(count)]
+        for tag, dests in spikes:
             addr = encode(scheme, dests, CFG16)
             if scheme is Scheme.UNICAST:
                 r = route_unicast_batch(addr, mapping[tag], CFG16)
@@ -303,6 +313,7 @@ def test_simulate_counters_close_against_manual_recount():
                     legal += 1
                 else:
                     illegal += 1
+        assert report.events == len(spikes)
         assert report.packets_injected == packets
         assert report.link_bit_traversals == link_bits
         assert report.routing_energy == pytest.approx(routing)
@@ -312,7 +323,7 @@ def test_simulate_counters_close_against_manual_recount():
         assert report.total_energy == pytest.approx(report.routing_energy + report.filtering_energy)
         # delivery balance: every covered core filters once
         covered_total = sum(
-            len(covered_set(encode(scheme, dests, CFG16), CFG16)) for _, dests in events
+            len(covered_set(encode(scheme, dests, CFG16), CFG16)) for _, dests in spikes
         )
         assert report.legal_deliveries + report.illegal_deliveries == covered_total
         if scheme in (Scheme.FBS, Scheme.UNICAST):
@@ -321,26 +332,26 @@ def test_simulate_counters_close_against_manual_recount():
 
 def test_simulate_hbs_never_more_illegal_than_symbol():
     rng = random.Random(28)
-    events = []
+    sources = []
     for tag in range(60):
         dests = frozenset(rng.sample(range(16), rng.randint(1, 8)))
-        events.append((tag, dests))
+        sources.append((tag, rng.randint(1, 4), dests))
     mapping = {tag: rng.randrange(16) for tag in range(60)}
-    luts = luts_from_events(events, 16)
+    luts = luts_from_sources(sources, 16)
     energy = EnergyModel.default(2)
-    hbs = simulate(events, Scheme.HBS, CFG16, mapping, energy, luts)
-    sym = simulate(events, Scheme.SYMBOL, CFG16, mapping, energy, luts)
+    hbs = simulate(sources, Scheme.HBS, CFG16, mapping, energy, luts)
+    sym = simulate(sources, Scheme.SYMBOL, CFG16, mapping, energy, luts)
     assert hbs.illegal_deliveries <= sym.illegal_deliveries
     assert hbs.routing_energy <= sym.routing_energy
 
 
 def test_simulate_rejects_unmapped_and_overwide_tags():
-    events = [(5, frozenset({1}))]
+    sources = [(5, 1, frozenset({1}))]
     with pytest.raises(ValueError, match="unmapped"):
-        simulate(events, Scheme.FBS, CFG16, {}, EnergyModel.default(2), [set()] * 16)
+        simulate(sources, Scheme.FBS, CFG16, {}, EnergyModel.default(2), [set()] * 16)
     with pytest.raises(ValueError, match="tag"):
         simulate(
-            [(5000, frozenset({1}))],
+            [(5000, 1, frozenset({1}))],
             Scheme.FBS,
             CFG16,
             {5000: 0},
@@ -356,11 +367,101 @@ def test_simulate_energy_model_must_match_tree_depth():
 
 def test_simulate_deterministic():
     rng = random.Random(29)
-    events = [
-        (tag, frozenset(rng.sample(range(16), rng.randint(1, 5)))) for tag in range(30)
+    sources = [
+        (tag, rng.randint(1, 4), frozenset(rng.sample(range(16), rng.randint(1, 5))))
+        for tag in range(30)
     ]
     mapping = {tag: rng.randrange(16) for tag in range(30)}
-    luts = luts_from_events(events, 16)
-    a = simulate(events, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
-    b = simulate(events, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
+    luts = luts_from_sources(sources, 16)
+    a = simulate(sources, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
+    b = simulate(sources, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
     assert a == b
+
+
+# Oracle: every spike routed on its own, filtered against LUTs built from the
+# connectivity by tests/oracles.py.  k = 3 trees have no symbol scheme.
+ORACLE_TREES = [
+    TreeConfig(k, levels)
+    for k, levels in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3))
+]
+
+
+def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_bits, turnaround):
+    luts = oracles.core_luts(connectivity, assignment, cfg.core_count)
+    header = routing_bit_width(scheme, cfg) + tag_bits
+    fe = energy.filter_energy_per_lookup
+    spikes = packets = link_bits = legal = illegal = 0
+    routing = filtering = illegal_filtering = 0.0
+    for _t, tag in trace.events:
+        dests = {assignment[t] for t in connectivity[tag]}
+        if not dests:
+            continue
+        addr = encode(scheme, dests, cfg)
+        if scheme is Scheme.UNICAST:
+            route = route_unicast_batch(addr, assignment[tag], cfg)
+        else:
+            route = route_multicast(addr, assignment[tag], cfg, turnaround)
+        spikes += 1
+        packets += route.packets
+        for level, _child in route.links:
+            link_bits += header
+            routing += header * energy.link_energy(level)
+        for core in route.delivered:
+            filtering += fe
+            if tag in luts[core]:
+                legal += 1
+            else:
+                illegal += 1
+                illegal_filtering += fe
+    return SimReport(
+        scheme.value, spikes, packets, link_bits, legal, illegal,
+        routing, filtering, illegal_filtering, routing + filtering,
+    )
+
+
+@st.composite
+def oracle_cases(draw):
+    cfg = draw(st.sampled_from(ORACLE_TREES))
+    n = draw(st.integers(1, 30))
+    assignment = draw(st.lists(st.integers(0, cfg.core_count - 1), min_size=n, max_size=n))
+    neuron = st.integers(0, n - 1)
+    connectivity = {s: tuple(sorted(draw(st.sets(neuron, max_size=6)))) for s in range(n)}
+    counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    fired = draw(st.permutations([i for i, c in enumerate(counts) for _ in range(c)]))
+    trace = SpikeTrace(steps=1, events=tuple((0, i) for i in fired))
+    if draw(st.booleans()):
+        value = st.integers(0, 50).map(float)
+    else:
+        value = st.floats(0, 50, allow_nan=False, allow_infinity=False)
+    links = sorted(draw(st.lists(value, min_size=cfg.levels, max_size=cfg.levels)))
+    energy = EnergyModel(tuple(links), draw(value))
+    schemes = [s for s in Scheme if s is not Scheme.SYMBOL or cfg.fan_out != 3]
+    return cfg, assignment, connectivity, trace, energy, draw(st.sampled_from(schemes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases(), st.sampled_from(TURNAROUND_POLICIES))
+def test_simulate_matches_per_spike_oracle(case, turnaround):
+    cfg, assignment, connectivity, trace, energy, scheme = case
+    mapping = NeuronMapping(tuple(assignment), core_capacity=len(assignment))
+    sources, dropped = derive_events(trace, connectivity, mapping, tag_bits=10)
+    per_spike = Counter((tag, cores) for tag, count, cores in sources for _ in range(count))
+    assert per_spike == Counter(
+        (n, frozenset(assignment[t] for t in connectivity[n]))
+        for _t, n in trace.events
+        if connectivity[n]
+    )
+    assert sum(per_spike.values()) + dropped == len(trace.events)
+
+    luts = build_core_luts(connectivity, mapping, cfg.core_count)
+    got = simulate(sources, scheme, cfg, mapping, energy, luts, 10, turnaround)
+    want = per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, 10, turnaround)
+    integer_energies = all(e.is_integer() for e in energy.link_energy_per_bit) and (
+        energy.filter_energy_per_lookup.is_integer()
+    )
+    for f in fields(SimReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if integer_energies or not isinstance(b, float):
+            assert a == b, f.name
+        else:
+            assert math.isclose(a, b, rel_tol=1e-12), f.name

@@ -65,23 +65,44 @@ def test_mapping_rejects_too_many_neurons():
 def test_derive_events_on_hand_built_network():
     conn = {0: (1, 2), 1: (), 2: (0, 3), 3: (3,)}
     mapping = NeuronMapping(assignment=(0, 0, 1, 2), core_capacity=2)
-    trace = SpikeTrace(steps=3, events=((0, 0), (0, 1), (1, 2), (2, 3), (2, 1)))
-    events, dropped = derive_events(trace, conn, mapping, tag_bits=10)
-    assert events == [(0, frozenset({0, 1})), (2, frozenset({0, 2})), (3, frozenset({2}))]
+    trace = SpikeTrace(
+        steps=3, events=((0, 2), (0, 0), (0, 1), (1, 2), (1, 0), (2, 3), (2, 1), (2, 2))
+    )
+    sources, dropped = derive_events(trace, conn, mapping, tag_bits=10)
+    # first-spike order; neuron 1 has no targets, so its two spikes are dropped
+    assert sources == [(2, 3, frozenset({0, 2})), (0, 2, frozenset({0, 1})), (3, 1, frozenset({2}))]
     assert dropped == 2
+    # the error names the first spike whose id does not fit
+    with pytest.raises(ValueError, match="neuron id 2 does not fit in 1 tag bits"):
+        derive_events(trace, conn, mapping, tag_bits=1)
+
+
+def _default_mapping(config):
+    return map_neurons(
+        config.network, config.tree, config.strategy, config.capacity, config.mapping_seed,
+        config.switch_prob,
+    )
 
 
 def test_core_luts_hold_exactly_the_destination_tags():
     config = default_config()
     conn = generate_connectivity(config.network, config.network_seed)
-    mapping = map_neurons(
-        config.network, config.tree, config.strategy, config.capacity, config.mapping_seed,
-        config.switch_prob,
-    )
+    mapping = _default_mapping(config)
     every_neuron = SpikeTrace(steps=1, events=tuple((0, n) for n in range(config.network.total_neurons)))
-    events, dropped = derive_events(every_neuron, conn, mapping, config.tag_bits)
-    dests = dict(events)
+    sources, dropped = derive_events(every_neuron, conn, mapping, config.tag_width())
+    assert all(count == 1 for _tag, count, _cores in sources)
+    dests = {tag: cores for tag, _count, cores in sources}
     assert dropped == config.network.total_neurons - len(dests)
     luts = build_core_luts(conn, mapping, config.tree.core_count)
     for core, lut in enumerate(luts):
         assert lut == {tag for tag, cores in dests.items() if core in cores}
+
+
+def test_derive_events_counts_every_spike_once():
+    config = default_config()
+    conn = generate_connectivity(config.network, config.network_seed)
+    trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
+    sources, dropped = derive_events(trace, conn, _default_mapping(config), config.tag_width())
+    assert len({tag for tag, _count, _cores in sources}) == len(sources)
+    assert dropped > 0
+    assert sum(count for _tag, count, _cores in sources) + dropped == len(trace.events)
