@@ -13,6 +13,10 @@ interchangeable encodings:
   encoding of the same destinations (for power-of-two fan-out)
 * unicast list (``unicast``) -- plain target indices, one packet each
 
+A symbol is a 2-bit child mask (``01`` is 0, ``10`` is 1, ``11`` is *),
+so symbol is hbs on the binary tree of index bits: :class:`SymbolAddress`
+encodes, covers and walks with the hbs methods on that tree.
+
 The region-based encodings (symbol, hbs) trade header width for
 overcoverage: cores outside the requested set that still receive the
 packet and must filter it.  ``covered_set`` and ``overcoverage``
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 
 class Scheme(str, Enum):
@@ -42,14 +46,6 @@ class Scheme(str, Enum):
     SYMBOL = "symbol"
     HBS = "hbs"
     UNICAST = "unicast"
-
-
-class Sym(str, Enum):
-    """One position of a symbol address: fixed bit value or wildcard."""
-
-    ZERO = "0"
-    ONE = "1"
-    STAR = "*"
 
 
 @dataclass(frozen=True)
@@ -94,35 +90,6 @@ def tree_levels(n: int, k: int) -> int:
     if m != n or levels == 0:
         raise ValueError(f"node count {n} is not a positive power of k={k}")
     return levels
-
-
-# ---------------------------------------------------------------------------
-# core index <-> tree path
-
-def path_of(index: int, cfg: TreeConfig) -> tuple[int, ...]:
-    """Base-k digits of a core index, root-level digit first."""
-    n = cfg.core_count
-    if not 0 <= index < n:
-        raise ValueError(f"core index {index} out of range [0, {n})")
-    k = cfg.fan_out
-    digits = [0] * cfg.levels
-    for i in range(cfg.levels - 1, -1, -1):
-        digits[i] = index % k
-        index //= k
-    return tuple(digits)
-
-
-def index_of(digits: Sequence[int], cfg: TreeConfig) -> int:
-    """Inverse of :func:`path_of`."""
-    if len(digits) != cfg.levels:
-        raise ValueError(f"expected {cfg.levels} digits, got {len(digits)}")
-    k = cfg.fan_out
-    index = 0
-    for d in digits:
-        if not 0 <= d < k:
-            raise ValueError(f"digit {d} out of range [0, {k})")
-        index = index * k + d
-    return index
 
 
 def _check_dests(dests: Iterable[int], cfg: TreeConfig) -> frozenset[int]:
@@ -213,109 +180,13 @@ class FbsAddress:
 
 
 @dataclass(frozen=True)
-class SymbolAddress:
-    """Per-index-bit symbols, root-level bit first."""
-
-    symbols: tuple[Sym, ...]
-
-    scheme = Scheme.SYMBOL
-
-    def __post_init__(self) -> None:
-        if not self.symbols:
-            raise ValueError("symbol address must have at least one symbol")
-        if not all(isinstance(s, Sym) for s in self.symbols):
-            raise ValueError("symbol address entries must be Sym values")
-
-    @classmethod
-    def encode(cls, dests: Iterable[int], cfg: TreeConfig) -> SymbolAddress:
-        """Minimal covering symbol string.
-
-        Each index-bit position gets a fixed symbol when all destinations
-        agree there, and the wildcard otherwise.  The resulting cover is the
-        smallest symbol-expressible superset of the destinations.
-        """
-        members = _check_dests(dests, cfg)
-        bits = cfg.index_bits
-        symbols = []
-        for pos in range(bits):
-            shift = bits - 1 - pos  # pos 0 is the root-level (most significant) bit
-            seen = {(d >> shift) & 1 for d in members}
-            if seen == {0}:
-                symbols.append(Sym.ZERO)
-            elif seen == {1}:
-                symbols.append(Sym.ONE)
-            else:
-                symbols.append(Sym.STAR)
-        return cls(tuple(symbols))
-
-    def cover(self, cfg: TreeConfig) -> int:
-        # Build the cover bitmask from the least significant index bit up:
-        # each fixed symbol shifts the partial cover into one half, the
-        # wildcard keeps both halves.
-        bits = cfg.index_bits
-        if len(self.symbols) != bits:
-            raise ValueError(
-                f"expected {bits} symbols for {cfg.core_count} cores, got {len(self.symbols)}"
-            )
-        cover = 1
-        span = 1
-        for sym in reversed(self.symbols):
-            if sym is Sym.ONE:
-                cover = cover << span
-            elif sym is Sym.STAR:
-                cover = cover | (cover << span)
-            span <<= 1
-        return cover
-
-    @staticmethod
-    def width(cfg: TreeConfig) -> int:
-        return 2 * cfg.index_bits
-
-    def text(self, cfg: TreeConfig) -> str:
-        """{0,1,*} string, root-level bit first."""
-        return "".join(s.value for s in self.symbols)
-
-    @classmethod
-    def parse(cls, text: str, cfg: TreeConfig) -> SymbolAddress:
-        bits = cfg.index_bits
-        if len(text) != bits or any(c not in "01*" for c in text):
-            raise ValueError(f"symbol address must be {bits} chars over 0/1/*")
-        return cls(tuple(Sym(c) for c in text))
-
-    def select(
-        self, depth: int, switch: int, cfg: TreeConfig
-    ) -> tuple[tuple[Sym, ...], tuple[int, ...]]:
-        """Head: the ``m`` symbols of this level's digit, m = log2(fan_out).
-
-        ``index_bits`` passing means k**levels is a power of two, so k is one.
-        """
-        m = cfg.index_bits // cfg.levels
-        head = self.symbols[depth * m : (depth + 1) * m]
-        fixed = value = 0
-        for sym in head:
-            fixed = fixed << 1 | (sym is not Sym.STAR)
-            value = value << 1 | (sym is Sym.ONE)
-        return head, tuple(d for d in range(cfg.fan_out) if d & fixed == value)
-
-    @staticmethod
-    def routing_bits(n: int, k: int | None = None) -> int:
-        return 2 * tree_levels(n, 2)
-
-    @staticmethod
-    def capability(n: int, k: int | None = None) -> int:
-        return 3 ** tree_levels(n, 2)
-
-    @classmethod
-    def addresses(cls, cfg: TreeConfig) -> Iterator[SymbolAddress]:
-        return (cls(s) for s in itertools.product(tuple(Sym), repeat=cfg.index_bits))
-
-
-@dataclass(frozen=True)
 class HbsAddress:
     """One k-bit child mask per tree level, root level first.
 
     Bit d of a level mask selects child digit d at that level.  A zero
-    mask would select no child and is rejected.
+    mask would select no child and is rejected.  ``encode``, ``cover``
+    and ``addresses`` work on the tree that ``_tree(cfg)`` gives, which
+    is ``cfg`` itself here and the binary tree of index bits for symbol.
     """
 
     masks: tuple[int, ...]
@@ -328,6 +199,10 @@ class HbsAddress:
         if any(m <= 0 for m in self.masks):
             raise ValueError("every level mask must be nonzero (a zero mask covers no core)")
 
+    @staticmethod
+    def _tree(cfg: TreeConfig) -> TreeConfig:
+        return cfg
+
     @classmethod
     def encode(cls, dests: Iterable[int], cfg: TreeConfig) -> HbsAddress:
         """Minimal covering hierarchical masks.
@@ -336,18 +211,22 @@ class HbsAddress:
         destinations; the cover is the Cartesian product of the per-level
         digit sets, the smallest such product containing the destinations.
         """
-        masks = [0] * cfg.levels
-        for d in _check_dests(dests, cfg):
-            for lvl, digit in enumerate(path_of(d, cfg)):
-                masks[lvl] |= 1 << digit
+        members = _check_dests(dests, cfg)
+        tree = cls._tree(cfg)
+        k = tree.fan_out
+        masks = []
+        for lvl in range(tree.levels):
+            span = k ** (tree.levels - 1 - lvl)
+            masks.append(sum(1 << digit for digit in {d // span % k for d in members}))
         return cls(tuple(masks))
 
     def cover(self, cfg: TreeConfig) -> int:
         # Replicate the partial cover into the block of every selected
         # child digit, leaf level first.
-        k = cfg.fan_out
-        if len(self.masks) != cfg.levels:
-            raise ValueError(f"expected {cfg.levels} level masks, got {len(self.masks)}")
+        tree = self._tree(cfg)
+        k = tree.fan_out
+        if len(self.masks) != tree.levels:
+            raise ValueError(f"expected {tree.levels} level masks, got {len(self.masks)}")
         if any(m >= (1 << k) for m in self.masks):
             raise ValueError(f"level mask wider than fan_out={k} bits")
         cover = 1
@@ -398,8 +277,65 @@ class HbsAddress:
 
     @classmethod
     def addresses(cls, cfg: TreeConfig) -> Iterator[HbsAddress]:
-        masks = range(1, 1 << cfg.fan_out)
-        return (cls(m) for m in itertools.product(masks, repeat=cfg.levels))
+        tree = cls._tree(cfg)
+        masks = range(1, 1 << tree.fan_out)
+        return (cls(m) for m in itertools.product(masks, repeat=tree.levels))
+
+
+class SymbolAddress(HbsAddress):
+    """Per-index-bit 2-bit masks, root-level bit first: hbs on ``TreeConfig(2, index_bits)``.
+
+    Mask 1 is the symbol 0, mask 2 the symbol 1 and mask 3 the wildcard.
+    """
+
+    scheme = Scheme.SYMBOL
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if any(m > 3 for m in self.masks):
+            raise ValueError("symbol masks must be 1 (0), 2 (1) or 3 (*)")
+
+    @staticmethod
+    def _tree(cfg: TreeConfig) -> TreeConfig:
+        return TreeConfig(2, cfg.index_bits)
+
+    @staticmethod
+    def width(cfg: TreeConfig) -> int:
+        return 2 * cfg.index_bits
+
+    def text(self, cfg: TreeConfig) -> str:
+        """{0,1,*} string, root-level bit first."""
+        return "".join("01*"[m - 1] for m in self.masks)
+
+    @classmethod
+    def parse(cls, text: str, cfg: TreeConfig) -> SymbolAddress:
+        bits = cfg.index_bits
+        if len(text) != bits or any(c not in "01*" for c in text):
+            raise ValueError(f"symbol address must be {bits} chars over 0/1/*")
+        return cls(tuple("01*".index(c) + 1 for c in text))
+
+    def select(
+        self, depth: int, switch: int, cfg: TreeConfig
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Head: the ``m`` masks of this level's digit, m = log2(fan_out).
+
+        ``index_bits`` passing means k**levels is a power of two, so k is one.
+        """
+        m = cfg.index_bits // cfg.levels
+        head = self.masks[depth * m : (depth + 1) * m]
+        fixed = value = 0
+        for mask in head:
+            fixed = fixed << 1 | (mask != 3)
+            value = value << 1 | (mask == 2)
+        return head, tuple(d for d in range(cfg.fan_out) if d & fixed == value)
+
+    @staticmethod
+    def routing_bits(n: int, k: int | None = None) -> int:
+        return 2 * tree_levels(n, 2)
+
+    @staticmethod
+    def capability(n: int, k: int | None = None) -> int:
+        return 3 ** tree_levels(n, 2)
 
 
 @dataclass(frozen=True)

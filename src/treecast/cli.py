@@ -9,9 +9,8 @@ Subcommands::
     treecast trace-gen --output trace.csv --steps 400 --rate 0.05 --seed 42
 
 Exit codes: 0 on success; 1 on input/config validation errors, including
-a ``simulate`` config or output path that cannot be opened (checked before
-the sweep); 2 on runtime failures (other unopenable paths, enumeration
-budgets, ...).
+a path that cannot be opened (``simulate`` checks its config and outputs
+before the sweep); 2 on runtime failures (enumeration budgets, ...).
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     k_values = _parse_ints(args.k_values, "--k-values") if args.k_values else DEFAULT_SCALING_K
     rows = emit_scaling_table(sorted(n_values), sorted(k_values))
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        with _open(args.output, "w", "--output") as fh:
             write_scaling_csv(rows, fh)
         print(f"wrote {len(rows)} rows to {args.output}")
     else:
@@ -147,8 +146,8 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
         feedforward_layers=args.feedforward_layers,
         density=0.1,
     )
-    trace = synth_trace(spec, steps=args.steps, rate=args.rate, seed=args.seed)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with _open(args.output, "w", "--output") as fh:
+        trace = synth_trace(spec, steps=args.steps, rate=args.rate, seed=args.seed)
         save_trace(trace, fh)
     print(f"wrote {len(trace.events)} events to {args.output}")
     return 0

@@ -250,20 +250,23 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
     """
     energy = config.energy_model()
     tag_bits = config.tag_width()
-    connectivity = generate_connectivity(config.network, config.network_seed)
-    if trace is None:
-        if config.trace_source == "file":
+    if trace is None and config.trace_source == "file":
+        # A file trace is read before the connectivity, so a bad path costs nothing.
+        try:
             with open(config.trace_path, "r", encoding="utf-8") as fh:
                 trace = load_trace(fh)
-            total = config.network.total_neurons
-            bad = next((n for _t, n in trace.events if not 0 <= n < total), None)
-            if bad is not None:
-                raise ValueError(
-                    f"trace.path: {config.trace_path}: neuron id {bad} is outside the network's "
-                    f"{total} neurons"
-                )
-        else:
-            trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
+        except OSError as exc:
+            raise ValueError(f"trace.path: {config.trace_path}: {exc.strerror}") from None
+        total = config.network.total_neurons
+        bad = next((n for _t, n in trace.events if not 0 <= n < total), None)
+        if bad is not None:
+            raise ValueError(
+                f"trace.path: {config.trace_path}: neuron id {bad} is outside the network's "
+                f"{total} neurons"
+            )
+    connectivity = generate_connectivity(config.network, config.network_seed)
+    if trace is None:
+        trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
 
     records: list[RunRecord] = []
     for rep in range(config.repetitions):

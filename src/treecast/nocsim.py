@@ -29,7 +29,6 @@ from .addressing import (
     UnicastAddress,
     cover_mask,
     encode,
-    path_of,
     routing_bit_width,
 )
 
@@ -97,7 +96,7 @@ class SwitchDecision(NamedTuple):
     level: int  # R-level of the deciding switch (levels = root, 1 = leaf-adjacent)
     switch: int  # switch index within its level
     depth: int  # hops below the root switch (root = 0)
-    field: object  # consumed head field (hbs mask / symbol tuple / None for fbs)
+    field: object  # consumed head field (hbs mask / tuple of symbol masks / None for fbs)
     selected: tuple[int, ...]  # chosen Down ports
 
 
@@ -122,18 +121,18 @@ class RouteResult:
         return self.up_links + self.down_links
 
 
-def _multicast_turn_level(source: int, cover: int, cfg: TreeConfig) -> int:
-    """Lowest R-level whose source-side subtree contains the whole cover."""
+def _turn_level(source: int, cover: int, cfg: TreeConfig) -> int:
+    """Lowest R-level whose source-side subtree contains the whole cover.
+
+    A subtree is a contiguous core range, so it holds the cover exactly
+    when it holds the cover's lowest and highest core.
+    """
     k = cfg.fan_out
-    span = k
-    anc = source // k
-    for level in range(1, cfg.levels + 1):
-        lo = anc * span
-        subtree = ((1 << span) - 1) << lo
-        if cover & ~subtree == 0:
+    low, high = (cover & -cover).bit_length() - 1, cover.bit_length() - 1
+    for level in range(1, cfg.levels):
+        source, low, high = source // k, low // k, high // k
+        if low == high == source:
             return level
-        span *= k
-        anc //= k
     return cfg.levels
 
 
@@ -163,7 +162,7 @@ def route_multicast(
 
     turn_level = levels
     if turnaround == "lca":
-        turn_level = _multicast_turn_level(source_core, cover, cfg)
+        turn_level = _turn_level(source_core, cover, cfg)
 
     delivered: list[int] = []
     down_links: list[tuple[int, int]] = []
@@ -204,24 +203,14 @@ def route_unicast_batch(
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
     cover_mask(addr, cfg)  # range-check targets
-    k, levels = cfg.fan_out, cfg.levels
-    src_digits = path_of(source_core, cfg)
+    k = cfg.fan_out
     delivered: list[int] = []
     up_links: list[tuple[int, int]] = []
     down_links: list[tuple[int, int]] = []
     for target in addr.targets:
-        tgt_digits = path_of(target, cfg)
-        common = 0
-        while common < levels and src_digits[common] == tgt_digits[common]:
-            common += 1
-        lca_level = max(1, levels - common)
-        up_links.extend(_up_edges(source_core, lca_level, k))
-        child = target
-        down = []
-        for level in range(1, lca_level + 1):
-            down.append((level, child))
-            child //= k
-        down_links.extend(reversed(down))
+        turn_level = _turn_level(source_core, 1 << target, cfg)
+        up_links.extend(_up_edges(source_core, turn_level, k))
+        down_links.extend(reversed(_up_edges(target, turn_level, k)))
         delivered.append(target)
     return RouteResult(
         delivered=tuple(delivered),
@@ -230,24 +219,6 @@ def route_unicast_batch(
         decisions=(),
         packets=len(addr.targets),
     )
-
-
-def divergence_depth(core: int, legal_targets: Iterable[int], cfg: TreeConfig) -> int:
-    """Depth of the switch that turned an illegal delivery off every legal path.
-
-    Returns 0 when the root itself picked a branch containing no legal
-    target, ``levels - 1`` when the wrong turn happened at a
-    leaf-adjacent switch.  Raises if ``core`` is on a legal path.
-    """
-    legal_paths = [path_of(t, cfg) for t in legal_targets]
-    if not legal_paths:
-        raise ValueError("need at least one legal target")
-    p = path_of(core, cfg)
-    for depth in range(cfg.levels):
-        prefix = p[: depth + 1]
-        if not any(q[: depth + 1] == prefix for q in legal_paths):
-            return depth
-    raise ValueError(f"core {core} is itself a legal target")
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,23 @@ def root_to_leaf_edges(core, k, levels):
     return list(reversed(edges))
 
 
+def divergence_depth(core, legal_targets, k, levels):
+    """Depth of the switch that turned an illegal delivery off every legal path.
+
+    Returns 0 when the root itself picked a branch containing no legal
+    target, ``levels - 1`` when the wrong turn happened at a
+    leaf-adjacent switch.  Raises if ``core`` is on a legal path.
+    """
+    legal_paths = [digits_of(t, k, levels) for t in legal_targets]
+    if not legal_paths:
+        raise ValueError("need at least one legal target")
+    p = digits_of(core, k, levels)
+    for depth in range(levels):
+        if not any(q[: depth + 1] == p[: depth + 1] for q in legal_paths):
+            return depth
+    raise ValueError(f"core {core} is itself a legal target")
+
+
 def core_luts(connectivity, assignment, n_cores):
     """Per core, the source neurons with a synapse onto a neuron placed on it."""
     return [

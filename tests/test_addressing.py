@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecast.addressing import (
     FbsAddress,
     HbsAddress,
     Scheme,
-    Sym,
     SymbolAddress,
     TreeConfig,
     UnicastAddress,
@@ -14,10 +15,8 @@ from treecast.addressing import (
     covered_set,
     encode,
     format_address,
-    index_of,
     overcoverage,
     parse_address,
-    path_of,
     rotate_hbs,
     routing_bit_width,
 )
@@ -57,26 +56,22 @@ def test_index_bits_requires_power_of_two():
 
 
 def test_path_of_examples():
-    assert path_of(0, CFG16) == (0, 0)
-    assert path_of(15, CFG16) == (3, 3)
-    assert path_of(6, CFG16) == (1, 2)
-
-
-def test_path_of_out_of_range():
-    with pytest.raises(ValueError):
-        path_of(16, CFG16)
-    with pytest.raises(ValueError):
-        path_of(-1, CFG16)
+    # A core's root-to-leaf path is its base-k digits, root level first.
+    assert oracles.digits_of(0, 4, 2) == (0, 0)
+    assert oracles.digits_of(15, 4, 2) == (3, 3)
+    assert oracles.digits_of(6, 4, 2) == (1, 2)
+    assert HbsAddress.encode({6}, CFG16).masks == (1 << 1, 1 << 2)
 
 
 @pytest.mark.parametrize("cfg", [CFG16, CFG16_BIN, CFG27, TreeConfig(5, 2)])
 def test_path_index_bijection(cfg):
     seen = set()
     for i in range(cfg.core_count):
-        digits = path_of(i, cfg)
+        digits = oracles.digits_of(i, cfg.fan_out, cfg.levels)
         assert len(digits) == cfg.levels
         assert all(0 <= d < cfg.fan_out for d in digits)
-        assert index_of(digits, cfg) == i
+        assert oracles.index_from_digits(digits, cfg.fan_out) == i
+        assert HbsAddress.encode({i}, cfg).masks == tuple(1 << d for d in digits)
         seen.add(digits)
     assert len(seen) == cfg.core_count
 
@@ -96,8 +91,9 @@ def test_encode_rejects_empty_and_out_of_range():
     for scheme in Scheme:
         with pytest.raises(ValueError):
             encode(scheme, [], CFG16)
-        with pytest.raises(ValueError):
-            encode(scheme, [16], CFG16)
+        for core in (16, -1):
+            with pytest.raises(ValueError):
+                encode(scheme, [core], CFG16)
 
 
 def test_encode_symbol_examples():
@@ -142,7 +138,7 @@ def test_encode_hbs_examples():
     assert b.masks == (0b1111, 0b1111)
 
     c = HbsAddress.encode({9}, CFG16)
-    assert path_of(9, CFG16) == (2, 1)
+    assert oracles.digits_of(9, 4, 2) == (2, 1)
     assert c.masks == (0b0100, 0b0010)
     assert covered_set(c, CFG16) == frozenset({9})
 
@@ -171,6 +167,44 @@ def test_encode_unicast_examples():
     assert UnicastAddress.encode({3}, CFG16).targets == (3,)
     assert UnicastAddress.encode({11, 2, 7}, CFG16).targets == (2, 7, 11)
     assert len(UnicastAddress.encode(range(16), CFG16).targets) == 16
+
+
+ENCODER_TREES = [TreeConfig(k, levels) for k in (2, 3, 4) for levels in range(1, 6)]
+ENCODER_TREES.append(TreeConfig(2, 10))
+
+
+@st.composite
+def encoder_cases(draw):
+    cfg = draw(st.sampled_from(ENCODER_TREES))
+    schemes = [s for s in Scheme if s is not Scheme.SYMBOL or cfg.fan_out != 3]
+    dests = draw(st.sets(st.integers(0, cfg.core_count - 1), min_size=1, max_size=40))
+    return cfg, draw(st.sampled_from(schemes)), frozenset(dests)
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoder_cases())
+def test_encoder_containment_minimality_round_trip(case):
+    cfg, scheme, dests = case
+    addr = encode(scheme, dests, cfg)
+    text = format_address(addr, cfg)
+    assert parse_address(scheme, text, cfg) == addr
+    if scheme is Scheme.SYMBOL:
+        # each position is the destinations' common bit, or * when they differ
+        bits = cfg.index_bits
+        for pos, c in enumerate(text):
+            seen = {oracles.digits_of(d, 2, bits)[pos] for d in dests}
+            assert c == ("*" if len(seen) == 2 else str(seen.pop()))
+        cover = oracles.symbol_cover(text, cfg.core_count)
+    elif scheme is Scheme.HBS:
+        # each level mask holds exactly the destinations' digits at that level
+        for lvl, mask in enumerate(addr.masks):
+            seen = {oracles.digits_of(d, cfg.fan_out, cfg.levels)[lvl] for d in dests}
+            assert mask == sum(1 << digit for digit in seen)
+        cover = oracles.hbs_cover(addr.masks, cfg.fan_out)
+    else:
+        cover = dests
+    assert dests <= cover
+    assert covered_set(addr, cfg) == cover
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +302,11 @@ def test_rotation_permutes_cover_digits():
     rotated = rotate_hbs(addr)
     cover = covered_set(addr, CFG16)
     rotated_cover = covered_set(rotated, CFG16)
-    swap = {index_of((a, b), CFG16): index_of((b, a), CFG16) for a in range(4) for b in range(4)}
+    swap = {
+        oracles.index_from_digits((a, b), 4): oracles.index_from_digits((b, a), 4)
+        for a in range(4)
+        for b in range(4)
+    }
     assert rotated_cover == frozenset(swap[c] for c in cover)
 
 
@@ -320,7 +358,7 @@ def test_wrong_width_addresses_rejected_on_decode():
     with pytest.raises(ValueError):
         cover_mask(HbsAddress((0b10000, 0b0011)), CFG16)  # mask wider than k
     with pytest.raises(ValueError):
-        cover_mask(SymbolAddress((Sym.ZERO,)), CFG16)
+        cover_mask(SymbolAddress((0b01,)), CFG16)
     with pytest.raises(ValueError):
         cover_mask(UnicastAddress((16,)), CFG16)
 

@@ -1,7 +1,7 @@
 import pytest
 
 from treecast.addressing import Scheme
-from treecast import cli
+from treecast import cli, experiment
 from treecast.cli import main
 from treecast.scaling import CSV_HEADER
 
@@ -105,3 +105,38 @@ def test_unopenable_output_exits_1_before_the_sweep(tmp_path, capsys, monkeypatc
     config.write_text(f"output: {{runs_csv: '{bad}', summary_json: '{tmp_path / 's.json'}'}}\n")
     assert main(["simulate", "--config", str(config)]) == 1
     assert f"output.runs_csv {bad}" in capsys.readouterr().err
+
+
+def test_missing_trace_file_exits_1_before_connectivity(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiment, "generate_connectivity", lambda *a: pytest.fail("built"))
+    missing = tmp_path / "nope.csv"
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"trace: {{source: file, path: '{missing}'}}\n"
+        + f"output: {{runs_csv: '{tmp_path / 'r.csv'}', summary_json: '{tmp_path / 's.json'}'}}\n"
+    )
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert f"trace.path: {missing}: No such file or directory" in capsys.readouterr().err
+
+
+SMALL_RUN = "network: {layer_size: 10}\nmapping: {repetitions: 1}\ntrace: {steps: 20}\n"
+OUTPUTS = "--runs-csv {tmp}/r.csv --summary-json {tmp}/s.json"
+
+
+@pytest.mark.parametrize(
+    "good,bad,named",
+    [
+        ("encode --scheme hbs --dests 0,5", "encode --scheme hbs --dests 0,16", "16"),
+        ("decode --scheme symbol --address 0*1*", "decode --scheme symbol --address 0*1", "symbol"),
+        ("scaling --output {tmp}/s.csv", "scaling --output {tmp}/no/s.csv", "--output"),
+        ("trace-gen --steps 5 --output {tmp}/t.csv", "trace-gen --output {tmp}/no/t.csv", "--output"),
+        ("simulate --config {tmp}/small.yaml " + OUTPUTS, "simulate --config {tmp}/no.yaml", "--config"),
+    ],
+    ids=["encode", "decode", "scaling", "trace-gen", "simulate"],
+)
+def test_subcommand_exit_codes(tmp_path, capsys, good, bad, named):
+    (tmp_path / "small.yaml").write_text(SMALL_RUN)
+    assert main(good.format(tmp=tmp_path).split()) == 0
+    capsys.readouterr()
+    assert main(bad.format(tmp=tmp_path).split()) == 1
+    assert named in capsys.readouterr().err

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from treecast.addressing import (
     HbsAddress,
     Scheme,
-    Sym,
     SymbolAddress,
     TreeConfig,
     UnicastAddress,
@@ -22,7 +21,6 @@ from treecast.nocsim import (
     TURNAROUND_POLICIES,
     EnergyModel,
     SimReport,
-    divergence_depth,
     route_multicast,
     route_unicast_batch,
     simulate,
@@ -144,13 +142,13 @@ def test_rotation_state_is_depth_indexed():
         for cfg in (CFG16, TreeConfig(2, 4), CFG64):
             m = cfg.index_bits // cfg.levels
             for _ in range(60):
-                symbols = tuple(rng.choice(list(Sym)) for _ in range(cfg.index_bits))
-                addr = SymbolAddress(symbols)
+                masks = tuple(rng.choice((0b01, 0b10, 0b11)) for _ in range(cfg.index_bits))
+                addr = SymbolAddress(masks)
                 source = rng.randrange(cfg.core_count)
                 r = route_multicast(addr, source, cfg, turnaround)
                 assert r.decisions
                 for d in r.decisions:
-                    assert d.field == symbols[d.depth * m : (d.depth + 1) * m]
+                    assert d.field == masks[d.depth * m : (d.depth + 1) * m]
 
 
 def test_multicast_rejects_unicast_and_bad_policy():
@@ -234,13 +232,13 @@ def test_unicast_dominance_three_levels_outside_local_region():
 def test_divergence_depth():
     # legal targets {0, 5}: cores 1 and 4 diverge at the leaf switches,
     # core 10 diverges at the root
-    assert divergence_depth(1, {0, 5}, CFG16) == 1
-    assert divergence_depth(4, {0, 5}, CFG16) == 1
-    assert divergence_depth(10, {0, 5}, CFG16) == 0
+    assert oracles.divergence_depth(1, {0, 5}, 4, 2) == 1
+    assert oracles.divergence_depth(4, {0, 5}, 4, 2) == 1
+    assert oracles.divergence_depth(10, {0, 5}, 4, 2) == 0
     with pytest.raises(ValueError):
-        divergence_depth(5, {0, 5}, CFG16)
+        oracles.divergence_depth(5, {0, 5}, 4, 2)
     with pytest.raises(ValueError):
-        divergence_depth(1, set(), CFG16)
+        oracles.divergence_depth(1, set(), 4, 2)
 
 
 # ---------------------------------------------------------------------------
