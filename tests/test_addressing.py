@@ -63,6 +63,14 @@ def test_path_of_examples():
     assert HbsAddress.encode({6}, CFG16).masks == (1 << 1, 1 << 2)
 
 
+def test_path_of_out_of_range():
+    # A core outside [0, k**L) has no root-to-leaf path, so no per-level mask.
+    for cfg in (CFG16, CFG27):
+        for core in (cfg.core_count, -1):
+            with pytest.raises(ValueError):
+                HbsAddress.encode({core}, cfg)
+
+
 @pytest.mark.parametrize("cfg", [CFG16, CFG16_BIN, CFG27, TreeConfig(5, 2)])
 def test_path_index_bijection(cfg):
     seen = set()
