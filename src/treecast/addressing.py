@@ -351,6 +351,8 @@ class UnicastAddress:
             raise ValueError("unicast target list must be nonempty")
         if any(t < 0 for t in self.targets):
             raise ValueError("unicast targets must be nonnegative core indices")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError("unicast targets must not repeat")
 
     @classmethod
     def encode(cls, dests: Iterable[int], cfg: TreeConfig) -> UnicastAddress:

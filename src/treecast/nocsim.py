@@ -9,6 +9,11 @@ reads the same head position; the router reads the field at the offset
 that rotation would have brought to the head.  Unicast packets turn at
 the lowest common ancestor of source and target instead.
 
+The routers return their counts in closed form from the cover bitmask:
+the delivered cores and the links crossed per tree level.  The
+switch-by-switch walk, which lists every link and port decision, runs
+only when a caller reads those lists.
+
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
 from sources a core does not listen to are filtered out as illegal.
@@ -19,8 +24,9 @@ by its spike count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .addressing import (
     MulticastAddress,
@@ -42,12 +48,7 @@ def _up_edges(core: int, turn_level: int, k: int) -> tuple[tuple[int, int], ...]
     switch ``child_index // k`` and its child ``child_index`` one level
     below (a core when level is 1).
     """
-    edges = []
-    child = core
-    for level in range(1, turn_level + 1):
-        edges.append((level, child))
-        child //= k
-    return tuple(edges)
+    return tuple((level, core // k ** (level - 1)) for level in range(1, turn_level + 1))
 
 
 @dataclass(frozen=True)
@@ -102,19 +103,31 @@ class SwitchDecision(NamedTuple):
 
 @dataclass(frozen=True)
 class RouteResult:
-    """Outcome of routing one event: deliveries plus the traversed links.
+    """Outcome of routing one event: the delivered cores and the links crossed.
 
-    For a multicast packet, ``delivered`` is in ascending core index,
-    ``up_links`` go from the leaf up to the turn switch, and
-    ``down_links`` are in depth-first, ascending-digit order.  For a
-    unicast batch the same orders hold packet by packet, in target order.
+    ``cover`` is the delivered cores as a bitmask and ``level_links[i]``
+    counts the links crossed at R-level i + 1, up and down together; both
+    are closed forms.  The other fields come from the switch-by-switch
+    ``walk``, run once on first read.  For a multicast packet,
+    ``delivered`` is in ascending core index, ``up_links`` go from the
+    leaf up to the turn switch, and ``down_links`` are in depth-first,
+    ascending-digit order.  For a unicast batch the same orders hold
+    packet by packet, in target order.
     """
 
-    delivered: tuple[int, ...]
-    up_links: tuple[tuple[int, int], ...]
-    down_links: tuple[tuple[int, int], ...]
-    decisions: tuple[SwitchDecision, ...]
-    packets: int = 1
+    cover: int
+    level_links: tuple[int, ...]
+    packets: int
+    walk: Callable[[], tuple] = field(compare=False, repr=False)
+
+    @cached_property
+    def _walked(self) -> tuple:
+        return self.walk()
+
+    delivered = property(lambda self: self._walked[0])
+    up_links = property(lambda self: self._walked[1])
+    down_links = property(lambda self: self._walked[2])
+    decisions = property(lambda self: self._walked[3])
 
     @property
     def links(self) -> tuple[tuple[int, int], ...]:
@@ -136,6 +149,26 @@ def _turn_level(source: int, cover: int, cfg: TreeConfig) -> int:
     return cfg.levels
 
 
+def _multicast_level_links(cover: int, turn_level: int, cfg: TreeConfig) -> tuple[int, ...]:
+    """One up link plus the nonempty blocks of k**(l-1) cores, per R-level l <= turn.
+
+    Each step folds the cover onto its block leaders: bit j*span of the
+    folded mask is set when block j of ``span`` cores holds a covered core.
+    """
+    k, levels = cfg.fan_out, cfg.levels
+    full = (1 << cfg.core_count) - 1
+    counts = []
+    span = 1
+    for _ in range(turn_level):
+        counts.append(1 + cover.bit_count())
+        folded = cover
+        for d in range(1, k):
+            folded |= cover >> (d * span)
+        span *= k
+        cover = folded & full // ((1 << span) - 1)
+    return tuple(counts) + (0,) * (levels - turn_level)
+
+
 def route_multicast(
     addr: MulticastAddress,
     source_core: int,
@@ -147,9 +180,10 @@ def route_multicast(
     With the default ``root`` turnaround the packet always climbs to the
     root before descending, so every switch at the same depth runs the
     same head-field logic.  The ``lca`` policy turns at the lowest
-    ancestor subtree containing the whole cover instead.  Each switch
-    picks its ports from its own head field (``addr.select``), never from
-    the cover, so the deliveries are a check on ``covered_set``.
+    ancestor subtree containing the whole cover instead.  The counts come
+    from the cover; the walk picks each switch's ports from its own head
+    field (``addr.select``), never from the cover, so its deliveries are
+    a check on ``covered_set``.
     """
     if turnaround not in TURNAROUND_POLICIES:
         raise ValueError(f"unknown turnaround policy {turnaround!r}")
@@ -164,29 +198,32 @@ def route_multicast(
     if turnaround == "lca":
         turn_level = _turn_level(source_core, cover, cfg)
 
-    delivered: list[int] = []
-    down_links: list[tuple[int, int]] = []
-    decisions: list[SwitchDecision] = []
+    def walk() -> tuple:
+        delivered: list[int] = []
+        down_links: list[tuple[int, int]] = []
+        decisions: list[SwitchDecision] = []
 
-    def descend(level: int, switch: int) -> None:
-        depth = levels - level
-        head, selected = addr.select(depth, switch, cfg)
-        decisions.append(SwitchDecision(level, switch, depth, head, selected))
-        for d in selected:
-            child = switch * k + d
-            down_links.append((level, child))
-            if level == 1:
-                delivered.append(child)
-            else:
-                descend(level - 1, child)
+        def descend(level: int, switch: int) -> None:
+            depth = levels - level
+            head, selected = addr.select(depth, switch, cfg)
+            decisions.append(SwitchDecision(level, switch, depth, head, selected))
+            for d in selected:
+                child = switch * k + d
+                down_links.append((level, child))
+                if level == 1:
+                    delivered.append(child)
+                else:
+                    descend(level - 1, child)
 
-    descend(turn_level, source_core // k**turn_level)
+        descend(turn_level, source_core // k**turn_level)
+        up_links = _up_edges(source_core, turn_level, k)
+        return tuple(delivered), up_links, tuple(down_links), tuple(decisions)
+
     return RouteResult(
-        delivered=tuple(delivered),
-        up_links=_up_edges(source_core, turn_level, k),
-        down_links=tuple(down_links),
-        decisions=tuple(decisions),
+        cover=cover,
+        level_links=_multicast_level_links(cover, turn_level, cfg),
         packets=1,
+        walk=walk,
     )
 
 
@@ -198,27 +235,31 @@ def route_unicast_batch(
     """Route one packet per target, each turning at the source/target LCA.
 
     A self-addressed packet still enters the network: it climbs to the
-    leaf-adjacent switch and comes straight back down.
+    leaf-adjacent switch and comes straight back down.  So every target
+    crosses R-level 1 twice, and R-level l >= 2 twice unless it lies in
+    the source's block of k**(l-1) cores.
     """
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
-    cover_mask(addr, cfg)  # range-check targets
-    k = cfg.fan_out
-    delivered: list[int] = []
-    up_links: list[tuple[int, int]] = []
-    down_links: list[tuple[int, int]] = []
-    for target in addr.targets:
-        turn_level = _turn_level(source_core, 1 << target, cfg)
-        up_links.extend(_up_edges(source_core, turn_level, k))
-        down_links.extend(reversed(_up_edges(target, turn_level, k)))
-        delivered.append(target)
-    return RouteResult(
-        delivered=tuple(delivered),
-        up_links=tuple(up_links),
-        down_links=tuple(down_links),
-        decisions=(),
-        packets=len(addr.targets),
-    )
+    cover = cover_mask(addr, cfg)  # range-checks targets
+    k, n = cfg.fan_out, len(addr.targets)
+    level_links = [2 * n]
+    span = 1
+    for _ in range(1, cfg.levels):
+        span *= k
+        block = ((1 << span) - 1) << (source_core - source_core % span)
+        level_links.append(2 * (n - (cover & block).bit_count()))
+
+    def walk() -> tuple:
+        up_links: list[tuple[int, int]] = []
+        down_links: list[tuple[int, int]] = []
+        for target in addr.targets:
+            turn_level = _turn_level(source_core, 1 << target, cfg)
+            up_links.extend(_up_edges(source_core, turn_level, k))
+            down_links.extend(reversed(_up_edges(target, turn_level, k)))
+        return addr.targets, tuple(up_links), tuple(down_links), ()
+
+    return RouteResult(cover=cover, level_links=tuple(level_links), packets=n, walk=walk)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +306,13 @@ def simulate(
     and its counters are multiplied by the spike count.  Every arriving
     packet pays one LUT lookup; lookups whose tag is absent from the
     core's legal-source set count as illegal and the packet is dropped
-    there.
+    there.  The counts read the route's ``cover`` and ``level_links``,
+    and ``luts`` is inverted once into a core bitmask per tag, so the
+    switch-by-switch walk never runs here.
 
     With integer-valued energies every field equals a spike-by-spike sum.
-    Otherwise the float fields, summed per source, may differ from it by
-    rounding; the tests allow a relative drift of 1e-12.
+    Otherwise the float fields, summed per tree level and per source, may
+    differ from it by rounding; the tests allow a relative drift of 1e-12.
     """
     scheme = Scheme(scheme)
     if len(energy.link_energy_per_bit) != cfg.levels:
@@ -279,11 +322,12 @@ def simulate(
         )
     header = routing_bit_width(scheme, cfg) + tag_bits
 
-    spikes = 0
-    packets = 0
-    link_bits = 0
-    legal = 0
-    illegal = 0
+    legal_mask: dict[int, int] = {}
+    for core, tags in luts.items() if isinstance(luts, Mapping) else enumerate(luts):
+        for tag in tags:
+            legal_mask[tag] = legal_mask.get(tag, 0) | 1 << core
+
+    spikes = packets = link_bits = legal = illegal = 0
     routing_energy = 0.0
     for tag, count, dests in sources:
         if tag < 0 or tag >= (1 << tag_bits):
@@ -297,14 +341,14 @@ def simulate(
             route = route_unicast_batch(addr, source_core, cfg)
         else:
             route = route_multicast(addr, source_core, cfg, turnaround)
-        e_per_bit = sum(energy.link_energy(level) for level, _child in route.links)
-        src_legal = sum(1 for core in route.delivered if tag in luts[core])
+        e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
+        src_legal = (route.cover & legal_mask.get(tag, 0)).bit_count()
         spikes += count
         packets += count * route.packets
-        link_bits += count * len(route.links) * header
+        link_bits += count * sum(route.level_links) * header
         routing_energy += count * header * e_per_bit
         legal += count * src_legal
-        illegal += count * (len(route.delivered) - src_legal)
+        illegal += count * (route.cover.bit_count() - src_legal)
 
     filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
     return SimReport(

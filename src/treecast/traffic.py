@@ -129,10 +129,14 @@ class NeuronMapping:
 
     assignment: tuple[int, ...]  # core index per neuron id
     core_capacity: int
+    core_count: int | None = None  # cores of the tree; bounds the indices when given
 
     def __post_init__(self) -> None:
+        limit = float("inf") if self.core_count is None else self.core_count
         counts: dict[int, int] = {}
-        for core in self.assignment:
+        for neuron, core in enumerate(self.assignment):
+            if not 0 <= core < limit:
+                raise ValueError(f"neuron {neuron} is mapped to core {core}, outside [0, {limit})")
             counts[core] = counts.get(core, 0) + 1
             if counts[core] > self.core_capacity:
                 raise ValueError(f"core {core} exceeds capacity {self.core_capacity}")
@@ -166,6 +170,7 @@ def map_neurons(
         return NeuronMapping(
             assignment=tuple(n // capacity for n in range(total)),
             core_capacity=capacity,
+            core_count=n_cores,
         )
     if strategy != "random_switch":
         raise ValueError(f"unknown mapping strategy {strategy!r}")
@@ -180,7 +185,7 @@ def map_neurons(
                 current = rng.choice(candidates)
         assignment.append(current)
         counts[current] += 1
-    return NeuronMapping(assignment=tuple(assignment), core_capacity=capacity)
+    return NeuronMapping(assignment=tuple(assignment), core_capacity=capacity, core_count=n_cores)
 
 
 @dataclass(frozen=True)

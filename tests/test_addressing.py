@@ -215,6 +215,14 @@ def test_encoder_containment_minimality_round_trip(case):
     assert covered_set(addr, cfg) == cover
 
 
+def test_unicast_rejects_repeated_targets():
+    with pytest.raises(ValueError, match="repeat"):
+        UnicastAddress((3, 3))
+    with pytest.raises(ValueError, match="repeat"):
+        parse_address(Scheme.UNICAST, "1,3,1", CFG16)
+    assert UnicastAddress.encode([3, 3, 1], CFG16) == UnicastAddress((1, 3))
+
+
 # ---------------------------------------------------------------------------
 # decoding and containment
 

@@ -107,6 +107,11 @@ def test_unopenable_output_exits_1_before_the_sweep(tmp_path, capsys, monkeypatc
     assert f"output.runs_csv {bad}" in capsys.readouterr().err
 
 
+def test_decode_rejects_repeated_unicast_targets(capsys):
+    assert main(["decode", "--scheme", "unicast", "--address", "3,3"]) == 1
+    assert "repeat" in capsys.readouterr().err
+
+
 def test_missing_trace_file_exits_1_before_connectivity(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(experiment, "generate_connectivity", lambda *a: pytest.fail("built"))
     missing = tmp_path / "nope.csv"

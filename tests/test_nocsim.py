@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -224,6 +225,52 @@ def test_unicast_dominance_three_levels_outside_local_region():
         uni = route_unicast_batch(UnicastAddress.encode(dests, CFG64), source, CFG64)
         assert len(fbs.down_links) <= len(uni.links)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# closed-form counts against the switch-by-switch walk
+
+ROUTE_TREES = [TreeConfig(k, levels) for k in (2, 3, 4) for levels in range(1, 6)]
+ROUTE_TREES.append(TreeConfig(2, 10))
+
+
+@st.composite
+def route_cases(draw):
+    cfg = draw(st.sampled_from(ROUTE_TREES))
+    schemes = [s for s in Scheme if s is not Scheme.SYMBOL or cfg.fan_out != 3]
+    cores = st.integers(0, cfg.core_count - 1)
+    dests = draw(st.sets(cores, min_size=1, max_size=40))
+    return cfg, draw(st.sampled_from(schemes)), dests, draw(cores)
+
+
+@settings(max_examples=400, deadline=None)
+@given(route_cases(), st.sampled_from(TURNAROUND_POLICIES))
+def test_closed_form_counts_equal_the_walk(case, turnaround):
+    cfg, scheme, dests, source = case
+    addr = encode(scheme, dests, cfg)
+    if scheme is Scheme.UNICAST:
+        r = route_unicast_batch(addr, source, cfg)
+    else:
+        r = route_multicast(addr, source, cfg, turnaround)
+    per_level = Counter(level for level, _child in r.up_links + r.down_links)
+    assert r.level_links == tuple(per_level[level] for level in range(1, cfg.levels + 1))
+    assert r.cover == sum(1 << core for core in r.delivered)
+    assert r.cover.bit_count() == len(r.delivered)
+    assert r.cover == sum(1 << core for core in covered_set(addr, cfg))
+
+
+def test_walk_runs_once_on_first_read():
+    r = route_multicast(encode(Scheme.HBS, {4, 8}, CFG16), 0, CFG16)
+    calls = []
+    walk = r.walk
+    r = dataclasses.replace(r, walk=lambda: calls.append(1) or walk())
+    assert r.cover == 1 << 4 | 1 << 8
+    assert r.level_links == (3, 3)
+    assert not calls
+    assert r.delivered == (4, 8)
+    assert len(r.decisions) == 3
+    assert len(r.links) == 6
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,15 @@ def test_mapping_rejects_too_many_neurons():
         NeuronMapping(assignment=(0, 0, 0), core_capacity=2)
 
 
+def test_mapping_rejects_cores_outside_the_tree():
+    with pytest.raises(ValueError, match="neuron 1 is mapped to core 16"):
+        NeuronMapping(assignment=(0, 16), core_capacity=2, core_count=16)
+    with pytest.raises(ValueError, match="neuron 0 is mapped to core -1"):
+        NeuronMapping(assignment=(-1,), core_capacity=1)
+    assert map_neurons(SMALL, TreeConfig(2, 2), capacity=12).core_count == 4
+    assert map_neurons(SMALL, TreeConfig(2, 2), "random_switch", capacity=12).core_count == 4
+
+
 def test_derive_events_on_hand_built_network():
     conn = {0: (1, 2), 1: (), 2: (0, 3), 3: (3,)}
     mapping = NeuronMapping(assignment=(0, 0, 1, 2), core_capacity=2)
