@@ -272,13 +272,25 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
     for rep in range(config.repetitions):
         seed = config.mapping_seed + rep
         mapping = map_neurons(
-            config.network, config.tree, config.strategy, config.capacity, seed, config.switch_prob
+            config.network,
+            config.tree,
+            strategy=config.strategy,
+            capacity=config.capacity,
+            seed=seed,
+            switch_prob=config.switch_prob,
         )
         sources, dropped = derive_events(trace, connectivity, mapping, tag_bits)
         luts = build_core_luts(connectivity, mapping, config.tree.core_count)
         for scheme in config.schemes:
             report = simulate(
-                sources, scheme, config.tree, mapping, energy, luts, tag_bits, config.turnaround
+                sources,
+                scheme,
+                config.tree,
+                mapping,
+                energy,
+                luts,
+                tag_bits=tag_bits,
+                turnaround=config.turnaround,
             )
             records.append(RunRecord(scheme.value, rep, seed, dropped, report))
 
@@ -311,12 +323,16 @@ def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[s
                 "max": max(totals),
                 "sum": sum(totals),
             },
+            "routing_energy_sum": sum(r.report.routing_energy for r in recs),
+            "filtering_energy_sum": sum(r.report.filtering_energy for r in recs),
+            "illegal_filtering_energy_sum": sum(
+                r.report.illegal_filtering_energy for r in recs
+            ),
+            "packets_injected": sum(r.report.packets_injected for r in recs),
+            "link_bit_traversals": sum(r.report.link_bit_traversals for r in recs),
+            "legal_deliveries": sum(r.report.legal_deliveries for r in recs),
+            "illegal_deliveries": sum(r.report.illegal_deliveries for r in recs),
         }
-        energies = ("routing_energy", "filtering_energy", "illegal_filtering_energy")
-        counts = ("packets_injected", "link_bit_traversals", "legal_deliveries", "illegal_deliveries")
-        for name in energies + counts:
-            key = f"{name}_sum" if name in energies else name
-            schemes[scheme][key] = sum(getattr(r.report, name) for r in recs)
 
     comparisons: dict[str, Any] = {}
     for name, num, den, stat in _COMPARISONS:
@@ -336,8 +352,11 @@ def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[s
 
 
 RUNS_CSV_HEADER = (
-    "scheme", "mapping_index", "mapping_seed", "dropped_spikes", *SimReport.csv_header()[1:]
-)
+    "scheme",
+    "mapping_index",
+    "mapping_seed",
+    "dropped_spikes",
+) + SimReport.csv_header()[1:]
 
 
 def write_runs_csv(records: Sequence[RunRecord], out: IO[str]) -> None:

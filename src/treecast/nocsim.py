@@ -48,7 +48,12 @@ def _up_edges(core: int, turn_level: int, k: int) -> tuple[tuple[int, int], ...]
     switch ``child_index // k`` and its child ``child_index`` one level
     below (a core when level is 1).
     """
-    return tuple((level, core // k ** (level - 1)) for level in range(1, turn_level + 1))
+    edges = []
+    child = core
+    for level in range(1, turn_level + 1):
+        edges.append((level, child))
+        child //= k
+    return tuple(edges)
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,6 @@ class EnergyModel:
             link_energy_per_bit=tuple(base * level_ratio**i for i in range(levels)),
             filter_energy_per_lookup=filter_lookup,
         )
-
-    def link_energy(self, level: int) -> float:
-        return self.link_energy_per_bit[level - 1]
 
 
 class SwitchDecision(NamedTuple):
@@ -336,6 +338,10 @@ def simulate(
             source_core = mapping[tag]
         except (KeyError, IndexError):
             raise ValueError(f"unmapped neuron {tag}") from None
+        if not 0 <= source_core < cfg.core_count:
+            raise ValueError(
+                f"neuron {tag} is mapped to core {source_core}, outside the {cfg.core_count} cores"
+            )
         addr = encode(scheme, dests, cfg)
         if scheme is Scheme.UNICAST:
             route = route_unicast_batch(addr, source_core, cfg)

@@ -129,14 +129,12 @@ class NeuronMapping:
 
     assignment: tuple[int, ...]  # core index per neuron id
     core_capacity: int
-    core_count: int | None = None  # cores of the tree; bounds the indices when given
 
     def __post_init__(self) -> None:
-        limit = float("inf") if self.core_count is None else self.core_count
         counts: dict[int, int] = {}
         for neuron, core in enumerate(self.assignment):
-            if not 0 <= core < limit:
-                raise ValueError(f"neuron {neuron} is mapped to core {core}, outside [0, {limit})")
+            if core < 0:
+                raise ValueError(f"neuron {neuron} is mapped to negative core {core}")
             counts[core] = counts.get(core, 0) + 1
             if counts[core] > self.core_capacity:
                 raise ValueError(f"core {core} exceeds capacity {self.core_capacity}")
@@ -170,7 +168,6 @@ def map_neurons(
         return NeuronMapping(
             assignment=tuple(n // capacity for n in range(total)),
             core_capacity=capacity,
-            core_count=n_cores,
         )
     if strategy != "random_switch":
         raise ValueError(f"unknown mapping strategy {strategy!r}")
@@ -185,7 +182,7 @@ def map_neurons(
                 current = rng.choice(candidates)
         assignment.append(current)
         counts[current] += 1
-    return NeuronMapping(assignment=tuple(assignment), core_capacity=capacity, core_count=n_cores)
+    return NeuronMapping(assignment=tuple(assignment), core_capacity=capacity)
 
 
 @dataclass(frozen=True)
@@ -287,6 +284,9 @@ def build_core_luts(
     n_cores: int,
 ) -> tuple[frozenset[int], ...]:
     """Per-core legal-source sets: tags of neurons with a synapse onto the core."""
+    for neuron, core in enumerate(mapping.assignment):
+        if core >= n_cores:
+            raise ValueError(f"neuron {neuron} is mapped to core {core}, outside the {n_cores} cores")
     luts: list[set[int]] = [set() for _ in range(n_cores)]
     for source, targets in connectivity.items():
         for t in targets:

@@ -352,7 +352,7 @@ def test_simulate_counters_close_against_manual_recount():
                 r = route_multicast(addr, mapping[tag], CFG16)
             packets += r.packets
             link_bits += len(r.links) * header
-            routing += header * sum(energy.link_energy(lvl) for lvl, _ in r.links)
+            routing += header * sum(energy.link_energy_per_bit[lvl - 1] for lvl, _ in r.links)
             for core in r.delivered:
                 if tag in luts[core]:
                     legal += 1
@@ -405,6 +405,14 @@ def test_simulate_rejects_unmapped_and_overwide_tags():
         )
 
 
+def test_simulate_rejects_a_hand_built_mapping_outside_the_tree():
+    mapping = NeuronMapping((0, 99), core_capacity=1)
+    with pytest.raises(ValueError, match="neuron 1 is mapped to core 99, outside the 16 cores"):
+        simulate(
+            [(1, 1, frozenset({2}))], Scheme.HBS, CFG16, mapping, EnergyModel.default(2), [set()] * 16
+        )
+
+
 def test_simulate_energy_model_must_match_tree_depth():
     with pytest.raises(ValueError):
         simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(3), [set()] * 16)
@@ -450,7 +458,7 @@ def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_b
         packets += route.packets
         for level, _child in route.links:
             link_bits += header
-            routing += header * energy.link_energy(level)
+            routing += header * energy.link_energy_per_bit[level - 1]
         for core in route.delivered:
             filtering += fe
             if tag in luts[core]:

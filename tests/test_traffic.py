@@ -62,13 +62,15 @@ def test_mapping_rejects_too_many_neurons():
         NeuronMapping(assignment=(0, 0, 0), core_capacity=2)
 
 
-def test_mapping_rejects_cores_outside_the_tree():
-    with pytest.raises(ValueError, match="neuron 1 is mapped to core 16"):
-        NeuronMapping(assignment=(0, 16), core_capacity=2, core_count=16)
-    with pytest.raises(ValueError, match="neuron 0 is mapped to core -1"):
-        NeuronMapping(assignment=(-1,), core_capacity=1)
-    assert map_neurons(SMALL, TreeConfig(2, 2), capacity=12).core_count == 4
-    assert map_neurons(SMALL, TreeConfig(2, 2), "random_switch", capacity=12).core_count == 4
+def test_mapping_rejects_negative_cores():
+    with pytest.raises(ValueError, match="neuron 1 is mapped to negative core -1"):
+        NeuronMapping(assignment=(0, -1), core_capacity=2)
+
+
+def test_build_core_luts_rejects_a_hand_built_mapping_outside_the_tree():
+    mapping = NeuronMapping(assignment=(0, 99), core_capacity=1)
+    with pytest.raises(ValueError, match="neuron 1 is mapped to core 99, outside the 16 cores"):
+        build_core_luts({0: (1,), 1: ()}, mapping, 16)
 
 
 def test_derive_events_on_hand_built_network():
