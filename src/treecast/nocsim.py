@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .addressing import (
     MulticastAddress,
@@ -296,7 +296,7 @@ def simulate(
     cfg: TreeConfig,
     mapping,
     energy: EnergyModel,
-    luts: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    luts: Sequence[int],
     tag_bits: int = 10,
     turnaround: str = "root",
 ) -> SimReport:
@@ -308,8 +308,9 @@ def simulate(
     and its counters are multiplied by the spike count.  Every arriving
     packet pays one LUT lookup; lookups whose tag is absent from the
     core's legal-source set count as illegal and the packet is dropped
-    there.  The counts read the route's ``cover`` and ``level_links``,
-    and ``luts`` is inverted once into a core bitmask per tag, so the
+    there.  ``luts`` is indexed by tag: bit c of ``luts[tag]`` is set
+    when core c's LUT holds the tag, and a tag past its end is in no LUT.
+    The counts read the route's ``cover`` and ``level_links``, so the
     switch-by-switch walk never runs here.
 
     With integer-valued energies every field equals a spike-by-spike sum.
@@ -323,11 +324,6 @@ def simulate(
             f"tree has {cfg.levels}"
         )
     header = routing_bit_width(scheme, cfg) + tag_bits
-
-    legal_mask: dict[int, int] = {}
-    for core, tags in luts.items() if isinstance(luts, Mapping) else enumerate(luts):
-        for tag in tags:
-            legal_mask[tag] = legal_mask.get(tag, 0) | 1 << core
 
     spikes = packets = link_bits = legal = illegal = 0
     routing_energy = 0.0
@@ -348,7 +344,7 @@ def simulate(
         else:
             route = route_multicast(addr, source_core, cfg, turnaround)
         e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
-        src_legal = (route.cover & legal_mask.get(tag, 0)).bit_count()
+        src_legal = (route.cover & (luts[tag] if tag < len(luts) else 0)).bit_count()
         spikes += count
         packets += count * route.packets
         link_bits += count * sum(route.level_links) * header

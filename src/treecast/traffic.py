@@ -4,9 +4,11 @@ Only the fan-out graph and the firing lists matter to the interconnect,
 so there are no neuron dynamics here.  A network is an ordered stack of
 layers; recurrent layers get random intra-layer edges, and every
 consecutive layer pair gets random inter-layer edges, all at a
-configurable density.  Neurons are packed onto cores in id order, either
-strictly sequentially or with random core switches, and a firing trace
-is an independent Bernoulli draw per neuron per timestep.
+configurable density, held as CSR arrays behind a read-only mapping.
+Neurons are packed onto cores in id order, either strictly sequentially
+or with random core switches, and a firing trace is an independent
+Bernoulli draw per neuron per timestep.  The per-core LUTs of legal
+sources are stored as one core bitmask per source tag.
 
 Traces round-trip through a small CSV-style text file so externally
 recorded traffic can be substituted for the synthetic one.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -89,38 +91,63 @@ def default_tag_bits(total_neurons: int) -> int:
     return max(MIN_TAG_BITS, need)
 
 
-def generate_connectivity(spec: NetworkSpec, seed: int) -> dict[int, tuple[int, ...]]:
+class Connectivity(Mapping[int, np.ndarray]):
+    """Read-only fan-out graph in CSR form: neuron id -> sorted target ids.
+
+    The targets of neuron n are ``targets[indptr[n]:indptr[n + 1]]``.
+    """
+
+    def __init__(self, indptr: Sequence[int], targets: Sequence[int]) -> None:
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.targets = np.asarray(targets, dtype=np.int32)
+        self.indptr.flags.writeable = self.targets.flags.writeable = False
+
+    def __getitem__(self, neuron: int) -> np.ndarray:
+        if not 0 <= neuron < len(self):
+            raise KeyError(neuron)
+        return self.targets[self.indptr[neuron] : self.indptr[neuron + 1]]
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Connectivity):
+            return NotImplemented
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.targets, other.targets)
+
+
+def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     """Random fan-out graph: source neuron id -> sorted target neuron ids.
 
     Recurrent layers draw every ordered intra-layer pair (self-edges
     excluded) at the spec density; every consecutive layer pair draws
     all cross pairs, at density 1.0 for transitions into feedforward
-    layers when ``literal_fc`` is set.
+    layers when ``literal_fc`` is set.  A layer's recurrent block and its
+    block into the next layer span ascending target ids side by side, so
+    their row-major hits list each source's targets in sorted order.
     """
     rng = np.random.default_rng(seed)
     ranges = spec.layer_ranges()
-    targets: dict[int, list[int]] = {n: [] for n in range(spec.total_neurons)}
-
-    def wire(sources: range, sinks: range, density: float, skip_self: bool) -> None:
-        draw = rng.random((len(sources), len(sinks)))
-        hits = draw < density
-        for i, s in enumerate(sources):
-            row = np.flatnonzero(hits[i])
-            ts = [sinks[j] for j in row]
-            if skip_self:
-                ts = [t for t in ts if t != s]
-            targets[s].extend(ts)
-
+    counts, targets = [], []
     for li, layer in enumerate(spec.layers):
+        blocks = [np.zeros((layer.size, 0), dtype=bool)]
         if layer.kind == "recurrent":
-            wire(ranges[li], ranges[li], spec.density, skip_self=True)
+            blocks.append(rng.random((layer.size, layer.size)) < spec.density)
+            np.fill_diagonal(blocks[-1], False)
         if li + 1 < len(spec.layers):
             density = spec.density
             if spec.literal_fc and spec.layers[li + 1].kind == "feedforward":
                 density = 1.0
-            wire(ranges[li], ranges[li + 1], density, skip_self=False)
-
-    return {n: tuple(sorted(ts)) for n, ts in targets.items()}
+            blocks.append(rng.random((layer.size, spec.layers[li + 1].size)) < density)
+        first = ranges[li].start if layer.kind == "recurrent" else ranges[li].stop
+        rows, cols = np.nonzero(np.hstack(blocks))
+        counts.append(np.bincount(rows, minlength=layer.size))
+        targets.append((cols + first).astype(np.int32))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return Connectivity(indptr, np.concatenate(targets))
 
 
 @dataclass(frozen=True)
@@ -251,17 +278,20 @@ def load_trace(inp: IO[str], steps: int | None = None) -> SpikeTrace:
 
 def derive_events(
     trace: SpikeTrace,
-    connectivity: Mapping[int, Sequence[int]],
+    connectivity: Connectivity,
     mapping: NeuronMapping,
     tag_bits: int,
 ) -> tuple[list[tuple[int, int, frozenset[int]]], int]:
     """Group spikes by source neuron: (source tag, spike count, destination core set).
 
-    The tag is the global neuron id and must fit ``tag_bits``; the first
-    spike that does not raises.  Sources come in the order of their first
-    spike.  Spikes of a neuron whose fan-out is empty produce no source;
-    the count of those dropped spikes is returned alongside the sources.
+    The tag is the global neuron id and must fit ``tag_bits``, and the
+    neuron must exist in ``connectivity``; the first spike that breaks
+    either rule raises.  Sources come in the order of their first spike.
+    Spikes of a neuron whose fan-out is empty produce no source; the count
+    of those dropped spikes is returned alongside the sources.
     """
+    indptr = connectivity.indptr.tolist()
+    dest_cores = np.asarray(mapping.assignment, dtype=np.int32)[connectivity.targets]
     sources = []
     dropped = 0
     for neuron, count in Counter(neuron for _t, neuron in trace.events).items():
@@ -270,25 +300,28 @@ def derive_events(
                 f"neuron id {neuron} does not fit in {tag_bits} tag bits; "
                 f"need at least {default_tag_bits(neuron + 1)}"
             )
-        cores = frozenset(mapping[t] for t in connectivity.get(neuron, ()))
-        if cores:
-            sources.append((neuron, count, cores))
+        if not 0 <= neuron < len(connectivity):
+            raise ValueError(f"neuron id {neuron} is outside the network's {len(connectivity)} neurons")
+        lo, hi = indptr[neuron], indptr[neuron + 1]
+        if lo < hi:
+            sources.append((neuron, count, frozenset(dest_cores[lo:hi].tolist())))
         else:
             dropped += count
     return sources, dropped
 
 
 def build_core_luts(
-    connectivity: Mapping[int, Sequence[int]],
+    connectivity: Connectivity,
     mapping: NeuronMapping,
     n_cores: int,
-) -> tuple[frozenset[int], ...]:
-    """Per-core legal-source sets: tags of neurons with a synapse onto the core."""
+) -> tuple[int, ...]:
+    """Legal-source LUTs by tag: bit c of ``luts[tag]`` is set when core c's
+    LUT holds the tag, that is when the neuron has a synapse onto core c."""
     for neuron, core in enumerate(mapping.assignment):
         if core >= n_cores:
             raise ValueError(f"neuron {neuron} is mapped to core {core}, outside the {n_cores} cores")
-    luts: list[set[int]] = [set() for _ in range(n_cores)]
-    for source, targets in connectivity.items():
-        for t in targets:
-            luts[mapping[t]].add(source)
-    return tuple(frozenset(s) for s in luts)
+    listen = np.zeros((len(connectivity), n_cores), dtype=bool)
+    sources = np.repeat(np.arange(len(connectivity), dtype=np.int32), np.diff(connectivity.indptr))
+    listen[sources, np.asarray(mapping.assignment, dtype=np.int32)[connectivity.targets]] = True
+    packed = np.packbits(listen, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)

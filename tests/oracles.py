@@ -6,6 +6,8 @@ the tests never check the library against itself.
 
 import itertools
 
+import numpy as np
+
 
 def index_from_digits(digits, k):
     idx = 0
@@ -102,3 +104,30 @@ def core_luts(connectivity, assignment, n_cores):
         {s for s, targets in connectivity.items() if any(assignment[t] == core for t in targets)}
         for core in range(n_cores)
     ]
+
+
+def connectivity(spec, seed):
+    """Fan-out graph drawn row by row: source neuron id -> sorted target ids.
+
+    Same draws as ``treecast.traffic.generate_connectivity``: per layer,
+    the recurrent block (self-edges dropped), then the block into the
+    next layer.
+    """
+    rng = np.random.default_rng(seed)
+    ranges = spec.layer_ranges()
+    targets = {n: [] for n in range(spec.total_neurons)}
+
+    def wire(sources, sinks, density, skip_self):
+        hits = rng.random((len(sources), len(sinks))) < density
+        for i, s in enumerate(sources):
+            targets[s].extend(sinks[j] for j in np.flatnonzero(hits[i]) if not (skip_self and sinks[j] == s))
+
+    for li, layer in enumerate(spec.layers):
+        if layer.kind == "recurrent":
+            wire(ranges[li], ranges[li], spec.density, skip_self=True)
+        if li + 1 < len(spec.layers):
+            density = spec.density
+            if spec.literal_fc and spec.layers[li + 1].kind == "feedforward":
+                density = 1.0
+            wire(ranges[li], ranges[li + 1], density, skip_self=False)
+    return {n: tuple(sorted(ts)) for n, ts in targets.items()}

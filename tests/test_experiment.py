@@ -13,7 +13,7 @@ from treecast.experiment import (
     run_experiment,
 )
 from treecast.nocsim import EnergyModel
-from treecast.traffic import Layer, NetworkSpec
+from treecast.traffic import Layer, NetworkSpec, save_trace, synth_trace
 
 
 def test_load_config_rejects_scheme_that_does_not_fit_tree():
@@ -192,3 +192,21 @@ def test_tag_bits_follow_a_replaced_network():
     assert narrow.tag_width() == 10
     with pytest.raises(ValueError, match="does not fit in 10 tag bits"):
         run_experiment(narrow)
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "random_switch"])
+def test_run_experiment_is_deterministic(strategy, tmp_path):
+    synthetic = ExperimentConfig(
+        network=NetworkSpec.default_rsnn(20), strategy=strategy, capacity=10, repetitions=3, trace_steps=30
+    )
+    path = tmp_path / "trace.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        save_trace(synth_trace(synthetic.network, 30, synthetic.trace_rate, synthetic.trace_seed), fh)
+    from_file = replace(synthetic, trace_source="file", trace_path=str(path))
+    first = run_experiment(synthetic)
+    assert first.rows and first.summary["schemes"]["hbs"]["legal_deliveries"] > 0
+    # The file holds the synthetic trace, so every run must equal the first.
+    for config in (synthetic, from_file, from_file):
+        result = run_experiment(config)
+        assert result.rows == first.rows
+        assert result.summary == first.summary

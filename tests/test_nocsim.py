@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from treecast.nocsim import (
     route_unicast_batch,
     simulate,
 )
-from treecast.traffic import NeuronMapping, SpikeTrace, build_core_luts, derive_events
+from treecast.traffic import Connectivity, NeuronMapping, SpikeTrace, build_core_luts, derive_events
 
 import oracles
 
@@ -291,17 +292,17 @@ def test_divergence_depth():
 # ---------------------------------------------------------------------------
 # simulate
 
-def luts_from_sources(sources, n_cores):
-    """Legal-source sets consistent with the source list itself."""
-    luts = [set() for _ in range(n_cores)]
+def luts_from_sources(sources):
+    """Legal-source core masks, indexed by tag, consistent with the source list itself."""
+    luts = [0] * (max(tag for tag, _count, _cores in sources) + 1)
     for tag, _count, cores in sources:
         for c in cores:
-            luts[c].add(tag)
-    return tuple(frozenset(s) for s in luts)
+            luts[tag] |= 1 << c
+    return tuple(luts)
 
 
 def test_simulate_empty_event_list():
-    report = simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(2), [set()] * 16)
+    report = simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(2), ())
     assert report.events == 0
     assert report.packets_injected == 0
     assert report.total_energy == 0.0
@@ -313,7 +314,7 @@ def test_simulate_single_fbs_event_energy():
     # 1 + 4 + 4 + 1 energy units per bit
     sources = [(3, 1, frozenset({5}))]
     mapping = {3: 0}
-    luts = luts_from_sources(sources, 16)
+    luts = luts_from_sources(sources)
     report = simulate(sources, Scheme.FBS, CFG16, mapping, EnergyModel.default(2), luts)
     assert report.events == 1
     assert report.packets_injected == 1
@@ -334,7 +335,7 @@ def test_simulate_counters_close_against_manual_recount():
         sources.append((tag, rng.randint(1, 3), dests))
     rng.shuffle(sources)
     mapping = {tag: rng.randrange(16) for tag in range(40)}
-    luts = luts_from_sources(sources, 16)
+    luts = luts_from_sources(sources)
     energy = EnergyModel.default(2)
 
     for scheme in Scheme:
@@ -354,7 +355,7 @@ def test_simulate_counters_close_against_manual_recount():
             link_bits += len(r.links) * header
             routing += header * sum(energy.link_energy_per_bit[lvl - 1] for lvl, _ in r.links)
             for core in r.delivered:
-                if tag in luts[core]:
+                if luts[tag] >> core & 1:
                     legal += 1
                 else:
                     illegal += 1
@@ -382,7 +383,7 @@ def test_simulate_hbs_never_more_illegal_than_symbol():
         dests = frozenset(rng.sample(range(16), rng.randint(1, 8)))
         sources.append((tag, rng.randint(1, 4), dests))
     mapping = {tag: rng.randrange(16) for tag in range(60)}
-    luts = luts_from_sources(sources, 16)
+    luts = luts_from_sources(sources)
     energy = EnergyModel.default(2)
     hbs = simulate(sources, Scheme.HBS, CFG16, mapping, energy, luts)
     sym = simulate(sources, Scheme.SYMBOL, CFG16, mapping, energy, luts)
@@ -393,7 +394,7 @@ def test_simulate_hbs_never_more_illegal_than_symbol():
 def test_simulate_rejects_unmapped_and_overwide_tags():
     sources = [(5, 1, frozenset({1}))]
     with pytest.raises(ValueError, match="unmapped"):
-        simulate(sources, Scheme.FBS, CFG16, {}, EnergyModel.default(2), [set()] * 16)
+        simulate(sources, Scheme.FBS, CFG16, {}, EnergyModel.default(2), ())
     with pytest.raises(ValueError, match="tag"):
         simulate(
             [(5000, 1, frozenset({1}))],
@@ -401,7 +402,7 @@ def test_simulate_rejects_unmapped_and_overwide_tags():
             CFG16,
             {5000: 0},
             EnergyModel.default(2),
-            [set()] * 16,
+            (),
         )
 
 
@@ -409,13 +410,13 @@ def test_simulate_rejects_a_hand_built_mapping_outside_the_tree():
     mapping = NeuronMapping((0, 99), core_capacity=1)
     with pytest.raises(ValueError, match="neuron 1 is mapped to core 99, outside the 16 cores"):
         simulate(
-            [(1, 1, frozenset({2}))], Scheme.HBS, CFG16, mapping, EnergyModel.default(2), [set()] * 16
+            [(1, 1, frozenset({2}))], Scheme.HBS, CFG16, mapping, EnergyModel.default(2), ()
         )
 
 
 def test_simulate_energy_model_must_match_tree_depth():
     with pytest.raises(ValueError):
-        simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(3), [set()] * 16)
+        simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(3), ())
 
 
 def test_simulate_deterministic():
@@ -425,7 +426,7 @@ def test_simulate_deterministic():
         for tag in range(30)
     ]
     mapping = {tag: rng.randrange(16) for tag in range(30)}
-    luts = luts_from_sources(sources, 16)
+    luts = luts_from_sources(sources)
     a = simulate(sources, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
     b = simulate(sources, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
     assert a == b
@@ -497,7 +498,9 @@ def oracle_cases(draw):
 def test_simulate_matches_per_spike_oracle(case, turnaround):
     cfg, assignment, connectivity, trace, energy, scheme = case
     mapping = NeuronMapping(tuple(assignment), core_capacity=len(assignment))
-    sources, dropped = derive_events(trace, connectivity, mapping, tag_bits=10)
+    rows = [connectivity[s] for s in range(len(assignment))]
+    view = Connectivity(np.cumsum([0] + [len(r) for r in rows]), [t for r in rows for t in r])
+    sources, dropped = derive_events(trace, view, mapping, tag_bits=10)
     per_spike = Counter((tag, cores) for tag, count, cores in sources for _ in range(count))
     assert per_spike == Counter(
         (n, frozenset(assignment[t] for t in connectivity[n]))
@@ -506,7 +509,7 @@ def test_simulate_matches_per_spike_oracle(case, turnaround):
     )
     assert sum(per_spike.values()) + dropped == len(trace.events)
 
-    luts = build_core_luts(connectivity, mapping, cfg.core_count)
+    luts = build_core_luts(view, mapping, cfg.core_count)
     got = simulate(sources, scheme, cfg, mapping, energy, luts, 10, turnaround)
     want = per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, 10, turnaround)
     integer_energies = all(e.is_integer() for e in energy.link_energy_per_bit) and (

@@ -1,10 +1,14 @@
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treecast.addressing import TreeConfig
 from treecast.experiment import default_config
 from treecast.traffic import (
+    LAYER_KINDS,
+    Connectivity,
     Layer,
     NetworkSpec,
     NeuronMapping,
@@ -17,6 +21,8 @@ from treecast.traffic import (
     save_trace,
     synth_trace,
 )
+
+import oracles
 
 SMALL = NetworkSpec((Layer(20, "recurrent"), Layer(15, "feedforward"), Layer(10, "recurrent")), 0.3)
 
@@ -50,6 +56,24 @@ def test_connectivity_is_seeded_sorted_and_free_of_self_edges():
     assert all(set(conn[n]) <= set(SMALL.layer_ranges()[2]) for n in SMALL.layer_ranges()[2])
 
 
+specs = st.builds(
+    NetworkSpec,
+    st.lists(st.builds(Layer, st.integers(1, 30), st.sampled_from(LAYER_KINDS)), min_size=1, max_size=4)
+    .map(tuple),
+    st.floats(0.01, 1.0),
+    st.booleans(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs, st.integers(0, 2**32 - 1))
+@example(NetworkSpec((Layer(5, "feedforward"), Layer(7, "recurrent")), 0.5), 3)
+@example(NetworkSpec((Layer(9, "feedforward"),), 1.0, literal_fc=True), 4)
+def test_connectivity_matches_row_by_row_oracle(spec, seed):
+    conn = generate_connectivity(spec, seed)
+    assert {n: tuple(conn[n].tolist()) for n in conn} == oracles.connectivity(spec, seed)
+
+
 def test_sequential_mapping_packs_in_id_order():
     mapping = map_neurons(SMALL, TreeConfig(4, 2), strategy="sequential", capacity=4)
     assert mapping.assignment == tuple(n // 4 for n in range(SMALL.total_neurons))
@@ -70,11 +94,12 @@ def test_mapping_rejects_negative_cores():
 def test_build_core_luts_rejects_a_hand_built_mapping_outside_the_tree():
     mapping = NeuronMapping(assignment=(0, 99), core_capacity=1)
     with pytest.raises(ValueError, match="neuron 1 is mapped to core 99, outside the 16 cores"):
-        build_core_luts({0: (1,), 1: ()}, mapping, 16)
+        build_core_luts(Connectivity((0, 1, 1), (1,)), mapping, 16)
 
 
 def test_derive_events_on_hand_built_network():
-    conn = {0: (1, 2), 1: (), 2: (0, 3), 3: (3,)}
+    # fan-outs 0: (1, 2), 1: (), 2: (0, 3), 3: (3,)
+    conn = Connectivity((0, 2, 2, 4, 5), (1, 2, 0, 3, 3))
     mapping = NeuronMapping(assignment=(0, 0, 1, 2), core_capacity=2)
     trace = SpikeTrace(
         steps=3, events=((0, 2), (0, 0), (0, 1), (1, 2), (1, 0), (2, 3), (2, 1), (2, 2))
@@ -86,6 +111,15 @@ def test_derive_events_on_hand_built_network():
     # the error names the first spike whose id does not fit
     with pytest.raises(ValueError, match="neuron id 2 does not fit in 1 tag bits"):
         derive_events(trace, conn, mapping, tag_bits=1)
+
+
+def test_derive_events_rejects_neurons_outside_the_network():
+    conn = Connectivity((0, 1, 2), (1, 0))  # fan-outs 0: (1,), 1: (0,)
+    mapping = NeuronMapping((0, 1), core_capacity=2)
+    for bad in (-1, 2, 7):
+        trace = SpikeTrace(1, ((0, 0), (0, bad), (0, 7)))
+        with pytest.raises(ValueError, match=f"neuron id {bad} is outside the network's 2 neurons"):
+            derive_events(trace, conn, mapping, tag_bits=10)
 
 
 def _default_mapping(config):
@@ -105,8 +139,9 @@ def test_core_luts_hold_exactly_the_destination_tags():
     dests = {tag: cores for tag, _count, cores in sources}
     assert dropped == config.network.total_neurons - len(dests)
     luts = build_core_luts(conn, mapping, config.tree.core_count)
-    for core, lut in enumerate(luts):
-        assert lut == {tag for tag, cores in dests.items() if core in cores}
+    assert luts == tuple(
+        sum(1 << core for core in dests.get(tag, ())) for tag in range(config.network.total_neurons)
+    )
 
 
 def test_derive_events_counts_every_spike_once():
