@@ -33,6 +33,7 @@ lookup or method call, and no other module branches on the scheme.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -127,10 +128,7 @@ class FbsAddress:
     @classmethod
     def encode(cls, dests: Iterable[int], cfg: TreeConfig) -> FbsAddress:
         """Exact flat bitmask of the destination set."""
-        mask = 0
-        for d in _check_dests(dests, cfg):
-            mask |= 1 << d
-        return cls(mask)
+        return cls(sum(1 << d for d in _check_dests(dests, cfg)))
 
     def cover(self, cfg: TreeConfig) -> int:
         n = cfg.core_count
@@ -296,6 +294,7 @@ class SymbolAddress(HbsAddress):
             raise ValueError("symbol masks must be 1 (0), 2 (1) or 3 (*)")
 
     @staticmethod
+    @functools.cache
     def _tree(cfg: TreeConfig) -> TreeConfig:
         return TreeConfig(2, cfg.index_bits)
 
@@ -432,23 +431,14 @@ def cover_mask(addr: MulticastAddress, cfg: TreeConfig) -> int:
 def covered_set(addr: MulticastAddress, cfg: TreeConfig) -> frozenset[int]:
     """The set of cores that will receive a packet carrying ``addr``."""
     mask = addr.cover(cfg)
-    out = []
-    idx = 0
-    while mask:
-        if mask & 1:
-            out.append(idx)
-        mask >>= 1
-        idx += 1
-    return frozenset(out)
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def overcoverage(addr: MulticastAddress, dests: Iterable[int], cfg: TreeConfig) -> int:
     """How many covered cores are not actual destinations."""
     members = _check_dests(dests, cfg)
     cm = addr.cover(cfg)
-    dm = 0
-    for d in members:
-        dm |= 1 << d
+    dm = sum(1 << d for d in members)
     if dm & ~cm:
         raise ValueError("address does not cover every destination (encoder bug?)")
     return cm.bit_count() - dm.bit_count()

@@ -18,8 +18,9 @@ Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
 from sources a core does not listen to are filtered out as illegal.
 Within one mapping every spike of a neuron carries the same packet, so
-:func:`simulate` routes each firing neuron once and weights its counters
-by its spike count.
+:func:`simulate` weights each firing neuron's counters by its spike count;
+within one call it encodes each distinct destination set once and routes
+each distinct route key once.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ class SimReport:
 
 
 def simulate(
-    sources: Iterable[tuple[int, int, Iterable[int]]],
+    sources: Iterable[tuple[int, int, frozenset[int]]],
     scheme: Scheme,
     cfg: TreeConfig,
     mapping,
@@ -304,8 +305,11 @@ def simulate(
 
     Each source is (neuron tag, spike count, destination core set); the
     source core comes from ``mapping[tag]``.  Every spike of a source
-    carries the same packet, so each source is encoded and routed once
-    and its counters are multiplied by the spike count.  Every arriving
+    carries the same packet, so its counters are multiplied by the spike
+    count.  Each distinct destination set is encoded once per call, and
+    each distinct route once: keyed by the set for multicast under the
+    ``root`` turnaround, whose cover and per-level links do not depend on
+    the source core, and by (source core, set) otherwise.  Every arriving
     packet pays one LUT lookup; lookups whose tag is absent from the
     core's legal-source set count as illegal and the packet is dropped
     there.  ``luts`` is indexed by tag: bit c of ``luts[tag]`` is set
@@ -324,6 +328,10 @@ def simulate(
             f"tree has {cfg.levels}"
         )
     header = routing_bit_width(scheme, cfg) + tag_bits
+    by_set = scheme is not Scheme.UNICAST and turnaround == "root"
+    encoded: dict[frozenset[int], MulticastAddress] = {}
+    # route key -> (cover, packets, links crossed, energy per header bit)
+    routed: dict[object, tuple[int, int, int, float]] = {}
 
     spikes = packets = link_bits = legal = illegal = 0
     routing_energy = 0.0
@@ -338,19 +346,26 @@ def simulate(
             raise ValueError(
                 f"neuron {tag} is mapped to core {source_core}, outside the {cfg.core_count} cores"
             )
-        addr = encode(scheme, dests, cfg)
-        if scheme is Scheme.UNICAST:
-            route = route_unicast_batch(addr, source_core, cfg)
-        else:
-            route = route_multicast(addr, source_core, cfg, turnaround)
-        e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
-        src_legal = (route.cover & (luts[tag] if tag < len(luts) else 0)).bit_count()
+        key = dests if by_set else (source_core, dests)
+        hit = routed.get(key)
+        if hit is None:
+            addr = encoded.get(dests)
+            if addr is None:
+                addr = encoded[dests] = encode(scheme, dests, cfg)
+            if scheme is Scheme.UNICAST:
+                route = route_unicast_batch(addr, source_core, cfg)
+            else:
+                route = route_multicast(addr, source_core, cfg, turnaround)
+            e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
+            hit = routed[key] = (route.cover, route.packets, sum(route.level_links), e_per_bit)
+        cover, route_packets, links, e_per_bit = hit
+        src_legal = (cover & (luts[tag] if tag < len(luts) else 0)).bit_count()
         spikes += count
-        packets += count * route.packets
-        link_bits += count * sum(route.level_links) * header
+        packets += count * route_packets
+        link_bits += count * links * header
         routing_energy += count * header * e_per_bit
         legal += count * src_legal
-        illegal += count * (route.cover.bit_count() - src_legal)
+        illegal += count * (cover.bit_count() - src_legal)
 
     filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
     return SimReport(

@@ -30,6 +30,9 @@ LAYER_KINDS = ("recurrent", "feedforward")
 #: Source tags are at least this wide regardless of network size.
 MIN_TAG_BITS = 10
 
+#: Rows of uniform draws held at once while drawing a connectivity block.
+DRAW_ROWS = 256
+
 
 @dataclass(frozen=True)
 class Layer:
@@ -119,6 +122,15 @@ class Connectivity(Mapping[int, np.ndarray]):
         return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.targets, other.targets)
 
 
+def _draw_block(rng: np.random.Generator, rows: int, cols: int, density: float) -> np.ndarray:
+    """The block ``rng.random((rows, cols)) < density``, drawn ``DRAW_ROWS`` rows at a time."""
+    block = np.empty((rows, cols), dtype=bool)
+    for start in range(0, rows, DRAW_ROWS):
+        chunk = block[start : start + DRAW_ROWS]
+        np.less(rng.random(chunk.shape), density, out=chunk)
+    return block
+
+
 def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     """Random fan-out graph: source neuron id -> sorted target neuron ids.
 
@@ -135,13 +147,13 @@ def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     for li, layer in enumerate(spec.layers):
         blocks = [np.zeros((layer.size, 0), dtype=bool)]
         if layer.kind == "recurrent":
-            blocks.append(rng.random((layer.size, layer.size)) < spec.density)
+            blocks.append(_draw_block(rng, layer.size, layer.size, spec.density))
             np.fill_diagonal(blocks[-1], False)
         if li + 1 < len(spec.layers):
             density = spec.density
             if spec.literal_fc and spec.layers[li + 1].kind == "feedforward":
                 density = 1.0
-            blocks.append(rng.random((layer.size, spec.layers[li + 1].size)) < density)
+            blocks.append(_draw_block(rng, layer.size, spec.layers[li + 1].size, density))
         first = ranges[li].start if layer.kind == "recurrent" else ranges[li].stop
         rows, cols = np.nonzero(np.hstack(blocks))
         counts.append(np.bincount(rows, minlength=layer.size))

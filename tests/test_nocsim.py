@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecast import nocsim
 from treecast.addressing import (
     HbsAddress,
     Scheme,
@@ -432,6 +433,72 @@ def test_simulate_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_simulate_keeps_legality_per_tag_on_a_shared_route(scheme, turnaround):
+    # Two tags on one core share a destination set, so they share one route,
+    # but their LUT rows differ.  In the pipeline a LUT row always equals the
+    # destination mask, so only hand-built LUTs show a legality count cached
+    # with the route.
+    dests = frozenset({1, 6})
+    sources = [(0, 2, dests), (1, 3, dests)]
+    mapping = {0: 4, 1: 4}
+    luts = (1 << 1, (1 << 16) - 1)
+    report = simulate(sources, scheme, CFG16, mapping, EnergyModel.default(2), luts, 10, turnaround)
+    legal = illegal = 0
+    for tag, count, cores in sources:
+        for _ in range(count):
+            addr = encode(scheme, cores, CFG16)
+            if scheme is Scheme.UNICAST:
+                route = route_unicast_batch(addr, mapping[tag], CFG16)
+            else:
+                route = route_multicast(addr, mapping[tag], CFG16, turnaround)
+            for core in route.delivered:
+                if luts[tag] >> core & 1:
+                    legal += 1
+                else:
+                    illegal += 1
+    assert (report.legal_deliveries, report.illegal_deliveries) == (legal, illegal)
+
+
+@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, scheme, turnaround):
+    # simulate looks encode and the routers up as nocsim attributes, as the
+    # traced benchmark run relies on; counting wrappers put there see every call.
+    rng = random.Random(31)
+    sets = [frozenset(rng.sample(range(16), rng.randint(1, 5))) for _ in range(6)]
+    sources = [(tag, rng.randint(1, 3), rng.choice(sets)) for tag in range(50)]
+    mapping = {tag: rng.randrange(3) for tag in range(50)}
+    luts = luts_from_sources(sources)
+    energy = EnergyModel.default(2)
+    want = simulate(sources, scheme, CFG16, mapping, energy, luts, 10, turnaround)
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(nocsim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("encode", "route_multicast", "route_unicast_batch"):
+        monkeypatch.setattr(nocsim, name, counted(name))
+    assert simulate(sources, scheme, CFG16, mapping, energy, luts, 10, turnaround) == want
+
+    distinct_sets = {dests for _tag, _count, dests in sources}
+    if scheme is not Scheme.UNICAST and turnaround == "root":
+        keys = distinct_sets
+    else:
+        keys = {(mapping[tag], dests) for tag, _count, dests in sources}
+    assert len(keys) < len(sources)
+    router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
+    assert calls == Counter({"encode": len(distinct_sets), router: len(keys)})
+
+
 # Oracle: every spike routed on its own, filtered against LUTs built from the
 # connectivity by tests/oracles.py.  k = 3 trees have no symbol scheme.
 ORACLE_TREES = [
@@ -521,3 +588,35 @@ def test_simulate_matches_per_spike_oracle(case, turnaround):
             assert a == b, f.name
         else:
             assert math.isclose(a, b, rel_tol=1e-12), f.name
+
+
+@st.composite
+def root_key_cases(draw):
+    cfg = draw(st.sampled_from(ORACLE_TREES))
+    schemes = [s for s in MULTICAST_SCHEMES if s is not Scheme.SYMBOL or cfg.fan_out != 3]
+    dests = draw(st.sets(st.integers(0, cfg.core_count - 1), min_size=1))
+    return cfg, draw(st.sampled_from(schemes)), dests
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_key_cases())
+def test_root_route_counts_do_not_depend_on_the_source_core(case):
+    # Why simulate keys a root-turnaround multicast route by its destination set alone.
+    cfg, scheme, dests = case
+    addr = encode(scheme, dests, cfg)
+    routes = {
+        (r.cover, r.level_links)
+        for r in (route_multicast(addr, s, cfg, "root") for s in range(cfg.core_count))
+    }
+    assert len(routes) == 1
+
+
+def test_lca_route_counts_depend_on_the_source_core():
+    # Why simulate keys an lca route by (source core, destination set): from
+    # core 0 the packet for cores {0, 1} turns at the leaf-adjacent switch,
+    # from core 15 it climbs to the root.
+    addr = encode(Scheme.FBS, {0, 1}, CFG16)
+    near, far = (route_multicast(addr, s, CFG16, "lca") for s in (0, 15))
+    assert near.cover == far.cover
+    assert near.level_links == (3, 0)
+    assert far.level_links == (3, 2)

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from treecast.addressing import TreeConfig
 from treecast.experiment import default_config
 from treecast.traffic import (
+    DRAW_ROWS,
     LAYER_KINDS,
     Connectivity,
     Layer,
@@ -20,6 +22,7 @@ from treecast.traffic import (
     map_neurons,
     save_trace,
     synth_trace,
+    _draw_block,
 )
 
 import oracles
@@ -72,6 +75,14 @@ specs = st.builds(
 def test_connectivity_matches_row_by_row_oracle(spec, seed):
     conn = generate_connectivity(spec, seed)
     assert {n: tuple(conn[n].tolist()) for n in conn} == oracles.connectivity(spec, seed)
+
+
+@pytest.mark.parametrize("rows", [2 * DRAW_ROWS, 2 * DRAW_ROWS + 3])
+def test_chunked_draw_equals_the_one_shot_draw(rows):
+    chunked, one_shot = np.random.default_rng(17), np.random.default_rng(17)
+    block = _draw_block(chunked, rows, 5, 0.3)
+    assert np.array_equal(block, one_shot.random((rows, 5)) < 0.3)
+    assert chunked.random() == one_shot.random()
 
 
 def test_sequential_mapping_packs_in_id_order():
