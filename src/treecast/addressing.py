@@ -26,9 +26,9 @@ Each encoding is one frozen address class that owns everything specific
 to its scheme: ``encode``, ``cover``, the header ``width``, the text form
 (``text`` and ``parse``), the switch port choice ``select``, the closed
 forms ``routing_bits`` and ``capability``, and ``addresses``, which walks
-every well-formed address.  The registry :func:`address_class` maps a
-:class:`Scheme` to its class; the module functions below are each one
-lookup or method call, and no other module branches on the scheme.
+every well-formed address.  Each of these takes the tree as one
+:class:`TreeConfig`.  The registry :func:`address_class` maps a
+:class:`Scheme` to its class, and no other module branches on the scheme.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def _check_dests(dests: Iterable[int], cfg: TreeConfig) -> frozenset[int]:
 # ``select(depth, switch, cfg)`` is the port choice of the switch ``switch``
 # at ``depth`` hops below the root: it returns the head field that switch
 # reads and the Down ports (child digits) it forwards to.  ``routing_bits``
-# and ``capability`` take the node count ``n`` and the per-level fan-out
-# ``k``, which only hbs needs.
+# is the routing field a source stores, ``width`` for every scheme but
+# unicast, and ``capability`` counts the distinct nonempty covers.
 
 @dataclass(frozen=True)
 class FbsAddress:
@@ -140,6 +140,8 @@ class FbsAddress:
     def width(cfg: TreeConfig) -> int:
         return cfg.core_count
 
+    routing_bits = width
+
     def text(self, cfg: TreeConfig) -> str:
         """N-char binary string, bit N-1 leftmost."""
         return format(self.mask, f"0{cfg.core_count}b")
@@ -161,16 +163,8 @@ class FbsAddress:
         )
 
     @staticmethod
-    def routing_bits(n: int, k: int | None = None) -> int:
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
-        return n
-
-    @staticmethod
-    def capability(n: int, k: int | None = None) -> int:
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
-        return 2**n - 1
+    def capability(cfg: TreeConfig) -> int:
+        return 2**cfg.core_count - 1
 
     @classmethod
     def addresses(cls, cfg: TreeConfig) -> Iterator[FbsAddress]:
@@ -182,9 +176,10 @@ class HbsAddress:
     """One k-bit child mask per tree level, root level first.
 
     Bit d of a level mask selects child digit d at that level.  A zero
-    mask would select no child and is rejected.  ``encode``, ``cover``
-    and ``addresses`` work on the tree that ``_tree(cfg)`` gives, which
-    is ``cfg`` itself here and the binary tree of index bits for symbol.
+    mask would select no child and is rejected.  ``encode``, ``cover``,
+    ``width``, ``capability`` and ``addresses`` work on the tree that
+    ``_tree(cfg)`` gives, which is ``cfg`` itself here and the binary tree
+    of index bits for symbol.
     """
 
     masks: tuple[int, ...]
@@ -238,9 +233,12 @@ class HbsAddress:
             span *= k
         return cover
 
-    @staticmethod
-    def width(cfg: TreeConfig) -> int:
-        return cfg.fan_out * cfg.levels
+    @classmethod
+    def width(cls, cfg: TreeConfig) -> int:
+        tree = cls._tree(cfg)
+        return tree.fan_out * tree.levels
+
+    routing_bits = width
 
     def text(self, cfg: TreeConfig) -> str:
         """Slash-separated k-bit binary masks, root level first."""
@@ -261,17 +259,10 @@ class HbsAddress:
         mask = self.masks[depth]
         return mask, tuple(d for d in range(cfg.fan_out) if mask >> d & 1)
 
-    @staticmethod
-    def routing_bits(n: int, k: int | None = None) -> int:
-        if k is None:
-            raise ValueError("hbs routing bits require k")
-        return k * tree_levels(n, k)
-
-    @staticmethod
-    def capability(n: int, k: int | None = None) -> int:
-        if k is None:
-            raise ValueError("hbs capability requires k")
-        return (2**k - 1) ** tree_levels(n, k)
+    @classmethod
+    def capability(cls, cfg: TreeConfig) -> int:
+        tree = cls._tree(cfg)
+        return (2**tree.fan_out - 1) ** tree.levels
 
     @classmethod
     def addresses(cls, cfg: TreeConfig) -> Iterator[HbsAddress]:
@@ -298,10 +289,6 @@ class SymbolAddress(HbsAddress):
     def _tree(cfg: TreeConfig) -> TreeConfig:
         return TreeConfig(2, cfg.index_bits)
 
-    @staticmethod
-    def width(cfg: TreeConfig) -> int:
-        return 2 * cfg.index_bits
-
     def text(self, cfg: TreeConfig) -> str:
         """{0,1,*} string, root-level bit first."""
         return "".join("01*"[m - 1] for m in self.masks)
@@ -327,14 +314,6 @@ class SymbolAddress(HbsAddress):
             fixed = fixed << 1 | (mask != 3)
             value = value << 1 | (mask == 2)
         return head, tuple(d for d in range(cfg.fan_out) if d & fixed == value)
-
-    @staticmethod
-    def routing_bits(n: int, k: int | None = None) -> int:
-        return 2 * tree_levels(n, 2)
-
-    @staticmethod
-    def capability(n: int, k: int | None = None) -> int:
-        return 3 ** tree_levels(n, 2)
 
 
 @dataclass(frozen=True)
@@ -386,14 +365,14 @@ class UnicastAddress:
         addr.cover(cfg)  # range check
         return addr
 
-    @staticmethod
-    def routing_bits(n: int, k: int | None = None) -> int:
-        """Worst-case total over the per-target packets: N targets of log2(N) bits."""
-        return n * tree_levels(n, 2)
+    @classmethod
+    def routing_bits(cls, cfg: TreeConfig) -> int:
+        """Worst-case total over the per-target packets: N targets of ``width`` bits."""
+        return cfg.core_count * cls.width(cfg)
 
     @staticmethod
-    def capability(n: int, k: int | None = None) -> int:
-        return FbsAddress.capability(n)
+    def capability(cfg: TreeConfig) -> int:
+        return FbsAddress.capability(cfg)
 
     @classmethod
     def addresses(cls, cfg: TreeConfig) -> Iterator[UnicastAddress]:
@@ -421,11 +400,6 @@ def address_class(scheme: Scheme | str) -> type:
 def encode(scheme: Scheme, dests: Iterable[int], cfg: TreeConfig) -> MulticastAddress:
     """Minimal ``scheme`` address covering ``dests``."""
     return address_class(scheme).encode(dests, cfg)
-
-
-def cover_mask(addr: MulticastAddress, cfg: TreeConfig) -> int:
-    """Covered set as a core bitmask (bit i set means core i receives)."""
-    return addr.cover(cfg)
 
 
 def covered_set(addr: MulticastAddress, cfg: TreeConfig) -> frozenset[int]:
@@ -460,11 +434,6 @@ def routing_bit_width(scheme: Scheme, cfg: TreeConfig) -> int:
     return address_class(scheme).width(cfg)
 
 
-def format_address(addr: MulticastAddress, cfg: TreeConfig) -> str:
-    """Canonical text form, as consumed and produced by the CLI."""
-    return addr.text(cfg)
-
-
 def parse_address(scheme: Scheme, text: str, cfg: TreeConfig) -> MulticastAddress:
-    """Inverse of :func:`format_address`."""
+    """Inverse of ``addr.text(cfg)``, the canonical text form the CLI prints."""
     return address_class(scheme).parse(text.strip(), cfg)

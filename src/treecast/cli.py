@@ -24,7 +24,6 @@ from .addressing import (
     TreeConfig,
     covered_set,
     encode,
-    format_address,
     overcoverage,
     parse_address,
     tree_levels,
@@ -70,7 +69,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     dests = _parse_ints(args.dests, "--dests")
     addr = encode(scheme, dests, cfg)
     cover = sorted(covered_set(addr, cfg))
-    print(f"address {format_address(addr, cfg)}")
+    print(f"address {addr.text(cfg)}")
     print(f"cover {','.join(map(str, cover))}")
     print(f"cover_size {len(cover)}")
     print(f"overcoverage {overcoverage(addr, dests, cfg)}")
@@ -146,8 +145,9 @@ def _cmd_trace_gen(args: argparse.Namespace) -> int:
         feedforward_layers=args.feedforward_layers,
         density=0.1,
     )
+    # Built before the output is opened, so bad arguments leave an existing file intact.
+    trace = synth_trace(spec, steps=args.steps, rate=args.rate, seed=args.seed)
     with _open(args.output, "w", "--output") as fh:
-        trace = synth_trace(spec, steps=args.steps, rate=args.rate, seed=args.seed)
         save_trace(trace, fh)
     print(f"wrote {len(trace.events)} events to {args.output}")
     return 0

@@ -17,7 +17,7 @@ import csv
 import json
 import statistics
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import IO, Any, Callable, Sequence
 
 import yaml
@@ -356,7 +356,7 @@ RUNS_CSV_HEADER = (
     "mapping_index",
     "mapping_seed",
     "dropped_spikes",
-) + SimReport.csv_header()[1:]
+) + tuple(f.name for f in fields(SimReport))[1:]
 
 
 def write_runs_csv(records: Sequence[RunRecord], out: IO[str]) -> None:
@@ -365,7 +365,7 @@ def write_runs_csv(records: Sequence[RunRecord], out: IO[str]) -> None:
     for rec in records:
         writer.writerow(
             (rec.scheme, rec.mapping_index, rec.mapping_seed, rec.dropped_spikes)
-            + rec.report.csv_row()[1:]
+            + astuple(rec.report)[1:]
         )
 
 

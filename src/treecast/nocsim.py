@@ -25,7 +25,7 @@ each distinct route key once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -34,7 +34,6 @@ from .addressing import (
     Scheme,
     TreeConfig,
     UnicastAddress,
-    cover_mask,
     encode,
     routing_bit_width,
 )
@@ -195,7 +194,7 @@ def route_multicast(
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
     k, levels = cfg.fan_out, cfg.levels
-    cover = cover_mask(addr, cfg)  # validates the field
+    cover = addr.cover(cfg)  # validates the field
 
     turn_level = levels
     if turnaround == "lca":
@@ -244,7 +243,7 @@ def route_unicast_batch(
     """
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
-    cover = cover_mask(addr, cfg)  # range-checks targets
+    cover = addr.cover(cfg)  # range-checks targets
     k, n = cfg.fan_out, len(addr.targets)
     level_links = [2 * n]
     span = 1
@@ -282,13 +281,6 @@ class SimReport:
     filtering_energy: float
     illegal_filtering_energy: float
     total_energy: float
-
-    @classmethod
-    def csv_header(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-    def csv_row(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 def simulate(

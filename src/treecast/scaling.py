@@ -1,20 +1,23 @@
 """Closed-form scaling laws of the addressing schemes, with enumeration oracles.
 
 Routing-field width and addressing capability (number of distinct
-nonempty covers a scheme can express) both have closed forms:
+nonempty covers a scheme can express) both have closed forms on the tree
+``TreeConfig(k, L)`` of N = k**L cores; each address class states its
+own as ``routing_bits(cfg)`` and ``capability(cfg)``:
 
 ============  =============  ======================
 scheme        routing bits   capability
 ============  =============  ======================
 fbs           N              2**N - 1
 symbol        2*log2(N)      3**log2(N)
-hbs           k*log_k(N)     (2**k - 1)**log_k(N)
+hbs           k*L            (2**k - 1)**L
 unicast       N*log2(N)      2**N - 1
 ============  =============  ======================
 
-The unicast row is the worst-case total across the per-target packet
-iteration (its per-packet field is just log2(N) bits, see
-:func:`treecast.addressing.routing_bit_width`).
+Symbol is hbs on the binary tree of log2(N) levels, so its row is the hbs
+row at k = 2.  The unicast row is the worst-case total across the
+per-target packet iteration (its per-packet field is just log2(N) bits,
+see :func:`treecast.addressing.routing_bit_width`).
 
 ``enumerate_capability`` recounts capability by brute force: it walks
 every well-formed address of a scheme, materializes its cover, and
@@ -28,21 +31,21 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .addressing import Scheme, TreeConfig, address_class
+from .addressing import Scheme, TreeConfig, address_class, tree_levels
 
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when brute-force enumeration would exceed the address budget."""
 
 
-def routing_bits_formula(scheme: Scheme, n: int, k: int | None = None) -> int:
-    """Routing bits of ``scheme`` at node count ``n`` (``k`` only for hbs)."""
-    return address_class(scheme).routing_bits(n, k)
+def routing_bits_formula(scheme: Scheme, cfg: TreeConfig) -> int:
+    """Routing bits a source stores under ``scheme`` on ``cfg``."""
+    return address_class(scheme).routing_bits(cfg)
 
 
-def capability_formula(scheme: Scheme, n: int, k: int | None = None) -> int:
-    """Distinct nonempty covers expressible by ``scheme`` at node count ``n``."""
-    return address_class(scheme).capability(n, k)
+def capability_formula(scheme: Scheme, cfg: TreeConfig) -> int:
+    """Distinct nonempty covers expressible by ``scheme`` on ``cfg``."""
+    return address_class(scheme).capability(cfg)
 
 
 def routing_scaling_factor(k: int) -> float:
@@ -91,7 +94,7 @@ def enumerate_capability(
     from the walk alone.
     """
     cls = address_class(scheme)
-    total = cls.capability(cfg.core_count, cfg.fan_out)
+    total = cls.capability(cfg)
     if total > max_addresses:
         raise EnumerationBudgetError(
             f"{cls.scheme.value}: {total} addresses exceed budget {max_addresses}"
@@ -130,12 +133,12 @@ def emit_scaling_table(n_values: Iterable[int], k_values: Iterable[int]) -> list
     """
     rows = []
     for n in n_values:
+        trees = [TreeConfig(k, tree_levels(n, k)) for k in k_values]
         for scheme in Scheme:
-            for k in k_values:
-                bits = routing_bits_formula(scheme, n, k)
-                rows.append(
-                    ScalingRow(scheme.value, n, k, bits, capability_formula(scheme, n, k), bits)
-                )
+            for cfg in trees:
+                bits = routing_bits_formula(scheme, cfg)
+                cap = capability_formula(scheme, cfg)
+                rows.append(ScalingRow(scheme.value, n, cfg.fan_out, bits, cap, bits))
     return rows
 
 

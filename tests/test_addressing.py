@@ -11,10 +11,8 @@ from treecast.addressing import (
     SymbolAddress,
     TreeConfig,
     UnicastAddress,
-    cover_mask,
     covered_set,
     encode,
-    format_address,
     overcoverage,
     parse_address,
     rotate_hbs,
@@ -106,17 +104,17 @@ def test_encode_rejects_empty_and_out_of_range():
 
 def test_encode_symbol_examples():
     a = SymbolAddress.encode({0b0000, 0b0001}, CFG16)
-    assert format_address(a, CFG16) == "000*"
+    assert a.text(CFG16) == "000*"
     assert covered_set(a, CFG16) == frozenset({0, 1})
     assert overcoverage(a, {0, 1}, CFG16) == 0
 
     b = SymbolAddress.encode({0b0000, 0b1111}, CFG16)
-    assert format_address(b, CFG16) == "****"
+    assert b.text(CFG16) == "****"
     assert len(covered_set(b, CFG16)) == 16
     assert overcoverage(b, {0, 15}, CFG16) == 14
 
     c = SymbolAddress.encode({7}, CFG16)
-    assert format_address(c, CFG16) == "0111"
+    assert c.text(CFG16) == "0111"
     assert covered_set(c, CFG16) == frozenset({7})
 
 
@@ -194,7 +192,7 @@ def encoder_cases(draw):
 def test_encoder_containment_minimality_round_trip(case):
     cfg, scheme, dests = case
     addr = encode(scheme, dests, cfg)
-    text = format_address(addr, cfg)
+    text = addr.text(cfg)
     assert parse_address(scheme, text, cfg) == addr
     if scheme is Scheme.SYMBOL:
         # each position is the destinations' common bit, or * when they differ
@@ -259,8 +257,8 @@ def test_nesting_hbs_within_symbol():
     for cfg in (CFG16, CFG16_BIN, TreeConfig(4, 3)):
         for _ in range(150):
             dests = random_dests(rng, cfg.core_count, max_size=min(cfg.core_count, 10))
-            hbs = cover_mask(HbsAddress.encode(dests, cfg), cfg)
-            sym = cover_mask(SymbolAddress.encode(dests, cfg), cfg)
+            hbs = HbsAddress.encode(dests, cfg).cover(cfg)
+            sym = SymbolAddress.encode(dests, cfg).cover(cfg)
             assert hbs & ~sym == 0  # hbs cover is a subset
             assert hbs.bit_count() <= sym.bit_count()
 
@@ -368,15 +366,15 @@ def test_malformed_addresses_rejected():
 
 def test_wrong_width_addresses_rejected_on_decode():
     with pytest.raises(ValueError):
-        cover_mask(FbsAddress(1 << 16), CFG16)
+        FbsAddress(1 << 16).cover(CFG16)
     with pytest.raises(ValueError):
-        cover_mask(HbsAddress((0b0011,)), CFG16)  # one mask, two levels
+        HbsAddress((0b0011,)).cover(CFG16)  # one mask, two levels
     with pytest.raises(ValueError):
-        cover_mask(HbsAddress((0b10000, 0b0011)), CFG16)  # mask wider than k
+        HbsAddress((0b10000, 0b0011)).cover(CFG16)  # mask wider than k
     with pytest.raises(ValueError):
-        cover_mask(SymbolAddress((0b01,)), CFG16)
+        SymbolAddress((0b01,)).cover(CFG16)
     with pytest.raises(ValueError):
-        cover_mask(UnicastAddress((16,)), CFG16)
+        UnicastAddress((16,)).cover(CFG16)
 
 
 def test_decode_is_deterministic_function():
@@ -390,9 +388,9 @@ def test_decode_is_deterministic_function():
 # canonical text form
 
 def test_format_examples():
-    assert format_address(FbsAddress(0b1), TreeConfig(2, 2)) == "0001"
-    assert format_address(HbsAddress((0b0011, 0b1100)), CFG16) == "0011/1100"
-    assert format_address(UnicastAddress((2, 7, 11)), CFG16) == "2,7,11"
+    assert FbsAddress(0b1).text(TreeConfig(2, 2)) == "0001"
+    assert HbsAddress((0b0011, 0b1100)).text(CFG16) == "0011/1100"
+    assert UnicastAddress((2, 7, 11)).text(CFG16) == "2,7,11"
 
 
 def test_format_parse_round_trip():
@@ -401,7 +399,7 @@ def test_format_parse_round_trip():
         dests = random_dests(rng, 16)
         for scheme in Scheme:
             addr = encode(scheme, dests, CFG16)
-            text = format_address(addr, CFG16)
+            text = addr.text(CFG16)
             assert parse_address(scheme, text, CFG16) == addr
 
 

@@ -145,3 +145,38 @@ def test_subcommand_exit_codes(tmp_path, capsys, good, bad, named):
     capsys.readouterr()
     assert main(bad.format(tmp=tmp_path).split()) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["--rate 2", "--layer-size 0"])
+def test_trace_gen_bad_arguments_keep_existing_output(tmp_path, capsys, bad):
+    out = tmp_path / "t.csv"
+    out.write_text("timestep,neuron_id\n0,1\n")
+    before = out.read_bytes()
+    assert main(["trace-gen", "--output", str(out), *bad.split()]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert out.read_bytes() == before
+
+
+def _raise_oserror(*args):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize(
+    "argv,writer",
+    [
+        ("scaling", "write_scaling_csv"),
+        ("trace-gen --steps 5 --output {tmp}/t.csv", "save_trace"),
+        ("simulate --config {tmp}/small.yaml " + OUTPUTS, "write_runs_csv"),
+    ],
+    ids=["scaling", "trace-gen", "simulate"],
+)
+def test_output_write_failure_exits_2(tmp_path, capsys, monkeypatch, argv, writer):
+    """A failed output write is a runtime failure: exit 2 with an ``error:`` line.
+
+    ``encode`` and ``decode`` write only to stdout, so no output write of
+    theirs can fail this way.
+    """
+    (tmp_path / "small.yaml").write_text(SMALL_RUN)
+    monkeypatch.setattr(cli, writer, _raise_oserror)
+    assert main(argv.format(tmp=tmp_path).split()) == 2
+    assert "error: disk full" in capsys.readouterr().err

@@ -1,9 +1,10 @@
-"""Golden outputs: the experiment's CSV and JSON text must not drift.
+"""Golden outputs: the experiment's CSV and JSON text and the scaling table must not drift.
 
 Each config is a reduced form of the stock experiment; the hashes are
 sha256 prefixes of the exact text ``write_runs_csv`` and
 ``write_summary_json`` produce.  A change that alters any counter, any
-float's last digit or the output layout changes a hash.
+float's last digit or the output layout changes a hash.  The scaling
+table is pinned the same way at the ``treecast scaling`` defaults.
 """
 
 import dataclasses
@@ -13,7 +14,9 @@ import io
 import pytest
 
 from treecast.addressing import TreeConfig
+from treecast.cli import DEFAULT_SCALING_K, DEFAULT_SCALING_N
 from treecast.experiment import default_config, run_experiment, write_runs_csv, write_summary_json
+from treecast.scaling import emit_scaling_table, write_scaling_csv
 
 
 def _sha16(text):
@@ -51,3 +54,11 @@ def test_golden_outputs(config, runs_sha, summary_sha):
     write_runs_csv(result.rows, runs)
     write_summary_json(result.summary, summary)
     assert (_sha16(runs.getvalue()), _sha16(summary.getvalue())) == (runs_sha, summary_sha)
+
+
+def test_default_scaling_table_golden():
+    out = io.StringIO()
+    write_scaling_csv(emit_scaling_table(DEFAULT_SCALING_N, DEFAULT_SCALING_K), out)
+    assert _sha16(out.getvalue()) == "629d460adbaf9f8d"
+    with pytest.raises(ValueError):
+        emit_scaling_table([24], [4])  # 24 is not a power of 4

@@ -18,39 +18,46 @@ from treecast.scaling import (
 import oracles
 
 
+CFG16 = TreeConfig(4, 2)
+
+
 def test_routing_bits_examples():
-    assert routing_bits_formula(Scheme.UNICAST, 16) == 64
-    assert routing_bits_formula(Scheme.HBS, 256, 4) == 16
-    assert routing_bits_formula(Scheme.FBS, 1) == 1
-    assert routing_bits_formula(Scheme.FBS, 16) == 16
-    assert routing_bits_formula(Scheme.SYMBOL, 16) == 8
-    assert routing_bits_formula(Scheme.HBS, 16, 4) == 8
+    assert routing_bits_formula(Scheme.UNICAST, CFG16) == 64
+    assert routing_bits_formula(Scheme.UNICAST, TreeConfig(2, 4)) == 64
+    assert routing_bits_formula(Scheme.HBS, TreeConfig(4, 4)) == 16
+    assert routing_bits_formula(Scheme.FBS, TreeConfig(2, 1)) == 2
+    assert routing_bits_formula(Scheme.FBS, CFG16) == 16
+    assert routing_bits_formula(Scheme.SYMBOL, CFG16) == 8
+    assert routing_bits_formula(Scheme.SYMBOL, TreeConfig(2, 4)) == 8
+    assert routing_bits_formula(Scheme.HBS, CFG16) == 8
+    assert routing_bits_formula(Scheme.HBS, TreeConfig(2, 4)) == 8
+    # 9 cores: unicast stores up to 9 targets of ceil(log2 9) = 4 bits each
+    assert routing_bits_formula(Scheme.UNICAST, TreeConfig(3, 2)) == 36
+    assert routing_bits_formula(Scheme.HBS, TreeConfig(3, 2)) == 6
 
 
 def test_capability_examples():
-    assert capability_formula(Scheme.SYMBOL, 16) == 81
-    assert capability_formula(Scheme.HBS, 16, 4) == 225
-    assert capability_formula(Scheme.FBS, 16) == 65535
-    assert capability_formula(Scheme.UNICAST, 16) == 65535
+    assert capability_formula(Scheme.SYMBOL, CFG16) == 81
+    assert capability_formula(Scheme.SYMBOL, TreeConfig(2, 4)) == 81
+    assert capability_formula(Scheme.HBS, CFG16) == 225
+    assert capability_formula(Scheme.HBS, TreeConfig(2, 4)) == 81
+    assert capability_formula(Scheme.FBS, CFG16) == 65535
+    assert capability_formula(Scheme.UNICAST, CFG16) == 65535
 
 
 def test_capability_is_exact_arbitrary_precision():
-    cap = capability_formula(Scheme.FBS, 4096)
+    cap = capability_formula(Scheme.FBS, TreeConfig(2, 12))
     assert isinstance(cap, int)
     assert cap == 2**4096 - 1
     assert cap.bit_length() == 4096
-    assert capability_formula(Scheme.HBS, 4096, 4) == 15**6
+    assert capability_formula(Scheme.HBS, TreeConfig(4, 6)) == 15**6
 
 
 def test_formula_input_validation():
     with pytest.raises(ValueError):
-        routing_bits_formula(Scheme.SYMBOL, 24)  # not a power of two
+        routing_bits_formula(Scheme.SYMBOL, TreeConfig(3, 2))  # not a power of two
     with pytest.raises(ValueError):
-        routing_bits_formula(Scheme.HBS, 24, 4)  # not a power of k
-    with pytest.raises(ValueError):
-        routing_bits_formula(Scheme.HBS, 16)  # k missing
-    with pytest.raises(ValueError):
-        capability_formula(Scheme.HBS, 1, 4)
+        capability_formula(Scheme.SYMBOL, TreeConfig(3, 2))
     with pytest.raises(ValueError):
         routing_scaling_factor(1)
     with pytest.raises(ValueError):
@@ -106,9 +113,7 @@ def test_enumerate_matches_formula_grid():
     for scheme, grid in grids.items():
         for k, levels in grid:
             cfg = TreeConfig(k, levels)
-            assert enumerate_capability(scheme, cfg) == capability_formula(
-                scheme, cfg.core_count, k
-            )
+            assert enumerate_capability(scheme, cfg) == capability_formula(scheme, cfg)
 
 
 def test_enumerate_budget_error():
