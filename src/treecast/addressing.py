@@ -402,10 +402,19 @@ def encode(scheme: Scheme, dests: Iterable[int], cfg: TreeConfig) -> MulticastAd
     return address_class(scheme).encode(dests, cfg)
 
 
+def cores(mask: int) -> list[int]:
+    """The set bits of a core bitmask, ascending, in time that grows with their count."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top  # clearing the top bit shrinks the int for the next step
+    return out[::-1]
+
+
 def covered_set(addr: MulticastAddress, cfg: TreeConfig) -> frozenset[int]:
     """The set of cores that will receive a packet carrying ``addr``."""
-    mask = addr.cover(cfg)
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return frozenset(cores(addr.cover(cfg)))
 
 
 def overcoverage(addr: MulticastAddress, dests: Iterable[int], cfg: TreeConfig) -> int:

@@ -46,6 +46,8 @@ DEFAULT_SCALING_K = (2, 4)
 def _tree_from_flags(args: argparse.Namespace) -> TreeConfig:
     """--k/--levels pick the tree; --n picks the tree of n cores with fan-out --k (default 2)."""
     if args.n is not None:
+        if args.levels is not None:
+            raise ValueError("--levels cannot be given with --n, which sets the levels")
         k = 2 if args.k is None else args.k
         try:
             return TreeConfig(fan_out=k, levels=tree_levels(args.n, k))
@@ -116,12 +118,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     runs_csv = args.runs_csv or config.runs_csv
     summary_json = args.summary_json or config.summary_json
 
-    # Both outputs are opened before the sweep, so a bad path costs no run.
+    # Both outputs are opened before the sweep, so a bad path costs no run,
+    # and emptied only after it, so a failed run leaves them as they were.
     with (
-        _open(runs_csv, "w", "output.runs_csv") as runs_fh,
-        _open(summary_json, "w", "output.summary_json") as summary_fh,
+        _open(runs_csv, "a", "output.runs_csv") as runs_fh,
+        _open(summary_json, "a", "output.summary_json") as summary_fh,
     ):
         result = run_experiment(config)
+        runs_fh.truncate(0)
+        summary_fh.truncate(0)
         write_runs_csv(result.rows, runs_fh)
         write_summary_json(result.summary, summary_fh)
 

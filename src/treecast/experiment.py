@@ -214,8 +214,11 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
             errors.append(f"mapping.capacity: {n} neurons exceed {cores} cores x {capacity}")
         if "tag_bits" in kw and (n - 1).bit_length() > kw["tag_bits"]:
             errors.append(f"tag_bits: {kw['tag_bits']} bits cannot hold neuron id {n - 1}")
-    if kw.get("trace_source") == "file" and "trace.path" not in given:
+    source = str(given.get("trace.source", defaults.trace_source))
+    if source == "file" and "trace.path" not in given:
         errors.append("trace.path: required when trace.source is file")
+    unread = {"synth": ["trace.path"], "file": ["trace.steps", "trace.rate", "trace.seed"]}.get(source, [])
+    errors.extend(f"{p}: not read when trace.source is {source}" for p in unread if p in given)
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(tree=tree, energy=energy, network=network, **kw)
@@ -244,7 +247,7 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) -> ExperimentResult:
     """Sweep the scheme x mapping grid over one trace.
 
-    Every scheme sees the exact same sources per mapping; reports come
+    Every scheme sees the exact same traffic per mapping; reports come
     back in canonical (scheme, mapping index) order regardless of how
     the grid was executed.
     """
@@ -279,18 +282,11 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
             seed=seed,
             switch_prob=config.switch_prob,
         )
-        sources, dropped = derive_events(trace, connectivity, mapping, tag_bits)
         luts = build_core_luts(connectivity, mapping, config.tree.core_count)
+        demand, dropped = derive_events(trace, luts, mapping, tag_bits)
         for scheme in config.schemes:
             report = simulate(
-                sources,
-                scheme,
-                config.tree,
-                mapping,
-                energy,
-                luts,
-                tag_bits=tag_bits,
-                turnaround=config.turnaround,
+                demand, scheme, config.tree, energy, tag_bits=tag_bits, turnaround=config.turnaround
             )
             records.append(RunRecord(scheme.value, rep, seed, dropped, report))
 

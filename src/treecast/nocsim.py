@@ -17,9 +17,9 @@ only when a caller reads those lists.
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
 from sources a core does not listen to are filtered out as illegal.
-Within one mapping every spike of a neuron carries the same packet, so
-:func:`simulate` weights each firing neuron's counters by its spike count;
-within one call it encodes each distinct destination set once and routes
+:func:`simulate` sees only the traffic, a spike count per (source core,
+destination core mask); a core listens to a source exactly when it is in
+that mask.  Within one call it encodes each distinct mask once and routes
 each distinct route key once.
 """
 
@@ -27,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .addressing import (
     MulticastAddress,
     Scheme,
     TreeConfig,
     UnicastAddress,
+    cores,
     encode,
     routing_bit_width,
 )
@@ -265,7 +266,7 @@ def route_unicast_batch(
 
 
 # ---------------------------------------------------------------------------
-# simulation over source neurons
+# simulation over the traffic of one mapping
 
 @dataclass(frozen=True)
 class SimReport:
@@ -284,33 +285,29 @@ class SimReport:
 
 
 def simulate(
-    sources: Iterable[tuple[int, int, frozenset[int]]],
+    demand: Iterable[tuple[int, int, int]],
     scheme: Scheme,
     cfg: TreeConfig,
-    mapping,
     energy: EnergyModel,
-    luts: Sequence[int],
     tag_bits: int = 10,
     turnaround: str = "root",
 ) -> SimReport:
-    """Run the spikes of each source neuron through the fabric under one scheme.
+    """Run the traffic of one mapping through the fabric under one scheme.
 
-    Each source is (neuron tag, spike count, destination core set); the
-    source core comes from ``mapping[tag]``.  Every spike of a source
-    carries the same packet, so its counters are multiplied by the spike
-    count.  Each distinct destination set is encoded once per call, and
-    each distinct route once: keyed by the set for multicast under the
-    ``root`` turnaround, whose cover and per-level links do not depend on
-    the source core, and by (source core, set) otherwise.  Every arriving
-    packet pays one LUT lookup; lookups whose tag is absent from the
-    core's legal-source set count as illegal and the packet is dropped
-    there.  ``luts`` is indexed by tag: bit c of ``luts[tag]`` is set
-    when core c's LUT holds the tag, and a tag past its end is in no LUT.
-    The counts read the route's ``cover`` and ``level_links``, so the
-    switch-by-switch walk never runs here.
+    Each demand entry is (source core, destination core mask, spike count),
+    as :func:`~treecast.traffic.derive_events` gives them.  Every spike of
+    an entry carries the same packet, so its counters are multiplied by the
+    spike count.  Each distinct mask is encoded once per call, and each
+    distinct route once: keyed by the mask for multicast under the ``root``
+    turnaround, whose cover and per-level links do not depend on the source
+    core, and by (source core, mask) otherwise.  Every arriving packet pays
+    one LUT lookup.  A covered core outside the mask does not hold the
+    source's tag, so its lookup counts as illegal and the packet is dropped
+    there.  The counts read the route's ``cover`` and ``level_links``, so
+    the switch-by-switch walk never runs here.
 
     With integer-valued energies every field equals a spike-by-spike sum.
-    Otherwise the float fields, summed per tree level and per source, may
+    Otherwise the float fields, summed per tree level and per entry, may
     differ from it by rounding; the tests allow a relative drift of 1e-12.
     """
     scheme = Scheme(scheme)
@@ -320,44 +317,37 @@ def simulate(
             f"tree has {cfg.levels}"
         )
     header = routing_bit_width(scheme, cfg) + tag_bits
-    by_set = scheme is not Scheme.UNICAST and turnaround == "root"
-    encoded: dict[frozenset[int], MulticastAddress] = {}
-    # route key -> (cover, packets, links crossed, energy per header bit)
-    routed: dict[object, tuple[int, int, int, float]] = {}
+    by_mask = scheme is not Scheme.UNICAST and turnaround == "root"
+    encoded: dict[int, MulticastAddress] = {}
+    # route key -> (packets, links crossed, energy per header bit, legal, illegal deliveries)
+    routed: dict[object, tuple[int, int, float, int, int]] = {}
 
     spikes = packets = link_bits = legal = illegal = 0
     routing_energy = 0.0
-    for tag, count, dests in sources:
-        if tag < 0 or tag >= (1 << tag_bits):
-            raise ValueError(f"source tag {tag} does not fit in {tag_bits} bits")
-        try:
-            source_core = mapping[tag]
-        except (KeyError, IndexError):
-            raise ValueError(f"unmapped neuron {tag}") from None
+    for source_core, mask, count in demand:
         if not 0 <= source_core < cfg.core_count:
-            raise ValueError(
-                f"neuron {tag} is mapped to core {source_core}, outside the {cfg.core_count} cores"
-            )
-        key = dests if by_set else (source_core, dests)
+            raise ValueError(f"source core {source_core} is outside the {cfg.core_count} cores")
+        key = mask if by_mask else (source_core, mask)
         hit = routed.get(key)
         if hit is None:
-            addr = encoded.get(dests)
+            addr = encoded.get(mask)
             if addr is None:
-                addr = encoded[dests] = encode(scheme, dests, cfg)
+                addr = encoded[mask] = encode(scheme, cores(mask), cfg)
             if scheme is Scheme.UNICAST:
                 route = route_unicast_batch(addr, source_core, cfg)
             else:
                 route = route_multicast(addr, source_core, cfg, turnaround)
             e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
-            hit = routed[key] = (route.cover, route.packets, sum(route.level_links), e_per_bit)
-        cover, route_packets, links, e_per_bit = hit
-        src_legal = (cover & (luts[tag] if tag < len(luts) else 0)).bit_count()
+            n_legal = (route.cover & mask).bit_count()
+            n_illegal = route.cover.bit_count() - n_legal
+            hit = routed[key] = (route.packets, sum(route.level_links), e_per_bit, n_legal, n_illegal)
+        route_packets, links, e_per_bit, n_legal, n_illegal = hit
         spikes += count
         packets += count * route_packets
         link_bits += count * links * header
         routing_energy += count * header * e_per_bit
-        legal += count * src_legal
-        illegal += count * (cover.bit_count() - src_legal)
+        legal += count * n_legal
+        illegal += count * n_illegal
 
     filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
     return SimReport(

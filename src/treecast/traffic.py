@@ -8,7 +8,8 @@ configurable density, held as CSR arrays behind a read-only mapping.
 Neurons are packed onto cores in id order, either strictly sequentially
 or with random core switches, and a firing trace is an independent
 Bernoulli draw per neuron per timestep.  The per-core LUTs of legal
-sources are stored as one core bitmask per source tag.
+sources are stored as one core bitmask per source tag, which is also the
+neuron's destination core set: :func:`derive_events` reads it there.
 
 Traces round-trip through a small CSV-style text file so externally
 recorded traffic can be substituted for the synthetic one.
@@ -178,9 +179,6 @@ class NeuronMapping:
             if counts[core] > self.core_capacity:
                 raise ValueError(f"core {core} exceeds capacity {self.core_capacity}")
 
-    def __getitem__(self, neuron: int) -> int:
-        return self.assignment[neuron]
-
 
 def map_neurons(
     spec: NetworkSpec,
@@ -290,21 +288,19 @@ def load_trace(inp: IO[str], steps: int | None = None) -> SpikeTrace:
 
 def derive_events(
     trace: SpikeTrace,
-    connectivity: Connectivity,
+    luts: Sequence[int],
     mapping: NeuronMapping,
     tag_bits: int,
-) -> tuple[list[tuple[int, int, frozenset[int]]], int]:
-    """Group spikes by source neuron: (source tag, spike count, destination core set).
+) -> tuple[list[tuple[int, int, int]], int]:
+    """The trace's traffic: (source core, destination core mask, spike count) entries.
 
-    The tag is the global neuron id and must fit ``tag_bits``, and the
-    neuron must exist in ``connectivity``; the first spike that breaks
-    either rule raises.  Sources come in the order of their first spike.
-    Spikes of a neuron whose fan-out is empty produce no source; the count
-    of those dropped spikes is returned alongside the sources.
+    A neuron's mask is its LUT row, and spikes are summed per (source core,
+    mask) in first-spike order.  The neuron id is the source tag: it must
+    fit ``tag_bits`` and have a LUT row and a core, or its first spike
+    raises.  Spikes of a neuron whose row is 0 (an empty fan-out) make no
+    entry; their count is returned alongside the entries.
     """
-    indptr = connectivity.indptr.tolist()
-    dest_cores = np.asarray(mapping.assignment, dtype=np.int32)[connectivity.targets]
-    sources = []
+    demand: dict[tuple[int, int], int] = {}
     dropped = 0
     for neuron, count in Counter(neuron for _t, neuron in trace.events).items():
         if neuron >= 1 << tag_bits:
@@ -312,14 +308,17 @@ def derive_events(
                 f"neuron id {neuron} does not fit in {tag_bits} tag bits; "
                 f"need at least {default_tag_bits(neuron + 1)}"
             )
-        if not 0 <= neuron < len(connectivity):
-            raise ValueError(f"neuron id {neuron} is outside the network's {len(connectivity)} neurons")
-        lo, hi = indptr[neuron], indptr[neuron + 1]
-        if lo < hi:
-            sources.append((neuron, count, frozenset(dest_cores[lo:hi].tolist())))
+        if not 0 <= neuron < len(luts):
+            raise ValueError(f"neuron id {neuron} is outside the network's {len(luts)} neurons")
+        if neuron >= len(mapping.assignment):
+            raise ValueError(f"unmapped neuron {neuron}")
+        mask = luts[neuron]
+        if mask:
+            key = (mapping.assignment[neuron], mask)
+            demand[key] = demand.get(key, 0) + count
         else:
             dropped += count
-    return sources, dropped
+    return [(core, mask, count) for (core, mask), count in demand.items()], dropped
 
 
 def build_core_luts(

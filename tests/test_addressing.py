@@ -11,6 +11,7 @@ from treecast.addressing import (
     SymbolAddress,
     TreeConfig,
     UnicastAddress,
+    cores,
     covered_set,
     encode,
     overcoverage,
@@ -232,6 +233,12 @@ def test_covered_set_examples():
     assert covered_set(FbsAddress(0b1), CFG16) == frozenset({0})
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, (1 << 2048) - 1) | st.sets(st.integers(0, 2047)).map(lambda s: sum(1 << i for i in s)))
+def test_cores_lists_the_set_bits_in_ascending_order(mask):
+    assert cores(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_covered_set_matches_oracle_for_all_small_addresses():
     for pattern in oracles.all_symbol_patterns(16):
         addr = parse_address(Scheme.SYMBOL, pattern, CFG16)
@@ -298,17 +305,36 @@ def test_rotate_examples():
     assert rotate_hbs(rotate_hbs(rotate_hbs(addr))) == addr
 
 
-def test_rotate_full_cycle_identity_random():
-    rng = random.Random(16)
-    for _ in range(200):
-        k = rng.choice([2, 3, 4, 8])
-        levels = rng.randint(1, 4)
-        masks = tuple(rng.randint(1, (1 << k) - 1) for _ in range(levels))
-        addr = HbsAddress(masks)
-        out = addr
-        for _ in range(levels):
-            out = rotate_hbs(out)
-        assert out == addr
+@st.composite
+def hbs_addresses(draw):
+    cfg = TreeConfig(draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 4)))
+    mask = st.integers(1, (1 << cfg.fan_out) - 1)
+    return cfg, HbsAddress(tuple(draw(st.lists(mask, min_size=cfg.levels, max_size=cfg.levels))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hbs_addresses())
+def test_rotate_full_cycle_identity_random(case):
+    cfg, addr = case
+    out = addr
+    for _ in range(cfg.levels):
+        out = rotate_hbs(out)
+    assert out == addr
+
+
+@settings(max_examples=200, deadline=None)
+@given(hbs_addresses())
+def test_each_rotation_moves_the_root_digit_of_every_covered_core_last(case):
+    cfg, addr = case
+    k, levels = cfg.fan_out, cfg.levels
+    for _ in range(levels):
+        rotated = rotate_hbs(addr)
+        moved = set()
+        for core in covered_set(addr, cfg):
+            digits = oracles.digits_of(core, k, levels)
+            moved.add(oracles.index_from_digits(digits[1:] + digits[:1], k))
+        assert covered_set(rotated, cfg) == moved
+        addr = rotated
 
 
 def test_rotation_permutes_cover_digits():

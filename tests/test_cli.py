@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from treecast.addressing import Scheme
@@ -39,12 +41,15 @@ def test_core_count_flag_resolves_tree_levels(capsys):
 
 
 @pytest.mark.parametrize(
-    "tree", [("--n", "24", "--k", "4"), ("--n", "12"), ("--n", "16", "--k", "1")]
+    "tree",
+    [("--n", "24", "--k", "4"), ("--n", "12"), ("--n", "16", "--k", "1"), ("--n", "16", "--levels", "3")],
 )
 def test_bad_core_count_exits_1(capsys, tree):
     code = main(["encode", "--scheme", "fbs", "--dests", "0", *tree])
     assert code == 1
-    assert "--n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--n" in err
+    assert "--levels" in err or "--levels" not in tree
 
 
 @pytest.mark.parametrize(
@@ -105,6 +110,26 @@ def test_unopenable_output_exits_1_before_the_sweep(tmp_path, capsys, monkeypatc
     config.write_text(f"output: {{runs_csv: '{bad}', summary_json: '{tmp_path / 's.json'}'}}\n")
     assert main(["simulate", "--config", str(config)]) == 1
     assert f"output.runs_csv {bad}" in capsys.readouterr().err
+
+
+def test_failed_simulate_keeps_existing_outputs(tmp_path, capsys):
+    runs, summary = tmp_path / "runs.csv", tmp_path / "summary.json"
+    runs.write_text("scheme\nold\n")
+    summary.write_text("{}\n")
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"trace: {{source: file, path: '{tmp_path / 'nope.csv'}'}}\n"
+        + f"output: {{runs_csv: '{runs}', summary_json: '{summary}'}}\n"
+    )
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert "trace.path" in capsys.readouterr().err
+    assert runs.read_bytes() == b"scheme\nold\n"
+    assert summary.read_bytes() == b"{}\n"
+    # A run that succeeds replaces both files whole.
+    config.write_text(SMALL_RUN)
+    assert main(["simulate", "--config", str(config), "--runs-csv", str(runs), "--summary-json", str(summary)]) == 0
+    assert runs.read_text().startswith("scheme,mapping_index,") and "old" not in runs.read_text()
+    assert json.loads(summary.read_text())["repetitions"] == 1
 
 
 def test_decode_rejects_repeated_unicast_targets(capsys):

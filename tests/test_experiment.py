@@ -114,6 +114,7 @@ REJECTED = [
             "tag_bits",
             "trace.path",
             "trace.rate",
+            "trace.rate",
             "tree.fan_out",
             "tree.levels",
         ],
@@ -133,6 +134,13 @@ REJECTED = [
     ("turnaround", "turnaround: up\n", ["turnaround"]),
     ("top_level_list", "- 1\n- 2\n", ["top level"]),
     ("over_capacity", "network: {layer_size: 1000}\n", ["mapping.capacity"]),
+    ("path_without_file", "trace: {path: t.csv}\n", ["trace.path"]),
+    ("path_with_synth", "trace: {source: synth, path: t.csv}\n", ["trace.path"]),
+    (
+        "synth_fields_with_file",
+        "trace: {source: file, path: t.csv, steps: 3, rate: 0.1, seed: 1}\n",
+        ["trace.rate", "trace.seed", "trace.steps"],
+    ),
 ]
 
 

@@ -293,17 +293,20 @@ def test_divergence_depth():
 # ---------------------------------------------------------------------------
 # simulate
 
-def luts_from_sources(sources):
-    """Legal-source core masks, indexed by tag, consistent with the source list itself."""
-    luts = [0] * (max(tag for tag, _count, _cores in sources) + 1)
-    for tag, _count, cores in sources:
-        for c in cores:
-            luts[tag] |= 1 << c
-    return tuple(luts)
+def mask_of(cores):
+    return sum(1 << c for c in set(cores))
+
+
+def random_demand(rng, entries, max_dests):
+    """Hand-built demand: (source core, destination mask, spike count) on CFG16."""
+    return [
+        (rng.randrange(16), mask_of(rng.sample(range(16), rng.randint(1, max_dests))), rng.randint(1, 4))
+        for _ in range(entries)
+    ]
 
 
 def test_simulate_empty_event_list():
-    report = simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(2), ())
+    report = simulate([], Scheme.FBS, CFG16, EnergyModel.default(2))
     assert report.events == 0
     assert report.packets_injected == 0
     assert report.total_energy == 0.0
@@ -313,10 +316,7 @@ def test_simulate_empty_event_list():
 def test_simulate_single_fbs_event_energy():
     # one spike from core 0 to core 5: 26-bit header over links costing
     # 1 + 4 + 4 + 1 energy units per bit
-    sources = [(3, 1, frozenset({5}))]
-    mapping = {3: 0}
-    luts = luts_from_sources(sources)
-    report = simulate(sources, Scheme.FBS, CFG16, mapping, EnergyModel.default(2), luts)
+    report = simulate([(0, 1 << 5, 1)], Scheme.FBS, CFG16, EnergyModel.default(2))
     assert report.events == 1
     assert report.packets_injected == 1
     assert report.illegal_deliveries == 0
@@ -329,34 +329,29 @@ def test_simulate_single_fbs_event_energy():
 
 
 def test_simulate_counters_close_against_manual_recount():
-    rng = random.Random(27)
-    sources = []
-    for tag in range(40):
-        dests = frozenset(rng.sample(range(16), rng.randint(1, 6)))
-        sources.append((tag, rng.randint(1, 3), dests))
-    rng.shuffle(sources)
-    mapping = {tag: rng.randrange(16) for tag in range(40)}
-    luts = luts_from_sources(sources)
+    demand = random_demand(random.Random(27), 40, 6)
     energy = EnergyModel.default(2)
 
     for scheme in Scheme:
-        report = simulate(sources, scheme, CFG16, mapping, energy, luts)
+        report = simulate(demand, scheme, CFG16, energy)
         routing = 0.0
         link_bits = 0
         legal = illegal = packets = 0
         header = {"fbs": 26, "symbol": 18, "hbs": 18, "unicast": 14}[scheme.value]
-        spikes = [(tag, dests) for tag, count, dests in sources for _ in range(count)]
-        for tag, dests in spikes:
+        spikes = [
+            (core, {c for c in range(16) if mask >> c & 1}) for core, mask, count in demand for _ in range(count)
+        ]
+        for core, dests in spikes:
             addr = encode(scheme, dests, CFG16)
             if scheme is Scheme.UNICAST:
-                r = route_unicast_batch(addr, mapping[tag], CFG16)
+                r = route_unicast_batch(addr, core, CFG16)
             else:
-                r = route_multicast(addr, mapping[tag], CFG16)
+                r = route_multicast(addr, core, CFG16)
             packets += r.packets
             link_bits += len(r.links) * header
             routing += header * sum(energy.link_energy_per_bit[lvl - 1] for lvl, _ in r.links)
-            for core in r.delivered:
-                if luts[tag] >> core & 1:
+            for c in r.delivered:
+                if c in dests:
                     legal += 1
                 else:
                     illegal += 1
@@ -378,87 +373,33 @@ def test_simulate_counters_close_against_manual_recount():
 
 
 def test_simulate_hbs_never_more_illegal_than_symbol():
-    rng = random.Random(28)
-    sources = []
-    for tag in range(60):
-        dests = frozenset(rng.sample(range(16), rng.randint(1, 8)))
-        sources.append((tag, rng.randint(1, 4), dests))
-    mapping = {tag: rng.randrange(16) for tag in range(60)}
-    luts = luts_from_sources(sources)
+    demand = random_demand(random.Random(28), 60, 8)
     energy = EnergyModel.default(2)
-    hbs = simulate(sources, Scheme.HBS, CFG16, mapping, energy, luts)
-    sym = simulate(sources, Scheme.SYMBOL, CFG16, mapping, energy, luts)
+    hbs = simulate(demand, Scheme.HBS, CFG16, energy)
+    sym = simulate(demand, Scheme.SYMBOL, CFG16, energy)
     assert hbs.illegal_deliveries <= sym.illegal_deliveries
     assert hbs.routing_energy <= sym.routing_energy
 
 
-def test_simulate_rejects_unmapped_and_overwide_tags():
-    sources = [(5, 1, frozenset({1}))]
-    with pytest.raises(ValueError, match="unmapped"):
-        simulate(sources, Scheme.FBS, CFG16, {}, EnergyModel.default(2), ())
-    with pytest.raises(ValueError, match="tag"):
-        simulate(
-            [(5000, 1, frozenset({1}))],
-            Scheme.FBS,
-            CFG16,
-            {5000: 0},
-            EnergyModel.default(2),
-            (),
-        )
-
-
 def test_simulate_rejects_a_hand_built_mapping_outside_the_tree():
-    mapping = NeuronMapping((0, 99), core_capacity=1)
-    with pytest.raises(ValueError, match="neuron 1 is mapped to core 99, outside the 16 cores"):
-        simulate(
-            [(1, 1, frozenset({2}))], Scheme.HBS, CFG16, mapping, EnergyModel.default(2), ()
-        )
+    # A hand-built mapping may place a neuron past the tree, and its demand
+    # then names that core.  The second entry shares the first one's
+    # root-turnaround route, so only simulate's own check can see the core.
+    demand = [(0, 1 << 2, 1), (99, 1 << 2, 1)]
+    with pytest.raises(ValueError, match="source core 99 is outside the 16 cores"):
+        simulate(demand, Scheme.HBS, CFG16, EnergyModel.default(2))
 
 
 def test_simulate_energy_model_must_match_tree_depth():
     with pytest.raises(ValueError):
-        simulate([], Scheme.FBS, CFG16, {}, EnergyModel.default(3), ())
+        simulate([], Scheme.FBS, CFG16, EnergyModel.default(3))
 
 
 def test_simulate_deterministic():
-    rng = random.Random(29)
-    sources = [
-        (tag, rng.randint(1, 4), frozenset(rng.sample(range(16), rng.randint(1, 5))))
-        for tag in range(30)
-    ]
-    mapping = {tag: rng.randrange(16) for tag in range(30)}
-    luts = luts_from_sources(sources)
-    a = simulate(sources, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
-    b = simulate(sources, Scheme.SYMBOL, CFG16, mapping, EnergyModel.default(2), luts)
+    demand = random_demand(random.Random(29), 30, 5)
+    a = simulate(demand, Scheme.SYMBOL, CFG16, EnergyModel.default(2))
+    b = simulate(demand, Scheme.SYMBOL, CFG16, EnergyModel.default(2))
     assert a == b
-
-
-@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_simulate_keeps_legality_per_tag_on_a_shared_route(scheme, turnaround):
-    # Two tags on one core share a destination set, so they share one route,
-    # but their LUT rows differ.  In the pipeline a LUT row always equals the
-    # destination mask, so only hand-built LUTs show a legality count cached
-    # with the route.
-    dests = frozenset({1, 6})
-    sources = [(0, 2, dests), (1, 3, dests)]
-    mapping = {0: 4, 1: 4}
-    luts = (1 << 1, (1 << 16) - 1)
-    report = simulate(sources, scheme, CFG16, mapping, EnergyModel.default(2), luts, 10, turnaround)
-    legal = illegal = 0
-    for tag, count, cores in sources:
-        for _ in range(count):
-            addr = encode(scheme, cores, CFG16)
-            if scheme is Scheme.UNICAST:
-                route = route_unicast_batch(addr, mapping[tag], CFG16)
-            else:
-                route = route_multicast(addr, mapping[tag], CFG16, turnaround)
-            for core in route.delivered:
-                if luts[tag] >> core & 1:
-                    legal += 1
-                else:
-                    illegal += 1
-    assert (report.legal_deliveries, report.illegal_deliveries) == (legal, illegal)
 
 
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
@@ -467,12 +408,10 @@ def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, sc
     # simulate looks encode and the routers up as nocsim attributes, as the
     # traced benchmark run relies on; counting wrappers put there see every call.
     rng = random.Random(31)
-    sets = [frozenset(rng.sample(range(16), rng.randint(1, 5))) for _ in range(6)]
-    sources = [(tag, rng.randint(1, 3), rng.choice(sets)) for tag in range(50)]
-    mapping = {tag: rng.randrange(3) for tag in range(50)}
-    luts = luts_from_sources(sources)
+    masks = [mask_of(rng.sample(range(16), rng.randint(1, 5))) for _ in range(6)]
+    demand = [(rng.randrange(3), rng.choice(masks), rng.randint(1, 3)) for _ in range(50)]
     energy = EnergyModel.default(2)
-    want = simulate(sources, scheme, CFG16, mapping, energy, luts, 10, turnaround)
+    want = simulate(demand, scheme, CFG16, energy, 10, turnaround)
 
     calls = Counter()
 
@@ -487,16 +426,16 @@ def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, sc
 
     for name in ("encode", "route_multicast", "route_unicast_batch"):
         monkeypatch.setattr(nocsim, name, counted(name))
-    assert simulate(sources, scheme, CFG16, mapping, energy, luts, 10, turnaround) == want
+    assert simulate(demand, scheme, CFG16, energy, 10, turnaround) == want
 
-    distinct_sets = {dests for _tag, _count, dests in sources}
+    distinct_masks = {mask for _core, mask, _count in demand}
     if scheme is not Scheme.UNICAST and turnaround == "root":
-        keys = distinct_sets
+        keys = distinct_masks
     else:
-        keys = {(mapping[tag], dests) for tag, _count, dests in sources}
-    assert len(keys) < len(sources)
+        keys = {(core, mask) for core, mask, _count in demand}
+    assert len(keys) < len(demand)
     router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
-    assert calls == Counter({"encode": len(distinct_sets), router: len(keys)})
+    assert calls == Counter({"encode": len(distinct_masks), router: len(keys)})
 
 
 # Oracle: every spike routed on its own, filtered against LUTs built from the
@@ -567,17 +506,17 @@ def test_simulate_matches_per_spike_oracle(case, turnaround):
     mapping = NeuronMapping(tuple(assignment), core_capacity=len(assignment))
     rows = [connectivity[s] for s in range(len(assignment))]
     view = Connectivity(np.cumsum([0] + [len(r) for r in rows]), [t for r in rows for t in r])
-    sources, dropped = derive_events(trace, view, mapping, tag_bits=10)
-    per_spike = Counter((tag, cores) for tag, count, cores in sources for _ in range(count))
-    assert per_spike == Counter(
-        (n, frozenset(assignment[t] for t in connectivity[n]))
+    luts = build_core_luts(view, mapping, cfg.core_count)
+    demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
+    assert len({(core, mask) for core, mask, _count in demand}) == len(demand)
+    assert Counter({(core, mask): count for core, mask, count in demand}) == Counter(
+        (assignment[n], mask_of(assignment[t] for t in connectivity[n]))
         for _t, n in trace.events
         if connectivity[n]
     )
-    assert sum(per_spike.values()) + dropped == len(trace.events)
+    assert sum(count for _core, _mask, count in demand) + dropped == len(trace.events)
 
-    luts = build_core_luts(view, mapping, cfg.core_count)
-    got = simulate(sources, scheme, cfg, mapping, energy, luts, 10, turnaround)
+    got = simulate(demand, scheme, cfg, energy, 10, turnaround)
     want = per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, 10, turnaround)
     integer_energies = all(e.is_integer() for e in energy.link_energy_per_bit) and (
         energy.filter_energy_per_lookup.is_integer()

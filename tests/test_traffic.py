@@ -112,25 +112,48 @@ def test_derive_events_on_hand_built_network():
     # fan-outs 0: (1, 2), 1: (), 2: (0, 3), 3: (3,)
     conn = Connectivity((0, 2, 2, 4, 5), (1, 2, 0, 3, 3))
     mapping = NeuronMapping(assignment=(0, 0, 1, 2), core_capacity=2)
+    luts = build_core_luts(conn, mapping, 4)
+    assert luts == (0b011, 0, 0b101, 0b100)
     trace = SpikeTrace(
         steps=3, events=((0, 2), (0, 0), (0, 1), (1, 2), (1, 0), (2, 3), (2, 1), (2, 2))
     )
-    sources, dropped = derive_events(trace, conn, mapping, tag_bits=10)
+    demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
     # first-spike order; neuron 1 has no targets, so its two spikes are dropped
-    assert sources == [(2, 3, frozenset({0, 2})), (0, 2, frozenset({0, 1})), (3, 1, frozenset({2}))]
+    assert demand == [(1, 0b101, 3), (0, 0b011, 2), (2, 0b100, 1)]
     assert dropped == 2
     # the error names the first spike whose id does not fit
     with pytest.raises(ValueError, match="neuron id 2 does not fit in 1 tag bits"):
-        derive_events(trace, conn, mapping, tag_bits=1)
+        derive_events(trace, luts, mapping, tag_bits=1)
+
+
+def test_derive_events_sums_spikes_per_source_core_and_mask():
+    # Neurons 0 and 1 share core 0 and a mask, so their spikes make one entry;
+    # neuron 2 has the same mask on core 1; neuron 3's LUT row is empty.
+    luts = (0b110, 0b110, 0b110, 0, 0b001)
+    mapping = NeuronMapping(assignment=(0, 0, 1, 1, 0), core_capacity=3)
+    trace = SpikeTrace(1, tuple((0, n) for n in (2, 0, 1, 3, 0, 4, 2, 3)))
+    demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
+    assert demand == [(1, 0b110, 2), (0, 0b110, 3), (0, 0b001, 1)]
+    assert dropped == 2
 
 
 def test_derive_events_rejects_neurons_outside_the_network():
     conn = Connectivity((0, 1, 2), (1, 0))  # fan-outs 0: (1,), 1: (0,)
     mapping = NeuronMapping((0, 1), core_capacity=2)
+    luts = build_core_luts(conn, mapping, 2)
     for bad in (-1, 2, 7):
         trace = SpikeTrace(1, ((0, 0), (0, bad), (0, 7)))
         with pytest.raises(ValueError, match=f"neuron id {bad} is outside the network's 2 neurons"):
-            derive_events(trace, conn, mapping, tag_bits=10)
+            derive_events(trace, luts, mapping, tag_bits=10)
+
+
+def test_derive_events_rejects_overwide_and_unmapped_neurons():
+    luts = (0b01, 0b10, 0b01)
+    mapping = NeuronMapping((0, 1), core_capacity=2)
+    with pytest.raises(ValueError, match="unmapped neuron 2"):
+        derive_events(SpikeTrace(1, ((0, 0), (0, 2))), luts, mapping, tag_bits=10)
+    with pytest.raises(ValueError, match="neuron id 5000 does not fit in 10 tag bits"):
+        derive_events(SpikeTrace(1, ((0, 5000),)), luts, mapping, tag_bits=10)
 
 
 def _default_mapping(config):
@@ -144,22 +167,23 @@ def test_core_luts_hold_exactly_the_destination_tags():
     config = default_config()
     conn = generate_connectivity(config.network, config.network_seed)
     mapping = _default_mapping(config)
-    every_neuron = SpikeTrace(steps=1, events=tuple((0, n) for n in range(config.network.total_neurons)))
-    sources, dropped = derive_events(every_neuron, conn, mapping, config.tag_width())
-    assert all(count == 1 for _tag, count, _cores in sources)
-    dests = {tag: cores for tag, _count, cores in sources}
-    assert dropped == config.network.total_neurons - len(dests)
     luts = build_core_luts(conn, mapping, config.tree.core_count)
     assert luts == tuple(
-        sum(1 << core for core in dests.get(tag, ())) for tag in range(config.network.total_neurons)
+        sum(1 << core for core in {mapping.assignment[t] for t in conn[n]}) for n in conn
     )
+    every_neuron = SpikeTrace(steps=1, events=tuple((0, n) for n in conn))
+    demand, dropped = derive_events(every_neuron, luts, mapping, config.tag_width())
+    assert dropped == luts.count(0) > 0
+    assert sum(count for _core, _mask, count in demand) == len(conn) - dropped
 
 
 def test_derive_events_counts_every_spike_once():
     config = default_config()
     conn = generate_connectivity(config.network, config.network_seed)
     trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
-    sources, dropped = derive_events(trace, conn, _default_mapping(config), config.tag_width())
-    assert len({tag for tag, _count, _cores in sources}) == len(sources)
+    mapping = _default_mapping(config)
+    luts = build_core_luts(conn, mapping, config.tree.core_count)
+    demand, dropped = derive_events(trace, luts, mapping, config.tag_width())
+    assert len({(core, mask) for core, mask, _count in demand}) == len(demand)
     assert dropped > 0
-    assert sum(count for _tag, count, _cores in sources) + dropped == len(trace.events)
+    assert sum(count for _core, _mask, count in demand) + dropped == len(trace.events)
