@@ -118,15 +118,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     runs_csv = args.runs_csv or config.runs_csv
     summary_json = args.summary_json or config.summary_json
 
-    # Both outputs are opened before the sweep, so a bad path costs no run,
-    # and emptied only after it, so a failed run leaves them as they were.
+    # Both outputs are opened (without truncating) before the sweep, so a bad
+    # path costs no run, and rewritten only after it, so a failed run leaves
+    # them as they were.
+    for path, what in ((runs_csv, "output.runs_csv"), (summary_json, "output.summary_json")):
+        _open(path, "a", what).close()
+    result = run_experiment(config)
     with (
-        _open(runs_csv, "a", "output.runs_csv") as runs_fh,
-        _open(summary_json, "a", "output.summary_json") as summary_fh,
+        _open(runs_csv, "w", "output.runs_csv") as runs_fh,
+        _open(summary_json, "w", "output.summary_json") as summary_fh,
     ):
-        result = run_experiment(config)
-        runs_fh.truncate(0)
-        summary_fh.truncate(0)
         write_runs_csv(result.rows, runs_fh)
         write_summary_json(result.summary, summary_fh)
 

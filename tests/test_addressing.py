@@ -307,7 +307,7 @@ def test_rotate_examples():
 
 @st.composite
 def hbs_addresses(draw):
-    cfg = TreeConfig(draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 4)))
+    cfg = TreeConfig(draw(st.sampled_from([2, 3, 4, 8])), draw(st.integers(1, 4)))
     mask = st.integers(1, (1 << cfg.fan_out) - 1)
     return cfg, HbsAddress(tuple(draw(st.lists(mask, min_size=cfg.levels, max_size=cfg.levels))))
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -130,6 +131,14 @@ def test_failed_simulate_keeps_existing_outputs(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--runs-csv", str(runs), "--summary-json", str(summary)]) == 0
     assert runs.read_text().startswith("scheme,mapping_index,") and "old" not in runs.read_text()
     assert json.loads(summary.read_text())["repetitions"] == 1
+
+
+def test_simulate_writes_to_a_file_that_is_not_regular(tmp_path, capsys):
+    config = tmp_path / "config.yaml"
+    config.write_text(SMALL_RUN)
+    argv = ["simulate", "--config", str(config), "--runs-csv", os.devnull, "--summary-json", os.devnull]
+    assert main(argv) == 0
+    assert f"wrote {os.devnull} and {os.devnull}" in capsys.readouterr().out
 
 
 def test_decode_rejects_repeated_unicast_targets(capsys):
