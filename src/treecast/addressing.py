@@ -2,8 +2,9 @@
 
 Cores sit at the leaves of a balanced tree with ``fan_out`` children per
 switch and ``levels`` levels, so there are ``fan_out ** levels`` cores.
-A multicast address names a set of destination cores in one of four
-interchangeable encodings:
+A multicast address names a set of destination cores, which ``encode``
+reads as a core bitmask (bit c set when core c is a destination), in one
+of four interchangeable encodings:
 
 * flat bitmask (``fbs``)     -- one bit per core; exact, header width N
 * symbol string (``symbol``) -- one {0,1,*} symbol per index bit; width
@@ -37,7 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 
 class Scheme(str, Enum):
@@ -93,20 +94,10 @@ def tree_levels(n: int, k: int) -> int:
     return levels
 
 
-def _check_dests(dests: Iterable[int], cfg: TreeConfig) -> frozenset[int]:
-    members = frozenset(dests)
-    if not members:
-        raise ValueError("destination set must be nonempty")
-    n = cfg.core_count
-    for d in members:
-        if not 0 <= d < n:
-            raise ValueError(f"destination {d} out of range [0, {n})")
-    return members
-
-
 # ---------------------------------------------------------------------------
 # one class per scheme
 #
+# ``encode(mask, cfg)`` takes a core bitmask that :func:`encode` checked.
 # ``select(depth, switch, cfg)`` is the port choice of the switch ``switch``
 # at ``depth`` hops below the root: it returns the head field that switch
 # reads and the Down ports (child digits) it forwards to.  ``routing_bits``
@@ -126,9 +117,9 @@ class FbsAddress:
             raise ValueError("flat bitmask must be a nonzero positive integer")
 
     @classmethod
-    def encode(cls, dests: Iterable[int], cfg: TreeConfig) -> FbsAddress:
-        """Exact flat bitmask of the destination set."""
-        return cls(sum(1 << d for d in _check_dests(dests, cfg)))
+    def encode(cls, mask: int, cfg: TreeConfig) -> FbsAddress:
+        """Exact flat bitmask: the destination mask itself."""
+        return cls(mask)
 
     def cover(self, cfg: TreeConfig) -> int:
         n = cfg.core_count
@@ -197,20 +188,28 @@ class HbsAddress:
         return cfg
 
     @classmethod
-    def encode(cls, dests: Iterable[int], cfg: TreeConfig) -> HbsAddress:
-        """Minimal covering hierarchical masks.
+    def encode(cls, mask: int, cfg: TreeConfig) -> HbsAddress:
+        """Minimal covering hierarchical masks, root level first.
 
-        The level-l mask is the union of level-l path digits over all
-        destinations; the cover is the Cartesian product of the per-level
-        digit sets, the smallest such product containing the destinations.
+        Digit d of a level is set when block d of that level's mask is
+        nonzero, and the OR of the k blocks is the next level's mask.  The
+        cover, the product of the per-level digit sets, is the smallest
+        such product containing the destinations.
         """
-        members = _check_dests(dests, cfg)
         tree = cls._tree(cfg)
-        k = tree.fan_out
+        k, span = tree.fan_out, tree.core_count
         masks = []
-        for lvl in range(tree.levels):
-            span = k ** (tree.levels - 1 - lvl)
-            masks.append(sum(1 << digit for digit in {d // span % k for d in members}))
+        for _ in range(tree.levels):
+            span //= k
+            block = (1 << span) - 1
+            digits = below = 0
+            for d in range(k):
+                part = mask >> (d * span) & block
+                if part:
+                    digits |= 1 << d
+                    below |= part
+            masks.append(digits)
+            mask = below
         return cls(tuple(masks))
 
     def cover(self, cfg: TreeConfig) -> int:
@@ -333,9 +332,9 @@ class UnicastAddress:
             raise ValueError("unicast targets must not repeat")
 
     @classmethod
-    def encode(cls, dests: Iterable[int], cfg: TreeConfig) -> UnicastAddress:
+    def encode(cls, mask: int, cfg: TreeConfig) -> UnicastAddress:
         """Target list in ascending core-index order."""
-        return cls(tuple(sorted(_check_dests(dests, cfg))))
+        return cls(tuple(cores(mask)))
 
     def cover(self, cfg: TreeConfig) -> int:
         n = cfg.core_count
@@ -397,9 +396,12 @@ def address_class(scheme: Scheme | str) -> type:
 # ---------------------------------------------------------------------------
 # scheme-independent entry points
 
-def encode(scheme: Scheme, dests: Iterable[int], cfg: TreeConfig) -> MulticastAddress:
-    """Minimal ``scheme`` address covering ``dests``."""
-    return address_class(scheme).encode(dests, cfg)
+def encode(scheme: Scheme, mask: int, cfg: TreeConfig) -> MulticastAddress:
+    """Minimal ``scheme`` address covering the cores of the bitmask ``mask``."""
+    n = cfg.core_count
+    if not 0 < mask < 1 << n:
+        raise ValueError(f"destination mask must name a nonempty set of cores in [0, {n})")
+    return address_class(scheme).encode(mask, cfg)
 
 
 def cores(mask: int) -> list[int]:
@@ -417,14 +419,12 @@ def covered_set(addr: MulticastAddress, cfg: TreeConfig) -> frozenset[int]:
     return frozenset(cores(addr.cover(cfg)))
 
 
-def overcoverage(addr: MulticastAddress, dests: Iterable[int], cfg: TreeConfig) -> int:
-    """How many covered cores are not actual destinations."""
-    members = _check_dests(dests, cfg)
+def overcoverage(addr: MulticastAddress, mask: int, cfg: TreeConfig) -> int:
+    """How many covered cores are not in the destination bitmask ``mask``."""
     cm = addr.cover(cfg)
-    dm = sum(1 << d for d in members)
-    if dm & ~cm:
+    if mask & ~cm:
         raise ValueError("address does not cover every destination (encoder bug?)")
-    return cm.bit_count() - dm.bit_count()
+    return cm.bit_count() - mask.bit_count()
 
 
 def rotate_hbs(addr: HbsAddress) -> HbsAddress:

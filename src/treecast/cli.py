@@ -68,13 +68,17 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
 def _cmd_encode(args: argparse.Namespace) -> int:
     cfg = _tree_from_flags(args)
     scheme = Scheme(args.scheme)
-    dests = _parse_ints(args.dests, "--dests")
-    addr = encode(scheme, dests, cfg)
+    mask = 0
+    for d in _parse_ints(args.dests, "--dests"):
+        if not 0 <= d < cfg.core_count:
+            raise ValueError(f"destination {d} out of range [0, {cfg.core_count})")
+        mask |= 1 << d
+    addr = encode(scheme, mask, cfg)
     cover = sorted(covered_set(addr, cfg))
     print(f"address {addr.text(cfg)}")
     print(f"cover {','.join(map(str, cover))}")
     print(f"cover_size {len(cover)}")
-    print(f"overcoverage {overcoverage(addr, dests, cfg)}")
+    print(f"overcoverage {overcoverage(addr, mask, cfg)}")
     return 0
 
 

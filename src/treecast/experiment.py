@@ -257,16 +257,11 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
         # A file trace is read before the connectivity, so a bad path costs nothing.
         try:
             with open(config.trace_path, "r", encoding="utf-8") as fh:
-                trace = load_trace(fh)
+                trace = load_trace(fh, neurons=config.network.total_neurons)
         except OSError as exc:
             raise ValueError(f"trace.path: {config.trace_path}: {exc.strerror}") from None
-        total = config.network.total_neurons
-        bad = next((n for _t, n in trace.events if not 0 <= n < total), None)
-        if bad is not None:
-            raise ValueError(
-                f"trace.path: {config.trace_path}: neuron id {bad} is outside the network's "
-                f"{total} neurons"
-            )
+        except ValueError as exc:
+            raise ValueError(f"trace.path: {exc}") from None
     connectivity = generate_connectivity(config.network, config.network_seed)
     if trace is None:
         trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)

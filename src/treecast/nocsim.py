@@ -34,7 +34,6 @@ from .addressing import (
     Scheme,
     TreeConfig,
     UnicastAddress,
-    cores,
     encode,
     routing_bit_width,
 )
@@ -297,14 +296,15 @@ def simulate(
     Each demand entry is (source core, destination core mask, spike count),
     as :func:`~treecast.traffic.derive_events` gives them.  Every spike of
     an entry carries the same packet, so its counters are multiplied by the
-    spike count.  Each distinct mask is encoded once per call, and each
-    distinct route once: keyed by the mask for multicast under the ``root``
-    turnaround, whose cover and per-level links do not depend on the source
-    core, and by (source core, mask) otherwise.  Every arriving packet pays
-    one LUT lookup.  A covered core outside the mask does not hold the
-    source's tag, so its lookup counts as illegal and the packet is dropped
-    there.  The counts read the route's ``cover`` and ``level_links``, so
-    the switch-by-switch walk never runs here.
+    spike count.  Each distinct mask is encoded once per call, and the
+    mask itself is what :func:`~treecast.addressing.encode` reads.  Each
+    distinct route is computed once: keyed by the mask for multicast under
+    the ``root`` turnaround, whose cover and per-level links do not depend
+    on the source core, and by (source core, mask) otherwise.  Every
+    arriving packet pays one LUT lookup.  A covered core outside the mask
+    does not hold the source's tag, so its lookup counts as illegal and the
+    packet is dropped there.  The counts read the route's ``cover`` and
+    ``level_links``, so the switch-by-switch walk never runs here.
 
     With integer-valued energies every field equals a spike-by-spike sum.
     Otherwise the float fields, summed per tree level and per entry, may
@@ -332,7 +332,7 @@ def simulate(
         if hit is None:
             addr = encoded.get(mask)
             if addr is None:
-                addr = encoded[mask] = encode(scheme, cores(mask), cfg)
+                addr = encoded[mask] = encode(scheme, mask, cfg)
             if scheme is Scheme.UNICAST:
                 route = route_unicast_batch(addr, source_core, cfg)
             else:

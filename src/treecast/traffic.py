@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -238,6 +239,11 @@ class SpikeTrace:
                 raise ValueError("trace events must be nondecreasing in timestep")
             last = t
 
+    @cached_property
+    def spike_counts(self) -> dict[int, int]:
+        """Spikes per neuron id, in first-spike order; counted on first read."""
+        return dict(Counter(neuron for _t, neuron in self.events))
+
 
 def synth_trace(spec: NetworkSpec, steps: int = 400, rate: float = 0.05, seed: int = 0) -> SpikeTrace:
     """Independent Bernoulli firing at ``rate`` per neuron per step."""
@@ -257,10 +263,11 @@ def save_trace(trace: SpikeTrace, out: IO[str]) -> None:
         out.write(f"{t},{n}\n")
 
 
-def load_trace(inp: IO[str], steps: int | None = None) -> SpikeTrace:
+def load_trace(inp: IO[str], steps: int | None = None, neurons: int | None = None) -> SpikeTrace:
     """Read a trace file; ``steps`` defaults to last timestep + 1.
 
-    A malformed line, or a timestep below 0 or below the one before, raises
+    A malformed line, a timestep below 0 or below the one before, or, when
+    ``neurons`` is given, a neuron id outside ``[0, neurons)`` raises
     ValueError naming the file and line number.
     """
     name = getattr(inp, "name", "<trace>")
@@ -280,6 +287,8 @@ def load_trace(inp: IO[str], steps: int | None = None) -> SpikeTrace:
         last = events[-1][0] if events else 0
         if t < last:
             raise ValueError(f"{name}:{lineno}: timestep {t} is below {last}; it must not decrease")
+        if neurons is not None and not 0 <= n < neurons:
+            raise ValueError(f"{name}:{lineno}: neuron id {n} is outside the network's {neurons} neurons")
         events.append((t, n))
     if steps is None:
         steps = events[-1][0] + 1 if events else 0
@@ -294,15 +303,15 @@ def derive_events(
 ) -> tuple[list[tuple[int, int, int]], int]:
     """The trace's traffic: (source core, destination core mask, spike count) entries.
 
-    A neuron's mask is its LUT row, and spikes are summed per (source core,
-    mask) in first-spike order.  The neuron id is the source tag: it must
-    fit ``tag_bits`` and have a LUT row and a core, or its first spike
-    raises.  Spikes of a neuron whose row is 0 (an empty fan-out) make no
-    entry; their count is returned alongside the entries.
+    A neuron's mask is its LUT row, and the trace's ``spike_counts`` are
+    summed per (source core, mask) in first-spike order.  The neuron id is
+    the source tag: it must fit ``tag_bits`` and have a LUT row and a core,
+    or it raises.  Spikes of a neuron whose row is 0 (an empty fan-out)
+    make no entry; their count is returned alongside the entries.
     """
     demand: dict[tuple[int, int], int] = {}
     dropped = 0
-    for neuron, count in Counter(neuron for _t, neuron in trace.events).items():
+    for neuron, count in trace.spike_counts.items():
         if neuron >= 1 << tag_bits:
             raise ValueError(
                 f"neuron id {neuron} does not fit in {tag_bits} tag bits; "

@@ -5,6 +5,7 @@ the tests never check the library against itself.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -22,6 +23,32 @@ def digits_of(index, k, levels):
         out.append(index % k)
         index //= k
     return tuple(reversed(out))
+
+
+def mask_of(dests):
+    """Core bitmask of a destination set; also the member-wise fbs encoder."""
+    mask = 0
+    for d in dests:
+        mask |= 1 << d
+    return mask
+
+
+def hbs_encode(dests, k, levels):
+    """Member-wise hbs encoder: per level, root first, the mask of the destinations' digits."""
+    return tuple(
+        sum(1 << digit for digit in {digits_of(d, k, levels)[lvl] for d in dests})
+        for lvl in range(levels)
+    )
+
+
+def symbol_encode(dests, n):
+    """Member-wise symbol encoder: hbs on the binary tree of the n cores' index bits."""
+    return hbs_encode(dests, 2, n.bit_length() - 1)
+
+
+def unicast_encode(dests):
+    """Member-wise unicast encoder: the distinct destinations, ascending."""
+    return tuple(sorted(set(dests)))
 
 
 def symbol_cover(pattern, n):
@@ -96,6 +123,20 @@ def divergence_depth(core, legal_targets, k, levels):
         if not any(q[: depth + 1] == p[: depth + 1] for q in legal_paths):
             return depth
     raise ValueError(f"core {core} is itself a legal target")
+
+
+def demand(events, luts, assignment):
+    """(source core, LUT row, spikes) per (core, row) in first-spike order, and the
+    spikes of neurons whose row is 0, from a fresh count of the (timestep, neuron) events."""
+    summed = {}
+    dropped = 0
+    for neuron, count in Counter(n for _t, n in events).items():
+        if luts[neuron]:
+            key = (assignment[neuron], luts[neuron])
+            summed[key] = summed.get(key, 0) + count
+        else:
+            dropped += count
+    return [(core, mask, count) for (core, mask), count in summed.items()], dropped
 
 
 def core_luts(connectivity, assignment, n_cores):

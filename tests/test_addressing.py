@@ -21,6 +21,7 @@ from treecast.addressing import (
 )
 
 import oracles
+from oracles import mask_of
 
 CFG16 = TreeConfig(fan_out=4, levels=2)
 CFG16_BIN = TreeConfig(fan_out=2, levels=4)
@@ -59,15 +60,15 @@ def test_path_of_examples():
     assert oracles.digits_of(0, 4, 2) == (0, 0)
     assert oracles.digits_of(15, 4, 2) == (3, 3)
     assert oracles.digits_of(6, 4, 2) == (1, 2)
-    assert HbsAddress.encode({6}, CFG16).masks == (1 << 1, 1 << 2)
+    assert HbsAddress.encode(mask_of({6}), CFG16).masks == (1 << 1, 1 << 2)
 
 
 def test_path_of_out_of_range():
     # A core outside [0, k**L) has no root-to-leaf path, so no per-level mask.
     for cfg in (CFG16, CFG27):
-        for core in (cfg.core_count, -1):
+        for mask in (1 << cfg.core_count, 1 << cfg.core_count | 1, -1):
             with pytest.raises(ValueError):
-                HbsAddress.encode({core}, cfg)
+                encode(Scheme.HBS, mask, cfg)
 
 
 @pytest.mark.parametrize("cfg", [CFG16, CFG16_BIN, CFG27, TreeConfig(5, 2)])
@@ -78,7 +79,7 @@ def test_path_index_bijection(cfg):
         assert len(digits) == cfg.levels
         assert all(0 <= d < cfg.fan_out for d in digits)
         assert oracles.index_from_digits(digits, cfg.fan_out) == i
-        assert HbsAddress.encode({i}, cfg).masks == tuple(1 << d for d in digits)
+        assert HbsAddress.encode(mask_of({i}), cfg).masks == tuple(1 << d for d in digits)
         seen.add(digits)
     assert len(seen) == cfg.core_count
 
@@ -87,34 +88,35 @@ def test_path_index_bijection(cfg):
 # encoders
 
 def test_encode_fbs_examples():
-    assert FbsAddress.encode({5}, CFG16).mask == 1 << 5
-    assert FbsAddress.encode(range(16), CFG16).mask == 0xFFFF
-    a = FbsAddress.encode({0, 3, 12}, CFG16)
+    assert FbsAddress.encode(mask_of({5}), CFG16).mask == 1 << 5
+    assert FbsAddress.encode(mask_of(range(16)), CFG16).mask == 0xFFFF
+    a = FbsAddress.encode(mask_of({0, 3, 12}), CFG16)
     assert a.mask.bit_count() == 3
     assert covered_set(a, CFG16) == frozenset({0, 3, 12})
 
 
 def test_encode_rejects_empty_and_out_of_range():
     for scheme in Scheme:
-        with pytest.raises(ValueError):
-            encode(scheme, [], CFG16)
-        for core in (16, -1):
-            with pytest.raises(ValueError):
-                encode(scheme, [core], CFG16)
+        with pytest.raises(ValueError, match="nonempty"):
+            encode(scheme, 0, CFG16)
+        # a core past the tree, alone or beside a valid one, and a negative mask
+        for mask in (1 << 16, 1 << 16 | 1, -1):
+            with pytest.raises(ValueError, match=r"\[0, 16\)"):
+                encode(scheme, mask, CFG16)
 
 
 def test_encode_symbol_examples():
-    a = SymbolAddress.encode({0b0000, 0b0001}, CFG16)
+    a = SymbolAddress.encode(mask_of({0b0000, 0b0001}), CFG16)
     assert a.text(CFG16) == "000*"
     assert covered_set(a, CFG16) == frozenset({0, 1})
-    assert overcoverage(a, {0, 1}, CFG16) == 0
+    assert overcoverage(a, mask_of({0, 1}), CFG16) == 0
 
-    b = SymbolAddress.encode({0b0000, 0b1111}, CFG16)
+    b = SymbolAddress.encode(mask_of({0b0000, 0b1111}), CFG16)
     assert b.text(CFG16) == "****"
     assert len(covered_set(b, CFG16)) == 16
-    assert overcoverage(b, {0, 15}, CFG16) == 14
+    assert overcoverage(b, mask_of({0, 15}), CFG16) == 14
 
-    c = SymbolAddress.encode({7}, CFG16)
+    c = SymbolAddress.encode(mask_of({7}), CFG16)
     assert c.text(CFG16) == "0111"
     assert covered_set(c, CFG16) == frozenset({7})
 
@@ -124,7 +126,7 @@ def test_encode_symbol_minimality_matches_brute_force():
     rng = random.Random(11)
     for _ in range(100):
         dests = random_dests(rng, 16)
-        got = covered_set(SymbolAddress.encode(dests, CFG16), CFG16)
+        got = covered_set(SymbolAddress.encode(mask_of(dests), CFG16), CFG16)
         best, hits = oracles.minimal_covers(dests, covers)
         assert len(got) == best
         assert got in hits
@@ -132,19 +134,19 @@ def test_encode_symbol_minimality_matches_brute_force():
 
 def test_encode_symbol_requires_power_of_two():
     with pytest.raises(ValueError):
-        SymbolAddress.encode({0, 1}, CFG27)
+        SymbolAddress.encode(mask_of({0, 1}), CFG27)
 
 
 def test_encode_hbs_examples():
-    a = HbsAddress.encode({0, 5}, CFG16)
+    a = HbsAddress.encode(mask_of({0, 5}), CFG16)
     assert a.masks == (0b0011, 0b0011)
     assert covered_set(a, CFG16) == frozenset({0, 1, 4, 5})
-    assert overcoverage(a, {0, 5}, CFG16) == 2
+    assert overcoverage(a, mask_of({0, 5}), CFG16) == 2
 
-    b = HbsAddress.encode(range(16), CFG16)
+    b = HbsAddress.encode(mask_of(range(16)), CFG16)
     assert b.masks == (0b1111, 0b1111)
 
-    c = HbsAddress.encode({9}, CFG16)
+    c = HbsAddress.encode(mask_of({9}), CFG16)
     assert oracles.digits_of(9, 4, 2) == (2, 1)
     assert c.masks == (0b0100, 0b0010)
     assert covered_set(c, CFG16) == frozenset({9})
@@ -155,14 +157,14 @@ def test_encode_hbs_minimality_matches_brute_force():
     rng = random.Random(12)
     for _ in range(100):
         dests = random_dests(rng, 16)
-        got = covered_set(HbsAddress.encode(dests, CFG16), CFG16)
+        got = covered_set(HbsAddress.encode(mask_of(dests), CFG16), CFG16)
         best, hits = oracles.minimal_covers(dests, covers)
         assert len(got) == best
         assert got in hits
 
 
 def test_encode_hbs_works_for_non_power_of_two_fan_out():
-    a = HbsAddress.encode({0, 26}, CFG27)
+    a = HbsAddress.encode(mask_of({0, 26}), CFG27)
     assert a.masks == (0b101, 0b101, 0b101)
     assert covered_set(a, CFG27) == frozenset(
         oracles.index_from_digits(d, 3)
@@ -171,9 +173,9 @@ def test_encode_hbs_works_for_non_power_of_two_fan_out():
 
 
 def test_encode_unicast_examples():
-    assert UnicastAddress.encode({3}, CFG16).targets == (3,)
-    assert UnicastAddress.encode({11, 2, 7}, CFG16).targets == (2, 7, 11)
-    assert len(UnicastAddress.encode(range(16), CFG16).targets) == 16
+    assert UnicastAddress.encode(mask_of({3}), CFG16).targets == (3,)
+    assert UnicastAddress.encode(mask_of({11, 2, 7}), CFG16).targets == (2, 7, 11)
+    assert len(UnicastAddress.encode(mask_of(range(16)), CFG16).targets) == 16
 
 
 ENCODER_TREES = [TreeConfig(k, levels) for k in (2, 3, 4) for levels in range(1, 6)]
@@ -192,7 +194,7 @@ def encoder_cases(draw):
 @given(encoder_cases())
 def test_encoder_containment_minimality_round_trip(case):
     cfg, scheme, dests = case
-    addr = encode(scheme, dests, cfg)
+    addr = encode(scheme, mask_of(dests), cfg)
     text = addr.text(cfg)
     assert parse_address(scheme, text, cfg) == addr
     if scheme is Scheme.SYMBOL:
@@ -214,12 +216,38 @@ def test_encoder_containment_minimality_round_trip(case):
     assert covered_set(addr, cfg) == cover
 
 
+FOLD_TREES = [
+    TreeConfig(k, levels) for k, deepest in ((2, 10), (3, 5), (4, 5), (8, 3)) for levels in range(1, deepest + 1)
+]
+
+
+@st.composite
+def fold_cases(draw):
+    cfg = draw(st.sampled_from(FOLD_TREES))
+    n = cfg.core_count
+    dests = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=40) | st.just(frozenset(range(n))))
+    return cfg, frozenset(dests)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases())
+def test_mask_encoders_match_member_wise_oracles(case):
+    # The mask fold against the set-in encoders; k = 3 is not a power of two, so no symbol.
+    cfg, dests = case
+    mask = mask_of(dests)
+    assert encode(Scheme.FBS, mask, cfg).mask == mask
+    assert encode(Scheme.HBS, mask, cfg).masks == oracles.hbs_encode(dests, cfg.fan_out, cfg.levels)
+    assert encode(Scheme.UNICAST, mask, cfg).targets == oracles.unicast_encode(dests)
+    if cfg.fan_out != 3:
+        assert encode(Scheme.SYMBOL, mask, cfg).masks == oracles.symbol_encode(dests, cfg.core_count)
+
+
 def test_unicast_rejects_repeated_targets():
     with pytest.raises(ValueError, match="repeat"):
         UnicastAddress((3, 3))
     with pytest.raises(ValueError, match="repeat"):
         parse_address(Scheme.UNICAST, "1,3,1", CFG16)
-    assert UnicastAddress.encode([3, 3, 1], CFG16) == UnicastAddress((1, 3))
+    assert UnicastAddress.encode(mask_of([3, 3, 1]), CFG16) == UnicastAddress((1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +281,7 @@ def test_round_trip_containment_and_exactness():
         for _ in range(200):
             dests = random_dests(rng, cfg.core_count)
             for scheme in Scheme:
-                cover = covered_set(encode(scheme, dests, cfg), cfg)
+                cover = covered_set(encode(scheme, mask_of(dests), cfg), cfg)
                 assert cover >= dests
                 if scheme in (Scheme.FBS, Scheme.UNICAST):
                     assert cover == dests
@@ -264,8 +292,8 @@ def test_nesting_hbs_within_symbol():
     for cfg in (CFG16, CFG16_BIN, TreeConfig(4, 3)):
         for _ in range(150):
             dests = random_dests(rng, cfg.core_count, max_size=min(cfg.core_count, 10))
-            hbs = HbsAddress.encode(dests, cfg).cover(cfg)
-            sym = SymbolAddress.encode(dests, cfg).cover(cfg)
+            hbs = HbsAddress.encode(mask_of(dests), cfg).cover(cfg)
+            sym = SymbolAddress.encode(mask_of(dests), cfg).cover(cfg)
             assert hbs & ~sym == 0  # hbs cover is a subset
             assert hbs.bit_count() <= sym.bit_count()
 
@@ -287,13 +315,14 @@ def test_overcoverage_examples_and_error():
     rng = random.Random(15)
     for _ in range(50):
         dests = random_dests(rng, 16)
-        assert overcoverage(FbsAddress.encode(dests, CFG16), dests, CFG16) == 0
+        mask = mask_of(dests)
+        assert overcoverage(FbsAddress.encode(mask, CFG16), mask, CFG16) == 0
     sym = parse_address(Scheme.SYMBOL, "00**", CFG16)
-    assert overcoverage(sym, {0, 3}, CFG16) == 2
+    assert overcoverage(sym, mask_of({0, 3}), CFG16) == 2
     hbs = HbsAddress((0b0011, 0b0011))
-    assert overcoverage(hbs, {0, 5}, CFG16) == 2
+    assert overcoverage(hbs, mask_of({0, 5}), CFG16) == 2
     with pytest.raises(ValueError):
-        overcoverage(FbsAddress(0b1), {0, 1}, CFG16)  # cover misses dest 1
+        overcoverage(FbsAddress(0b1), mask_of({0, 1}), CFG16)  # cover misses dest 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +453,7 @@ def test_format_parse_round_trip():
     for _ in range(200):
         dests = random_dests(rng, 16)
         for scheme in Scheme:
-            addr = encode(scheme, dests, CFG16)
+            addr = encode(scheme, mask_of(dests), CFG16)
             text = addr.text(CFG16)
             assert parse_address(scheme, text, CFG16) == addr
 

@@ -93,9 +93,9 @@ def test_malformed_trace_line_names_file_and_line(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("neuron,tag_bits", [(99999, 17), (-3, None)])
 def test_trace_id_outside_network_exits_1(tmp_path, capsys, neuron, tag_bits):
-    code, err, _ = simulate_trace(tmp_path, capsys, ["0,1", f"1,{neuron}"], tag_bits)
+    code, err, path = simulate_trace(tmp_path, capsys, ["0,1", f"1,{neuron}"], tag_bits)
     assert code == 1
-    assert "trace.path" in err and str(neuron) in err
+    assert f"trace.path: {path}:3: neuron id {neuron} is outside the network's 60 neurons" in err
 
 
 def test_missing_config_exits_1_naming_it(tmp_path, capsys):

@@ -31,6 +31,7 @@ from treecast.nocsim import (
 from treecast.traffic import Connectivity, NeuronMapping, SpikeTrace, build_core_luts, derive_events
 
 import oracles
+from oracles import mask_of
 
 CFG16 = TreeConfig(4, 2)
 CFG64 = TreeConfig(4, 3)
@@ -60,7 +61,7 @@ def test_energy_model_validation_and_default():
 def test_route_hbs_worked_example():
     # root-level digits {1, 2}, leaf-level digit {0}
     addr = HbsAddress((0b0110, 0b0001))
-    assert HbsAddress.encode({4, 8}, CFG16) == addr
+    assert HbsAddress.encode(mask_of({4, 8}), CFG16) == addr
     r = route_multicast(addr, 0, CFG16)
     assert r.delivered == (4, 8)
     assert r.up_links == ((1, 0), (2, 0))
@@ -70,7 +71,7 @@ def test_route_hbs_worked_example():
 
 def test_route_fbs_sibling_transits_root():
     # singleton mask for the source's sibling still climbs to the root
-    addr = encode(Scheme.FBS, {1}, CFG16)
+    addr = encode(Scheme.FBS, mask_of({1}), CFG16)
     r = route_multicast(addr, 0, CFG16)
     assert r.delivered == (1,)
     assert len(r.up_links) == 2
@@ -79,7 +80,7 @@ def test_route_fbs_sibling_transits_root():
 
 
 def test_route_hbs_broadcast_uses_every_link_once():
-    addr = encode(Scheme.HBS, range(16), CFG16)
+    addr = encode(Scheme.HBS, mask_of(range(16)), CFG16)
     r = route_multicast(addr, 3, CFG16)
     assert set(r.delivered) == set(range(16))
     all_edges = {(1, c) for c in range(16)} | {(2, c) for c in range(4)}
@@ -88,7 +89,7 @@ def test_route_hbs_broadcast_uses_every_link_once():
 
 
 def test_source_receives_own_packet_when_covered():
-    addr = encode(Scheme.HBS, {6}, CFG16)
+    addr = encode(Scheme.HBS, mask_of({6}), CFG16)
     r = route_multicast(addr, 6, CFG16)
     assert r.delivered == (6,)
     assert len(r.links) == 4  # up to root and straight back down
@@ -102,7 +103,7 @@ def test_delivery_exactness_random():
             dests = frozenset(rng.sample(range(n), rng.randint(1, n)))
             source = rng.randrange(n)
             scheme = rng.choice(MULTICAST_SCHEMES)
-            addr = encode(scheme, dests, cfg)
+            addr = encode(scheme, mask_of(dests), cfg)
             r = route_multicast(addr, source, cfg)
             assert frozenset(r.delivered) == covered_set(addr, cfg)
             assert len(r.delivered) == len(set(r.delivered))
@@ -116,7 +117,7 @@ def test_no_link_twice_per_phase_and_down_is_path_union():
             dests = frozenset(rng.sample(range(n), rng.randint(1, n // 2)))
             source = rng.randrange(n)
             scheme = rng.choice(MULTICAST_SCHEMES)
-            addr = encode(scheme, dests, cfg)
+            addr = encode(scheme, mask_of(dests), cfg)
             r = route_multicast(addr, source, cfg)
             assert len(r.up_links) == len(set(r.up_links))
             assert len(r.down_links) == len(set(r.down_links))
@@ -157,13 +158,13 @@ def test_rotation_state_is_depth_indexed():
 def test_multicast_rejects_unicast_and_bad_policy():
     with pytest.raises(ValueError):
         route_multicast(UnicastAddress((1,)), 0, CFG16)
-    addr = encode(Scheme.FBS, {1}, CFG16)
+    addr = encode(Scheme.FBS, mask_of({1}), CFG16)
     with pytest.raises(ValueError):
         route_multicast(addr, 0, CFG16, turnaround="bounce")
 
 
 def test_lca_turnaround_shortens_local_traffic():
-    addr = encode(Scheme.FBS, {1}, CFG16)
+    addr = encode(Scheme.FBS, mask_of({1}), CFG16)
     r = route_multicast(addr, 0, CFG16, turnaround="lca")
     assert r.delivered == (1,)
     assert r.links == ((1, 0), (1, 1))
@@ -174,7 +175,7 @@ def test_lca_turnaround_shortens_local_traffic():
         dests = frozenset(rng.sample(range(64), rng.randint(1, 10)))
         source = rng.randrange(64)
         scheme = rng.choice(MULTICAST_SCHEMES)
-        addr = encode(scheme, dests, cfg)
+        addr = encode(scheme, mask_of(dests), cfg)
         root = route_multicast(addr, source, CFG64, turnaround="root")
         lca = route_multicast(addr, source, CFG64, turnaround="lca")
         assert frozenset(root.delivered) == frozenset(lca.delivered)
@@ -189,7 +190,7 @@ def test_unicast_examples():
     assert r.links == ((1, 0), (1, 1))
     r = route_unicast_batch(UnicastAddress((5,)), 0, CFG16)
     assert len(r.links) == 4
-    r = route_unicast_batch(UnicastAddress.encode(range(16), CFG16), 0, CFG16)
+    r = route_unicast_batch(UnicastAddress.encode(mask_of(range(16)), CFG16), 0, CFG16)
     assert r.packets == 16
     assert r.delivered == tuple(range(16))
 
@@ -205,8 +206,8 @@ def test_unicast_dominance_two_levels():
     for _ in range(500):
         dests = frozenset(rng.sample(range(16), rng.randint(1, 16)))
         source = rng.randrange(16)
-        fbs = route_multicast(encode(Scheme.FBS, dests, CFG16), source, CFG16)
-        uni = route_unicast_batch(UnicastAddress.encode(dests, CFG16), source, CFG16)
+        fbs = route_multicast(encode(Scheme.FBS, mask_of(dests), CFG16), source, CFG16)
+        uni = route_unicast_batch(UnicastAddress.encode(mask_of(dests), CFG16), source, CFG16)
         assert len(fbs.down_links) <= len(uni.links)
 
 
@@ -223,8 +224,8 @@ def test_unicast_dominance_three_levels_outside_local_region():
         local = {c for c in dests if c // k == source // k}
         if dests == local and len(dests) < levels - 1:
             continue
-        fbs = route_multicast(encode(Scheme.FBS, dests, CFG64), source, CFG64)
-        uni = route_unicast_batch(UnicastAddress.encode(dests, CFG64), source, CFG64)
+        fbs = route_multicast(encode(Scheme.FBS, mask_of(dests), CFG64), source, CFG64)
+        uni = route_unicast_batch(UnicastAddress.encode(mask_of(dests), CFG64), source, CFG64)
         assert len(fbs.down_links) <= len(uni.links)
         checked += 1
 
@@ -249,7 +250,7 @@ def route_cases(draw):
 @given(route_cases(), st.sampled_from(TURNAROUND_POLICIES))
 def test_closed_form_counts_equal_the_walk(case, turnaround):
     cfg, scheme, dests, source = case
-    addr = encode(scheme, dests, cfg)
+    addr = encode(scheme, mask_of(dests), cfg)
     if scheme is Scheme.UNICAST:
         r = route_unicast_batch(addr, source, cfg)
     else:
@@ -262,7 +263,7 @@ def test_closed_form_counts_equal_the_walk(case, turnaround):
 
 
 def test_walk_runs_once_on_first_read():
-    r = route_multicast(encode(Scheme.HBS, {4, 8}, CFG16), 0, CFG16)
+    r = route_multicast(encode(Scheme.HBS, mask_of({4, 8}), CFG16), 0, CFG16)
     calls = []
     walk = r.walk
     r = dataclasses.replace(r, walk=lambda: calls.append(1) or walk())
@@ -292,10 +293,6 @@ def test_divergence_depth():
 
 # ---------------------------------------------------------------------------
 # simulate
-
-def mask_of(cores):
-    return sum(1 << c for c in set(cores))
-
 
 def random_demand(rng, entries, max_dests):
     """Hand-built demand: (source core, destination mask, spike count) on CFG16."""
@@ -338,11 +335,9 @@ def test_simulate_counters_close_against_manual_recount():
         link_bits = 0
         legal = illegal = packets = 0
         header = {"fbs": 26, "symbol": 18, "hbs": 18, "unicast": 14}[scheme.value]
-        spikes = [
-            (core, {c for c in range(16) if mask >> c & 1}) for core, mask, count in demand for _ in range(count)
-        ]
-        for core, dests in spikes:
-            addr = encode(scheme, dests, CFG16)
+        spikes = [(core, mask) for core, mask, count in demand for _ in range(count)]
+        for core, mask in spikes:
+            addr = encode(scheme, mask, CFG16)
             if scheme is Scheme.UNICAST:
                 r = route_unicast_batch(addr, core, CFG16)
             else:
@@ -351,7 +346,7 @@ def test_simulate_counters_close_against_manual_recount():
             link_bits += len(r.links) * header
             routing += header * sum(energy.link_energy_per_bit[lvl - 1] for lvl, _ in r.links)
             for c in r.delivered:
-                if c in dests:
+                if mask >> c & 1:
                     legal += 1
                 else:
                     illegal += 1
@@ -365,7 +360,7 @@ def test_simulate_counters_close_against_manual_recount():
         assert report.total_energy == pytest.approx(report.routing_energy + report.filtering_energy)
         # delivery balance: every covered core filters once
         covered_total = sum(
-            len(covered_set(encode(scheme, dests, CFG16), CFG16)) for _, dests in spikes
+            len(covered_set(encode(scheme, mask, CFG16), CFG16)) for _, mask in spikes
         )
         assert report.legal_deliveries + report.illegal_deliveries == covered_total
         if scheme in (Scheme.FBS, Scheme.UNICAST):
@@ -456,7 +451,7 @@ def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_b
         dests = {assignment[t] for t in connectivity[tag]}
         if not dests:
             continue
-        addr = encode(scheme, dests, cfg)
+        addr = encode(scheme, mask_of(dests), cfg)
         if scheme is Scheme.UNICAST:
             route = route_unicast_batch(addr, assignment[tag], cfg)
         else:
@@ -542,7 +537,7 @@ def root_key_cases(draw):
 def test_root_route_counts_do_not_depend_on_the_source_core(case):
     # Why simulate keys a root-turnaround multicast route by its destination set alone.
     cfg, scheme, dests = case
-    addr = encode(scheme, dests, cfg)
+    addr = encode(scheme, mask_of(dests), cfg)
     routes = {
         (r.cover, r.level_links)
         for r in (route_multicast(addr, s, cfg, "root") for s in range(cfg.core_count))
@@ -554,7 +549,7 @@ def test_lca_route_counts_depend_on_the_source_core():
     # Why simulate keys an lca route by (source core, destination set): from
     # core 0 the packet for cores {0, 1} turns at the leaf-adjacent switch,
     # from core 15 it climbs to the root.
-    addr = encode(Scheme.FBS, {0, 1}, CFG16)
+    addr = encode(Scheme.FBS, mask_of({0, 1}), CFG16)
     near, far = (route_multicast(addr, s, CFG16, "lca") for s in (0, 15))
     assert near.cover == far.cover
     assert near.level_links == (3, 0)

@@ -46,6 +46,13 @@ def test_load_trace_rejects_bad_header():
         load_trace(io.StringIO("time,neuron\n0,1\n"))
 
 
+def test_load_trace_names_the_line_of_a_neuron_outside_the_network():
+    text = "timestep,neuron_id\n0,1\n1,599\n1,-3\n2,600\n"
+    assert len(load_trace(io.StringIO(text)).events) == 4
+    with pytest.raises(ValueError, match="^<trace>:4: neuron id -3 is outside the network's 600 neurons$"):
+        load_trace(io.StringIO(text), neurons=600)
+
+
 def test_connectivity_is_seeded_sorted_and_free_of_self_edges():
     conn = generate_connectivity(SMALL, seed=11)
     assert conn == generate_connectivity(SMALL, seed=11)
@@ -175,6 +182,36 @@ def test_core_luts_hold_exactly_the_destination_tags():
     demand, dropped = derive_events(every_neuron, luts, mapping, config.tag_width())
     assert dropped == luts.count(0) > 0
     assert sum(count for _core, _mask, count in demand) == len(conn) - dropped
+
+
+class CountedEvents(tuple):
+    """A trace's events that count how often they are iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_spike_counts_are_computed_once_per_trace():
+    config = default_config()
+    conn = generate_connectivity(config.network, config.network_seed)
+    plain = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
+    events = CountedEvents(plain.events)
+    trace = SpikeTrace(plain.steps, events)
+    constructed = events.iterations
+    results = []
+    for seed in (config.mapping_seed, config.mapping_seed + 1):
+        mapping = map_neurons(
+            config.network, config.tree, config.strategy, config.capacity, seed, config.switch_prob
+        )
+        luts = build_core_luts(conn, mapping, config.tree.core_count)
+        result = derive_events(trace, luts, mapping, config.tag_width())
+        assert result == oracles.demand(plain.events, luts, mapping.assignment)
+        results.append(result)
+    assert results[0] != results[1]
+    assert events.iterations == constructed + 1
 
 
 def test_derive_events_counts_every_spike_once():
