@@ -421,6 +421,8 @@ def covered_set(addr: MulticastAddress, cfg: TreeConfig) -> frozenset[int]:
 
 def overcoverage(addr: MulticastAddress, mask: int, cfg: TreeConfig) -> int:
     """How many covered cores are not in the destination bitmask ``mask``."""
+    if not mask:
+        raise ValueError("destination set must be nonempty")
     cm = addr.cover(cfg)
     if mask & ~cm:
         raise ValueError("address does not cover every destination (encoder bug?)")

@@ -323,6 +323,8 @@ def test_overcoverage_examples_and_error():
     assert overcoverage(hbs, mask_of({0, 5}), CFG16) == 2
     with pytest.raises(ValueError):
         overcoverage(FbsAddress(0b1), mask_of({0, 1}), CFG16)  # cover misses dest 1
+    with pytest.raises(ValueError, match="nonempty"):
+        overcoverage(hbs, 0, CFG16)
 
 
 # ---------------------------------------------------------------------------
