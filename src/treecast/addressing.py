@@ -24,7 +24,7 @@ packet and must filter it.  ``covered_set`` and ``overcoverage``
 quantify that trade.
 
 Each encoding is one frozen address class that owns everything specific
-to its scheme: ``encode``, ``cover``, the header ``width``, the text form
+to its scheme: ``_encode``, ``cover``, the header ``width``, the text form
 (``text`` and ``parse``), the switch port choice ``select``, the closed
 forms ``routing_bits`` and ``capability``, and ``addresses``, which walks
 every well-formed address.  Each of these takes the tree as one
@@ -97,7 +97,8 @@ def tree_levels(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # one class per scheme
 #
-# ``encode(mask, cfg)`` takes a core bitmask that :func:`encode` checked.
+# ``_encode(mask, cfg)`` takes a core bitmask that :func:`encode`, the one
+# public way in, range-checked.
 # ``select(depth, switch, cfg)`` is the port choice of the switch ``switch``
 # at ``depth`` hops below the root: it returns the head field that switch
 # reads and the Down ports (child digits) it forwards to.  ``routing_bits``
@@ -117,7 +118,7 @@ class FbsAddress:
             raise ValueError("flat bitmask must be a nonzero positive integer")
 
     @classmethod
-    def encode(cls, mask: int, cfg: TreeConfig) -> FbsAddress:
+    def _encode(cls, mask: int, cfg: TreeConfig) -> FbsAddress:
         """Exact flat bitmask: the destination mask itself."""
         return cls(mask)
 
@@ -188,7 +189,7 @@ class HbsAddress:
         return cfg
 
     @classmethod
-    def encode(cls, mask: int, cfg: TreeConfig) -> HbsAddress:
+    def _encode(cls, mask: int, cfg: TreeConfig) -> HbsAddress:
         """Minimal covering hierarchical masks, root level first.
 
         Digit d of a level is set when block d of that level's mask is
@@ -332,7 +333,7 @@ class UnicastAddress:
             raise ValueError("unicast targets must not repeat")
 
     @classmethod
-    def encode(cls, mask: int, cfg: TreeConfig) -> UnicastAddress:
+    def _encode(cls, mask: int, cfg: TreeConfig) -> UnicastAddress:
         """Target list in ascending core-index order."""
         return cls(tuple(cores(mask)))
 
@@ -401,7 +402,7 @@ def encode(scheme: Scheme, mask: int, cfg: TreeConfig) -> MulticastAddress:
     n = cfg.core_count
     if not 0 < mask < 1 << n:
         raise ValueError(f"destination mask must name a nonempty set of cores in [0, {n})")
-    return address_class(scheme).encode(mask, cfg)
+    return address_class(scheme)._encode(mask, cfg)
 
 
 def cores(mask: int) -> list[int]:

@@ -257,7 +257,7 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
         # A file trace is read before the connectivity, so a bad path costs nothing.
         try:
             with open(config.trace_path, "r", encoding="utf-8") as fh:
-                trace = load_trace(fh, neurons=config.network.total_neurons)
+                trace = load_trace(fh, config.network.total_neurons)
         except OSError as exc:
             raise ValueError(f"trace.path: {config.trace_path}: {exc.strerror}") from None
         except ValueError as exc:

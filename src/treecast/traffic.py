@@ -263,12 +263,12 @@ def save_trace(trace: SpikeTrace, out: IO[str]) -> None:
         out.write(f"{t},{n}\n")
 
 
-def load_trace(inp: IO[str], steps: int | None = None, neurons: int | None = None) -> SpikeTrace:
-    """Read a trace file; ``steps`` defaults to last timestep + 1.
+def load_trace(inp: IO[str], neurons: int, steps: int | None = None) -> SpikeTrace:
+    """Read a trace file of a ``neurons``-neuron network.
 
-    A malformed line, a timestep below 0 or below the one before, or, when
-    ``neurons`` is given, a neuron id outside ``[0, neurons)`` raises
-    ValueError naming the file and line number.
+    ``steps`` defaults to last timestep + 1.  A malformed line, a timestep below 0 or below the one before, or a
+    neuron id outside ``[0, neurons)`` raises ValueError naming the file
+    and line number.
     """
     name = getattr(inp, "name", "<trace>")
     header = inp.readline().strip()
@@ -287,7 +287,7 @@ def load_trace(inp: IO[str], steps: int | None = None, neurons: int | None = Non
         last = events[-1][0] if events else 0
         if t < last:
             raise ValueError(f"{name}:{lineno}: timestep {t} is below {last}; it must not decrease")
-        if neurons is not None and not 0 <= n < neurons:
+        if not 0 <= n < neurons:
             raise ValueError(f"{name}:{lineno}: neuron id {n} is outside the network's {neurons} neurons")
         events.append((t, n))
     if steps is None:

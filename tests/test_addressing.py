@@ -60,7 +60,7 @@ def test_path_of_examples():
     assert oracles.digits_of(0, 4, 2) == (0, 0)
     assert oracles.digits_of(15, 4, 2) == (3, 3)
     assert oracles.digits_of(6, 4, 2) == (1, 2)
-    assert HbsAddress.encode(mask_of({6}), CFG16).masks == (1 << 1, 1 << 2)
+    assert encode(Scheme.HBS, mask_of({6}), CFG16).masks == (1 << 1, 1 << 2)
 
 
 def test_path_of_out_of_range():
@@ -79,7 +79,7 @@ def test_path_index_bijection(cfg):
         assert len(digits) == cfg.levels
         assert all(0 <= d < cfg.fan_out for d in digits)
         assert oracles.index_from_digits(digits, cfg.fan_out) == i
-        assert HbsAddress.encode(mask_of({i}), cfg).masks == tuple(1 << d for d in digits)
+        assert encode(Scheme.HBS, mask_of({i}), cfg).masks == tuple(1 << d for d in digits)
         seen.add(digits)
     assert len(seen) == cfg.core_count
 
@@ -88,9 +88,9 @@ def test_path_index_bijection(cfg):
 # encoders
 
 def test_encode_fbs_examples():
-    assert FbsAddress.encode(mask_of({5}), CFG16).mask == 1 << 5
-    assert FbsAddress.encode(mask_of(range(16)), CFG16).mask == 0xFFFF
-    a = FbsAddress.encode(mask_of({0, 3, 12}), CFG16)
+    assert encode(Scheme.FBS, mask_of({5}), CFG16).mask == 1 << 5
+    assert encode(Scheme.FBS, mask_of(range(16)), CFG16).mask == 0xFFFF
+    a = encode(Scheme.FBS, mask_of({0, 3, 12}), CFG16)
     assert a.mask.bit_count() == 3
     assert covered_set(a, CFG16) == frozenset({0, 3, 12})
 
@@ -106,17 +106,17 @@ def test_encode_rejects_empty_and_out_of_range():
 
 
 def test_encode_symbol_examples():
-    a = SymbolAddress.encode(mask_of({0b0000, 0b0001}), CFG16)
+    a = encode(Scheme.SYMBOL, mask_of({0b0000, 0b0001}), CFG16)
     assert a.text(CFG16) == "000*"
     assert covered_set(a, CFG16) == frozenset({0, 1})
     assert overcoverage(a, mask_of({0, 1}), CFG16) == 0
 
-    b = SymbolAddress.encode(mask_of({0b0000, 0b1111}), CFG16)
+    b = encode(Scheme.SYMBOL, mask_of({0b0000, 0b1111}), CFG16)
     assert b.text(CFG16) == "****"
     assert len(covered_set(b, CFG16)) == 16
     assert overcoverage(b, mask_of({0, 15}), CFG16) == 14
 
-    c = SymbolAddress.encode(mask_of({7}), CFG16)
+    c = encode(Scheme.SYMBOL, mask_of({7}), CFG16)
     assert c.text(CFG16) == "0111"
     assert covered_set(c, CFG16) == frozenset({7})
 
@@ -126,7 +126,7 @@ def test_encode_symbol_minimality_matches_brute_force():
     rng = random.Random(11)
     for _ in range(100):
         dests = random_dests(rng, 16)
-        got = covered_set(SymbolAddress.encode(mask_of(dests), CFG16), CFG16)
+        got = covered_set(encode(Scheme.SYMBOL, mask_of(dests), CFG16), CFG16)
         best, hits = oracles.minimal_covers(dests, covers)
         assert len(got) == best
         assert got in hits
@@ -134,19 +134,19 @@ def test_encode_symbol_minimality_matches_brute_force():
 
 def test_encode_symbol_requires_power_of_two():
     with pytest.raises(ValueError):
-        SymbolAddress.encode(mask_of({0, 1}), CFG27)
+        encode(Scheme.SYMBOL, mask_of({0, 1}), CFG27)
 
 
 def test_encode_hbs_examples():
-    a = HbsAddress.encode(mask_of({0, 5}), CFG16)
+    a = encode(Scheme.HBS, mask_of({0, 5}), CFG16)
     assert a.masks == (0b0011, 0b0011)
     assert covered_set(a, CFG16) == frozenset({0, 1, 4, 5})
     assert overcoverage(a, mask_of({0, 5}), CFG16) == 2
 
-    b = HbsAddress.encode(mask_of(range(16)), CFG16)
+    b = encode(Scheme.HBS, mask_of(range(16)), CFG16)
     assert b.masks == (0b1111, 0b1111)
 
-    c = HbsAddress.encode(mask_of({9}), CFG16)
+    c = encode(Scheme.HBS, mask_of({9}), CFG16)
     assert oracles.digits_of(9, 4, 2) == (2, 1)
     assert c.masks == (0b0100, 0b0010)
     assert covered_set(c, CFG16) == frozenset({9})
@@ -157,14 +157,14 @@ def test_encode_hbs_minimality_matches_brute_force():
     rng = random.Random(12)
     for _ in range(100):
         dests = random_dests(rng, 16)
-        got = covered_set(HbsAddress.encode(mask_of(dests), CFG16), CFG16)
+        got = covered_set(encode(Scheme.HBS, mask_of(dests), CFG16), CFG16)
         best, hits = oracles.minimal_covers(dests, covers)
         assert len(got) == best
         assert got in hits
 
 
 def test_encode_hbs_works_for_non_power_of_two_fan_out():
-    a = HbsAddress.encode(mask_of({0, 26}), CFG27)
+    a = encode(Scheme.HBS, mask_of({0, 26}), CFG27)
     assert a.masks == (0b101, 0b101, 0b101)
     assert covered_set(a, CFG27) == frozenset(
         oracles.index_from_digits(d, 3)
@@ -173,9 +173,9 @@ def test_encode_hbs_works_for_non_power_of_two_fan_out():
 
 
 def test_encode_unicast_examples():
-    assert UnicastAddress.encode(mask_of({3}), CFG16).targets == (3,)
-    assert UnicastAddress.encode(mask_of({11, 2, 7}), CFG16).targets == (2, 7, 11)
-    assert len(UnicastAddress.encode(mask_of(range(16)), CFG16).targets) == 16
+    assert encode(Scheme.UNICAST, mask_of({3}), CFG16).targets == (3,)
+    assert encode(Scheme.UNICAST, mask_of({11, 2, 7}), CFG16).targets == (2, 7, 11)
+    assert len(encode(Scheme.UNICAST, mask_of(range(16)), CFG16).targets) == 16
 
 
 ENCODER_TREES = [TreeConfig(k, levels) for k in (2, 3, 4) for levels in range(1, 6)]
@@ -247,7 +247,7 @@ def test_unicast_rejects_repeated_targets():
         UnicastAddress((3, 3))
     with pytest.raises(ValueError, match="repeat"):
         parse_address(Scheme.UNICAST, "1,3,1", CFG16)
-    assert UnicastAddress.encode(mask_of([3, 3, 1]), CFG16) == UnicastAddress((1, 3))
+    assert encode(Scheme.UNICAST, mask_of([3, 3, 1]), CFG16) == UnicastAddress((1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +292,8 @@ def test_nesting_hbs_within_symbol():
     for cfg in (CFG16, CFG16_BIN, TreeConfig(4, 3)):
         for _ in range(150):
             dests = random_dests(rng, cfg.core_count, max_size=min(cfg.core_count, 10))
-            hbs = HbsAddress.encode(mask_of(dests), cfg).cover(cfg)
-            sym = SymbolAddress.encode(mask_of(dests), cfg).cover(cfg)
+            hbs = encode(Scheme.HBS, mask_of(dests), cfg).cover(cfg)
+            sym = encode(Scheme.SYMBOL, mask_of(dests), cfg).cover(cfg)
             assert hbs & ~sym == 0  # hbs cover is a subset
             assert hbs.bit_count() <= sym.bit_count()
 
@@ -316,7 +316,7 @@ def test_overcoverage_examples_and_error():
     for _ in range(50):
         dests = random_dests(rng, 16)
         mask = mask_of(dests)
-        assert overcoverage(FbsAddress.encode(mask, CFG16), mask, CFG16) == 0
+        assert overcoverage(encode(Scheme.FBS, mask, CFG16), mask, CFG16) == 0
     sym = parse_address(Scheme.SYMBOL, "00**", CFG16)
     assert overcoverage(sym, mask_of({0, 3}), CFG16) == 2
     hbs = HbsAddress((0b0011, 0b0011))

@@ -61,7 +61,7 @@ def test_energy_model_validation_and_default():
 def test_route_hbs_worked_example():
     # root-level digits {1, 2}, leaf-level digit {0}
     addr = HbsAddress((0b0110, 0b0001))
-    assert HbsAddress.encode(mask_of({4, 8}), CFG16) == addr
+    assert encode(Scheme.HBS, mask_of({4, 8}), CFG16) == addr
     r = route_multicast(addr, 0, CFG16)
     assert r.delivered == (4, 8)
     assert r.up_links == ((1, 0), (2, 0))
@@ -190,7 +190,7 @@ def test_unicast_examples():
     assert r.links == ((1, 0), (1, 1))
     r = route_unicast_batch(UnicastAddress((5,)), 0, CFG16)
     assert len(r.links) == 4
-    r = route_unicast_batch(UnicastAddress.encode(mask_of(range(16)), CFG16), 0, CFG16)
+    r = route_unicast_batch(encode(Scheme.UNICAST, mask_of(range(16)), CFG16), 0, CFG16)
     assert r.packets == 16
     assert r.delivered == tuple(range(16))
 
@@ -207,7 +207,7 @@ def test_unicast_dominance_two_levels():
         dests = frozenset(rng.sample(range(16), rng.randint(1, 16)))
         source = rng.randrange(16)
         fbs = route_multicast(encode(Scheme.FBS, mask_of(dests), CFG16), source, CFG16)
-        uni = route_unicast_batch(UnicastAddress.encode(mask_of(dests), CFG16), source, CFG16)
+        uni = route_unicast_batch(encode(Scheme.UNICAST, mask_of(dests), CFG16), source, CFG16)
         assert len(fbs.down_links) <= len(uni.links)
 
 
@@ -225,7 +225,7 @@ def test_unicast_dominance_three_levels_outside_local_region():
         if dests == local and len(dests) < levels - 1:
             continue
         fbs = route_multicast(encode(Scheme.FBS, mask_of(dests), CFG64), source, CFG64)
-        uni = route_unicast_batch(UnicastAddress.encode(mask_of(dests), CFG64), source, CFG64)
+        uni = route_unicast_batch(encode(Scheme.UNICAST, mask_of(dests), CFG64), source, CFG64)
         assert len(fbs.down_links) <= len(uni.links)
         checked += 1
 

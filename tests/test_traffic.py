@@ -36,21 +36,23 @@ def test_trace_round_trip():
     buf = io.StringIO()
     save_trace(trace, buf)
     buf.seek(0)
-    assert load_trace(buf, steps=trace.steps) == trace
+    assert load_trace(buf, SMALL.total_neurons, steps=trace.steps) == trace
     buf.seek(0)
-    assert load_trace(buf).steps == trace.events[-1][0] + 1
+    assert load_trace(buf, SMALL.total_neurons).steps == trace.events[-1][0] + 1
 
 
 def test_load_trace_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
-        load_trace(io.StringIO("time,neuron\n0,1\n"))
+        load_trace(io.StringIO("time,neuron\n0,1\n"), 2)
 
 
 def test_load_trace_names_the_line_of_a_neuron_outside_the_network():
     text = "timestep,neuron_id\n0,1\n1,599\n1,-3\n2,600\n"
-    assert len(load_trace(io.StringIO(text)).events) == 4
+    assert len(load_trace(io.StringIO(text.replace("1,-3\n", "")), 601).events) == 3
     with pytest.raises(ValueError, match="^<trace>:4: neuron id -3 is outside the network's 600 neurons$"):
-        load_trace(io.StringIO(text), neurons=600)
+        load_trace(io.StringIO(text), 600)
+    with pytest.raises(ValueError, match="^<trace>:4: neuron id 600 is outside the network's 600 neurons$"):
+        load_trace(io.StringIO(text.replace("1,-3\n", "")), 600)
 
 
 def test_connectivity_is_seeded_sorted_and_free_of_self_edges():
