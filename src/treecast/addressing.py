@@ -440,12 +440,3 @@ def rotate_hbs(addr: HbsAddress) -> HbsAddress:
     masks = addr.masks
     return HbsAddress(masks[1:] + masks[:1])
 
-
-def routing_bit_width(scheme: Scheme, cfg: TreeConfig) -> int:
-    """Per-packet routing field width of ``scheme`` on ``cfg``."""
-    return address_class(scheme).width(cfg)
-
-
-def parse_address(scheme: Scheme, text: str, cfg: TreeConfig) -> MulticastAddress:
-    """Inverse of ``addr.text(cfg)``, the canonical text form the CLI prints."""
-    return address_class(scheme).parse(text.strip(), cfg)

@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 on success; 1 on input/config validation errors, including
 a path that cannot be opened (``simulate`` checks its config and outputs
-before the sweep); 2 on runtime failures (enumeration budgets, ...).
+before the sweep); 2 on runtime failures, such as an output that was opened
+but could not be written.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from typing import IO, Sequence
 from .addressing import (
     Scheme,
     TreeConfig,
-    covered_set,
+    address_class,
+    cores,
     encode,
     overcoverage,
-    parse_address,
     tree_levels,
 )
 from .experiment import (
@@ -74,7 +75,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             raise ValueError(f"destination {d} out of range [0, {cfg.core_count})")
         mask |= 1 << d
     addr = encode(scheme, mask, cfg)
-    cover = sorted(covered_set(addr, cfg))
+    cover = cores(addr.cover(cfg))
     print(f"address {addr.text(cfg)}")
     print(f"cover {','.join(map(str, cover))}")
     print(f"cover_size {len(cover)}")
@@ -84,9 +85,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     cfg = _tree_from_flags(args)
-    scheme = Scheme(args.scheme)
-    addr = parse_address(scheme, args.address, cfg)
-    cover = sorted(covered_set(addr, cfg))
+    addr = address_class(args.scheme).parse(args.address.strip(), cfg)
+    cover = cores(addr.cover(cfg))
     print(f"cover {','.join(map(str, cover))}")
     print(f"cover_size {len(cover)}")
     return 0

@@ -22,12 +22,11 @@ from typing import IO, Any, Callable, Sequence
 
 import yaml
 
-from .addressing import Scheme, TreeConfig, routing_bit_width
+from .addressing import Scheme, TreeConfig, address_class
 from .nocsim import TURNAROUND_POLICIES, EnergyModel, SimReport, simulate
 from .traffic import (
     Layer,
     NetworkSpec,
-    SpikeTrace,
     build_core_luts,
     default_tag_bits,
     derive_events,
@@ -206,7 +205,7 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
         network = replace(network, layers=tuple(layers)) if network and all(layers) else None
     kw["schemes"] = tuple(Scheme(s) for s in kw.get("schemes", defaults.schemes) if s is not None)
     for scheme in kw["schemes"]:
-        _built(errors, f"schemes: {scheme.value}", routing_bit_width, scheme, tree)
+        _built(errors, f"schemes: {scheme.value}", address_class(scheme).width, tree)
     if network is not None:
         n, cores = network.total_neurons, tree.core_count
         capacity = kw.get("capacity", defaults.capacity)
@@ -231,7 +230,6 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
 class RunRecord:
     """One (scheme, mapping repetition) cell of the experiment grid."""
 
-    scheme: str
     mapping_index: int
     mapping_seed: int
     dropped_spikes: int
@@ -244,7 +242,7 @@ class ExperimentResult:
     summary: dict[str, Any]
 
 
-def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Sweep the scheme x mapping grid over one trace.
 
     Every scheme sees the exact same traffic per mapping; reports come
@@ -253,7 +251,7 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
     """
     energy = config.energy_model()
     tag_bits = config.tag_width()
-    if trace is None and config.trace_source == "file":
+    if config.trace_source == "file":
         # A file trace is read before the connectivity, so a bad path costs nothing.
         try:
             with open(config.trace_path, "r", encoding="utf-8") as fh:
@@ -263,7 +261,7 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
         except ValueError as exc:
             raise ValueError(f"trace.path: {exc}") from None
     connectivity = generate_connectivity(config.network, config.network_seed)
-    if trace is None:
+    if config.trace_source != "file":
         trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
 
     records: list[RunRecord] = []
@@ -283,10 +281,10 @@ def run_experiment(config: ExperimentConfig, trace: SpikeTrace | None = None) ->
             report = simulate(
                 demand, scheme, config.tree, energy, tag_bits=tag_bits, turnaround=config.turnaround
             )
-            records.append(RunRecord(scheme.value, rep, seed, dropped, report))
+            records.append(RunRecord(rep, seed, dropped, report))
 
     order = {s.value: i for i, s in enumerate(config.schemes)}
-    records.sort(key=lambda r: (order[r.scheme], r.mapping_index))
+    records.sort(key=lambda r: (order[r.report.scheme], r.mapping_index))
     return ExperimentResult(rows=tuple(records), summary=_summarize(records, config))
 
 
@@ -301,12 +299,12 @@ _COMPARISONS = (
 def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[str, Any]:
     by_scheme: dict[str, list[RunRecord]] = {}
     for rec in records:
-        by_scheme.setdefault(rec.scheme, []).append(rec)
+        by_scheme.setdefault(rec.report.scheme, []).append(rec)
 
     schemes: dict[str, Any] = {}
     for scheme, recs in by_scheme.items():
         totals = [r.report.total_energy for r in recs]
-        schemes[scheme] = {
+        stats: dict[str, Any] = {
             "runs": len(recs),
             "total_energy": {
                 "mean": statistics.fmean(totals),
@@ -314,16 +312,12 @@ def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[s
                 "max": max(totals),
                 "sum": sum(totals),
             },
-            "routing_energy_sum": sum(r.report.routing_energy for r in recs),
-            "filtering_energy_sum": sum(r.report.filtering_energy for r in recs),
-            "illegal_filtering_energy_sum": sum(
-                r.report.illegal_filtering_energy for r in recs
-            ),
-            "packets_injected": sum(r.report.packets_injected for r in recs),
-            "link_bit_traversals": sum(r.report.link_bit_traversals for r in recs),
-            "legal_deliveries": sum(r.report.legal_deliveries for r in recs),
-            "illegal_deliveries": sum(r.report.illegal_deliveries for r in recs),
         }
+        for f in fields(SimReport):
+            if f.name not in ("scheme", "events", "total_energy"):  # total_energy is nested above
+                key = f"{f.name}_sum" if f.name.endswith("_energy") else f.name
+                stats[key] = sum(getattr(r.report, f.name) for r in recs)
+        schemes[scheme] = stats
 
     comparisons: dict[str, Any] = {}
     for name, num, den, stat in _COMPARISONS:
@@ -355,7 +349,7 @@ def write_runs_csv(records: Sequence[RunRecord], out: IO[str]) -> None:
     writer.writerow(RUNS_CSV_HEADER)
     for rec in records:
         writer.writerow(
-            (rec.scheme, rec.mapping_index, rec.mapping_seed, rec.dropped_spikes)
+            (rec.report.scheme, rec.mapping_index, rec.mapping_seed, rec.dropped_spikes)
             + astuple(rec.report)[1:]
         )
 

@@ -34,8 +34,8 @@ from .addressing import (
     Scheme,
     TreeConfig,
     UnicastAddress,
+    address_class,
     encode,
-    routing_bit_width,
 )
 
 TURNAROUND_POLICIES = ("root", "lca")
@@ -316,7 +316,7 @@ def simulate(
             f"energy model has {len(energy.link_energy_per_bit)} link levels, "
             f"tree has {cfg.levels}"
         )
-    header = routing_bit_width(scheme, cfg) + tag_bits
+    header = address_class(scheme).width(cfg) + tag_bits
     by_mask = scheme is not Scheme.UNICAST and turnaround == "root"
     encoded: dict[int, MulticastAddress] = {}
     # route key -> (packets, links crossed, energy per header bit, legal, illegal deliveries)

@@ -17,7 +17,7 @@ unicast       N*log2(N)      2**N - 1
 Symbol is hbs on the binary tree of log2(N) levels, so its row is the hbs
 row at k = 2.  The unicast row is the worst-case total across the
 per-target packet iteration (its per-packet field is just log2(N) bits,
-see :func:`treecast.addressing.routing_bit_width`).
+see ``UnicastAddress.width``).
 
 ``enumerate_capability`` recounts capability by brute force: it walks
 every well-formed address of a scheme, materializes its cover, and
@@ -36,16 +36,6 @@ from .addressing import Scheme, TreeConfig, address_class, tree_levels
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when brute-force enumeration would exceed the address budget."""
-
-
-def routing_bits_formula(scheme: Scheme, cfg: TreeConfig) -> int:
-    """Routing bits a source stores under ``scheme`` on ``cfg``."""
-    return address_class(scheme).routing_bits(cfg)
-
-
-def capability_formula(scheme: Scheme, cfg: TreeConfig) -> int:
-    """Distinct nonempty covers expressible by ``scheme`` on ``cfg``."""
-    return address_class(scheme).capability(cfg)
 
 
 def routing_scaling_factor(k: int) -> float:
@@ -85,7 +75,7 @@ def enumerate_capability(
 ) -> int:
     """Count distinct nonempty covers by walking every well-formed address.
 
-    Serves as the independent check of :func:`capability_formula`.
+    Serves as the independent check of each class's ``capability(cfg)``.
     Raises :class:`EnumerationBudgetError` when the scheme has more than
     ``max_addresses`` well-formed addresses on ``cfg`` (e.g. hbs with
     fan_out 8 and 3+ levels runs into billions of addresses).  The
@@ -135,9 +125,10 @@ def emit_scaling_table(n_values: Iterable[int], k_values: Iterable[int]) -> list
     for n in n_values:
         trees = [TreeConfig(k, tree_levels(n, k)) for k in k_values]
         for scheme in Scheme:
+            cls = address_class(scheme)
             for cfg in trees:
-                bits = routing_bits_formula(scheme, cfg)
-                cap = capability_formula(scheme, cfg)
+                bits = cls.routing_bits(cfg)
+                cap = cls.capability(cfg)
                 rows.append(ScalingRow(scheme.value, n, cfg.fan_out, bits, cap, bits))
     return rows
 

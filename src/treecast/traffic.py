@@ -164,23 +164,6 @@ def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     return Connectivity(indptr, np.concatenate(targets))
 
 
-@dataclass(frozen=True)
-class NeuronMapping:
-    """Placement of every neuron onto a core, respecting a per-core capacity."""
-
-    assignment: tuple[int, ...]  # core index per neuron id
-    core_capacity: int
-
-    def __post_init__(self) -> None:
-        counts: dict[int, int] = {}
-        for neuron, core in enumerate(self.assignment):
-            if core < 0:
-                raise ValueError(f"neuron {neuron} is mapped to negative core {core}")
-            counts[core] = counts.get(core, 0) + 1
-            if counts[core] > self.core_capacity:
-                raise ValueError(f"core {core} exceeds capacity {self.core_capacity}")
-
-
 def map_neurons(
     spec: NetworkSpec,
     cfg: TreeConfig,
@@ -188,13 +171,14 @@ def map_neurons(
     capacity: int = 40,
     seed: int = 0,
     switch_prob: float = 0.05,
-) -> NeuronMapping:
-    """Assign neurons to cores in id order.
+) -> tuple[int, ...]:
+    """Assign neurons to cores in id order; returns the core of each neuron id.
 
     ``sequential`` fills core 0 to capacity, then core 1, and so on.
     ``random_switch`` additionally jumps to a random non-full core with
     probability ``switch_prob`` per neuron, and always jumps when the
-    current core is full.
+    current core is full.  Either way every core is in ``[0, N)`` and
+    holds at most ``capacity`` neurons.
     """
     total = spec.total_neurons
     n_cores = cfg.core_count
@@ -203,10 +187,7 @@ def map_neurons(
             f"{total} neurons exceed {n_cores} cores x {capacity} capacity"
         )
     if strategy == "sequential":
-        return NeuronMapping(
-            assignment=tuple(n // capacity for n in range(total)),
-            core_capacity=capacity,
-        )
+        return tuple(n // capacity for n in range(total))
     if strategy != "random_switch":
         raise ValueError(f"unknown mapping strategy {strategy!r}")
     rng = random.Random(seed)
@@ -220,24 +201,15 @@ def map_neurons(
                 current = rng.choice(candidates)
         assignment.append(current)
         counts[current] += 1
-    return NeuronMapping(assignment=tuple(assignment), core_capacity=capacity)
+    return tuple(assignment)
 
 
 @dataclass(frozen=True)
 class SpikeTrace:
-    """Firing list: (timestep, neuron id) events, nondecreasing in timestep."""
+    """Firing list: (timestep, neuron id) events, nondecreasing in timestep
+    (:func:`load_trace` checks that order, and :func:`synth_trace` builds it)."""
 
-    steps: int
     events: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        last = -1
-        for t, _n in self.events:
-            if not 0 <= t < self.steps:
-                raise ValueError(f"timestep {t} out of range [0, {self.steps})")
-            if t < last:
-                raise ValueError("trace events must be nondecreasing in timestep")
-            last = t
 
     @cached_property
     def spike_counts(self) -> dict[int, int]:
@@ -254,7 +226,7 @@ def synth_trace(spec: NetworkSpec, steps: int = 400, rate: float = 0.05, seed: i
     rng = np.random.default_rng(seed)
     fires = rng.random((steps, spec.total_neurons)) < rate
     events = tuple((int(t), int(n)) for t, n in np.argwhere(fires))
-    return SpikeTrace(steps=steps, events=events)
+    return SpikeTrace(events)
 
 
 def save_trace(trace: SpikeTrace, out: IO[str]) -> None:
@@ -263,12 +235,12 @@ def save_trace(trace: SpikeTrace, out: IO[str]) -> None:
         out.write(f"{t},{n}\n")
 
 
-def load_trace(inp: IO[str], neurons: int, steps: int | None = None) -> SpikeTrace:
+def load_trace(inp: IO[str], neurons: int) -> SpikeTrace:
     """Read a trace file of a ``neurons``-neuron network.
 
-    ``steps`` defaults to last timestep + 1.  A malformed line, a timestep below 0 or below the one before, or a
-    neuron id outside ``[0, neurons)`` raises ValueError naming the file
-    and line number.
+    This is where a trace from outside the program is checked: a malformed
+    line, a timestep below 0 or below the one before, or a neuron id outside
+    ``[0, neurons)`` raises ValueError naming the file and line number.
     """
     name = getattr(inp, "name", "<trace>")
     header = inp.readline().strip()
@@ -290,15 +262,13 @@ def load_trace(inp: IO[str], neurons: int, steps: int | None = None) -> SpikeTra
         if not 0 <= n < neurons:
             raise ValueError(f"{name}:{lineno}: neuron id {n} is outside the network's {neurons} neurons")
         events.append((t, n))
-    if steps is None:
-        steps = events[-1][0] + 1 if events else 0
-    return SpikeTrace(steps=steps, events=tuple(events))
+    return SpikeTrace(tuple(events))
 
 
 def derive_events(
     trace: SpikeTrace,
     luts: Sequence[int],
-    mapping: NeuronMapping,
+    mapping: Sequence[int],
     tag_bits: int,
 ) -> tuple[list[tuple[int, int, int]], int]:
     """The trace's traffic: (source core, destination core mask, spike count) entries.
@@ -319,11 +289,11 @@ def derive_events(
             )
         if not 0 <= neuron < len(luts):
             raise ValueError(f"neuron id {neuron} is outside the network's {len(luts)} neurons")
-        if neuron >= len(mapping.assignment):
+        if neuron >= len(mapping):
             raise ValueError(f"unmapped neuron {neuron}")
         mask = luts[neuron]
         if mask:
-            key = (mapping.assignment[neuron], mask)
+            key = (mapping[neuron], mask)
             demand[key] = demand.get(key, 0) + count
         else:
             dropped += count
@@ -332,16 +302,18 @@ def derive_events(
 
 def build_core_luts(
     connectivity: Connectivity,
-    mapping: NeuronMapping,
+    mapping: Sequence[int],
     n_cores: int,
 ) -> tuple[int, ...]:
     """Legal-source LUTs by tag: bit c of ``luts[tag]`` is set when core c's
-    LUT holds the tag, that is when the neuron has a synapse onto core c."""
-    for neuron, core in enumerate(mapping.assignment):
-        if core >= n_cores:
+    LUT holds the tag, that is when the neuron has a synapse onto core c.
+    ``mapping`` holds the core of each neuron id; one outside ``[0, n_cores)``
+    raises, where numpy would index a negative core from the end."""
+    for neuron, core in enumerate(mapping):
+        if not 0 <= core < n_cores:
             raise ValueError(f"neuron {neuron} is mapped to core {core}, outside the {n_cores} cores")
     listen = np.zeros((len(connectivity), n_cores), dtype=bool)
     sources = np.repeat(np.arange(len(connectivity), dtype=np.int32), np.diff(connectivity.indptr))
-    listen[sources, np.asarray(mapping.assignment, dtype=np.int32)[connectivity.targets]] = True
+    listen[sources, np.asarray(mapping, dtype=np.int32)[connectivity.targets]] = True
     packed = np.packbits(listen, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)

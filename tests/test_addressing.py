@@ -11,13 +11,12 @@ from treecast.addressing import (
     SymbolAddress,
     TreeConfig,
     UnicastAddress,
+    address_class,
     cores,
     covered_set,
     encode,
     overcoverage,
-    parse_address,
     rotate_hbs,
-    routing_bit_width,
 )
 
 import oracles
@@ -196,7 +195,7 @@ def test_encoder_containment_minimality_round_trip(case):
     cfg, scheme, dests = case
     addr = encode(scheme, mask_of(dests), cfg)
     text = addr.text(cfg)
-    assert parse_address(scheme, text, cfg) == addr
+    assert address_class(scheme).parse(text, cfg) == addr
     if scheme is Scheme.SYMBOL:
         # each position is the destinations' common bit, or * when they differ
         bits = cfg.index_bits
@@ -246,7 +245,7 @@ def test_unicast_rejects_repeated_targets():
     with pytest.raises(ValueError, match="repeat"):
         UnicastAddress((3, 3))
     with pytest.raises(ValueError, match="repeat"):
-        parse_address(Scheme.UNICAST, "1,3,1", CFG16)
+        address_class(Scheme.UNICAST).parse("1,3,1", CFG16)
     assert encode(Scheme.UNICAST, mask_of([3, 3, 1]), CFG16) == UnicastAddress((1, 3))
 
 
@@ -255,7 +254,7 @@ def test_unicast_rejects_repeated_targets():
 
 def test_covered_set_examples():
     assert covered_set(HbsAddress((0b0110, 0b0001)), CFG16) == frozenset({4, 8})
-    assert covered_set(parse_address(Scheme.SYMBOL, "1***", CFG16), CFG16) == frozenset(
+    assert covered_set(address_class(Scheme.SYMBOL).parse("1***", CFG16), CFG16) == frozenset(
         range(8, 16)
     )
     assert covered_set(FbsAddress(0b1), CFG16) == frozenset({0})
@@ -269,7 +268,7 @@ def test_cores_lists_the_set_bits_in_ascending_order(mask):
 
 def test_covered_set_matches_oracle_for_all_small_addresses():
     for pattern in oracles.all_symbol_patterns(16):
-        addr = parse_address(Scheme.SYMBOL, pattern, CFG16)
+        addr = address_class(Scheme.SYMBOL).parse(pattern, CFG16)
         assert covered_set(addr, CFG16) == oracles.symbol_cover(pattern, 16)
     for masks in oracles.all_hbs_masks(4, 2):
         assert covered_set(HbsAddress(masks), CFG16) == oracles.hbs_cover(masks, 4)
@@ -300,7 +299,7 @@ def test_nesting_hbs_within_symbol():
 
 def test_address_to_cover_injective_for_region_schemes():
     sym_covers = {
-        covered_set(parse_address(Scheme.SYMBOL, p, CFG16), CFG16)
+        covered_set(address_class(Scheme.SYMBOL).parse(p, CFG16), CFG16)
         for p in oracles.all_symbol_patterns(16)
     }
     assert len(sym_covers) == 3**4
@@ -317,7 +316,7 @@ def test_overcoverage_examples_and_error():
         dests = random_dests(rng, 16)
         mask = mask_of(dests)
         assert overcoverage(encode(Scheme.FBS, mask, CFG16), mask, CFG16) == 0
-    sym = parse_address(Scheme.SYMBOL, "00**", CFG16)
+    sym = address_class(Scheme.SYMBOL).parse("00**", CFG16)
     assert overcoverage(sym, mask_of({0, 3}), CFG16) == 2
     hbs = HbsAddress((0b0011, 0b0011))
     assert overcoverage(hbs, mask_of({0, 5}), CFG16) == 2
@@ -384,25 +383,25 @@ def test_rotation_permutes_cover_digits():
 # ---------------------------------------------------------------------------
 # widths
 
-def test_routing_bit_width_examples():
-    assert routing_bit_width(Scheme.FBS, CFG16) == 16
-    assert routing_bit_width(Scheme.HBS, CFG16) == 8
-    assert routing_bit_width(Scheme.SYMBOL, CFG16) == 8
-    assert routing_bit_width(Scheme.UNICAST, CFG16) == 4
+def test_width_examples():
+    assert address_class(Scheme.FBS).width(CFG16) == 16
+    assert address_class(Scheme.HBS).width(CFG16) == 8
+    assert address_class(Scheme.SYMBOL).width(CFG16) == 8
+    assert address_class(Scheme.UNICAST).width(CFG16) == 4
 
 
 def test_header_widths_with_ten_bit_tag():
     tag = 10
-    assert routing_bit_width(Scheme.FBS, CFG16) + tag == 26
-    assert routing_bit_width(Scheme.SYMBOL, CFG16) + tag == 18
-    assert routing_bit_width(Scheme.HBS, CFG16) + tag == 18
+    assert address_class(Scheme.FBS).width(CFG16) + tag == 26
+    assert address_class(Scheme.SYMBOL).width(CFG16) + tag == 18
+    assert address_class(Scheme.HBS).width(CFG16) + tag == 18
 
 
-def test_routing_bit_width_non_power_of_two():
-    assert routing_bit_width(Scheme.HBS, CFG27) == 9
-    assert routing_bit_width(Scheme.UNICAST, CFG27) == 5  # ceil(log2 27)
+def test_width_non_power_of_two():
+    assert address_class(Scheme.HBS).width(CFG27) == 9
+    assert address_class(Scheme.UNICAST).width(CFG27) == 5  # ceil(log2 27)
     with pytest.raises(ValueError):
-        routing_bit_width(Scheme.SYMBOL, CFG27)
+        address_class(Scheme.SYMBOL).width(CFG27)
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +456,21 @@ def test_format_parse_round_trip():
         for scheme in Scheme:
             addr = encode(scheme, mask_of(dests), CFG16)
             text = addr.text(CFG16)
-            assert parse_address(scheme, text, CFG16) == addr
+            assert address_class(scheme).parse(text, CFG16) == addr
 
 
 def test_parse_rejects_malformed_text():
     with pytest.raises(ValueError):
-        parse_address(Scheme.FBS, "0101", CFG16)  # wrong length
+        address_class(Scheme.FBS).parse("0101", CFG16)  # wrong length
     with pytest.raises(ValueError):
-        parse_address(Scheme.SYMBOL, "00*", CFG16)
+        address_class(Scheme.SYMBOL).parse("00*", CFG16)
     with pytest.raises(ValueError):
-        parse_address(Scheme.SYMBOL, "00x*", CFG16)
+        address_class(Scheme.SYMBOL).parse("00x*", CFG16)
     with pytest.raises(ValueError):
-        parse_address(Scheme.HBS, "0011", CFG16)  # one mask
+        address_class(Scheme.HBS).parse("0011", CFG16)  # one mask
     with pytest.raises(ValueError):
-        parse_address(Scheme.HBS, "0000/0011", CFG16)  # zero mask
+        address_class(Scheme.HBS).parse("0000/0011", CFG16)  # zero mask
     with pytest.raises(ValueError):
-        parse_address(Scheme.UNICAST, "1,a", CFG16)
+        address_class(Scheme.UNICAST).parse("1,a", CFG16)
     with pytest.raises(ValueError):
-        parse_address(Scheme.UNICAST, "1,99", CFG16)
+        address_class(Scheme.UNICAST).parse("1,99", CFG16)

@@ -16,9 +16,9 @@ from treecast.addressing import (
     SymbolAddress,
     TreeConfig,
     UnicastAddress,
+    address_class,
     covered_set,
     encode,
-    routing_bit_width,
 )
 from treecast.nocsim import (
     TURNAROUND_POLICIES,
@@ -28,7 +28,7 @@ from treecast.nocsim import (
     route_unicast_batch,
     simulate,
 )
-from treecast.traffic import Connectivity, NeuronMapping, SpikeTrace, build_core_luts, derive_events
+from treecast.traffic import Connectivity, SpikeTrace, build_core_luts, derive_events
 
 import oracles
 from oracles import mask_of
@@ -443,7 +443,7 @@ ORACLE_TREES = [
 
 def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_bits, turnaround):
     luts = oracles.core_luts(connectivity, assignment, cfg.core_count)
-    header = routing_bit_width(scheme, cfg) + tag_bits
+    header = address_class(scheme).width(cfg) + tag_bits
     fe = energy.filter_energy_per_lookup
     spikes = packets = link_bits = legal = illegal = 0
     routing = filtering = illegal_filtering = 0.0
@@ -483,7 +483,7 @@ def oracle_cases(draw):
     connectivity = {s: tuple(sorted(draw(st.sets(neuron, max_size=6)))) for s in range(n)}
     counts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     fired = draw(st.permutations([i for i, c in enumerate(counts) for _ in range(c)]))
-    trace = SpikeTrace(steps=1, events=tuple((0, i) for i in fired))
+    trace = SpikeTrace(tuple((0, i) for i in fired))
     if draw(st.booleans()):
         value = st.integers(0, 50).map(float)
     else:
@@ -498,11 +498,10 @@ def oracle_cases(draw):
 @given(oracle_cases(), st.sampled_from(TURNAROUND_POLICIES))
 def test_simulate_matches_per_spike_oracle(case, turnaround):
     cfg, assignment, connectivity, trace, energy, scheme = case
-    mapping = NeuronMapping(tuple(assignment), core_capacity=len(assignment))
     rows = [connectivity[s] for s in range(len(assignment))]
     view = Connectivity(np.cumsum([0] + [len(r) for r in rows]), [t for r in rows for t in r])
-    luts = build_core_luts(view, mapping, cfg.core_count)
-    demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
+    luts = build_core_luts(view, assignment, cfg.core_count)
+    demand, dropped = derive_events(trace, luts, assignment, tag_bits=10)
     assert len({(core, mask) for core, mask, _count in demand}) == len(demand)
     assert Counter({(core, mask): count for core, mask, count in demand}) == Counter(
         (assignment[n], mask_of(assignment[t] for t in connectivity[n]))

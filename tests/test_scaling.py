@@ -2,15 +2,13 @@ import io
 
 import pytest
 
-from treecast.addressing import Scheme, TreeConfig
+from treecast.addressing import Scheme, TreeConfig, address_class
 from treecast.scaling import (
     CSV_HEADER,
     EnumerationBudgetError,
-    capability_formula,
     capability_scaling_factor,
     emit_scaling_table,
     enumerate_capability,
-    routing_bits_formula,
     routing_scaling_factor,
     write_scaling_csv,
 )
@@ -22,42 +20,42 @@ CFG16 = TreeConfig(4, 2)
 
 
 def test_routing_bits_examples():
-    assert routing_bits_formula(Scheme.UNICAST, CFG16) == 64
-    assert routing_bits_formula(Scheme.UNICAST, TreeConfig(2, 4)) == 64
-    assert routing_bits_formula(Scheme.HBS, TreeConfig(4, 4)) == 16
-    assert routing_bits_formula(Scheme.FBS, TreeConfig(2, 1)) == 2
-    assert routing_bits_formula(Scheme.FBS, CFG16) == 16
-    assert routing_bits_formula(Scheme.SYMBOL, CFG16) == 8
-    assert routing_bits_formula(Scheme.SYMBOL, TreeConfig(2, 4)) == 8
-    assert routing_bits_formula(Scheme.HBS, CFG16) == 8
-    assert routing_bits_formula(Scheme.HBS, TreeConfig(2, 4)) == 8
+    assert address_class(Scheme.UNICAST).routing_bits(CFG16) == 64
+    assert address_class(Scheme.UNICAST).routing_bits(TreeConfig(2, 4)) == 64
+    assert address_class(Scheme.HBS).routing_bits(TreeConfig(4, 4)) == 16
+    assert address_class(Scheme.FBS).routing_bits(TreeConfig(2, 1)) == 2
+    assert address_class(Scheme.FBS).routing_bits(CFG16) == 16
+    assert address_class(Scheme.SYMBOL).routing_bits(CFG16) == 8
+    assert address_class(Scheme.SYMBOL).routing_bits(TreeConfig(2, 4)) == 8
+    assert address_class(Scheme.HBS).routing_bits(CFG16) == 8
+    assert address_class(Scheme.HBS).routing_bits(TreeConfig(2, 4)) == 8
     # 9 cores: unicast stores up to 9 targets of ceil(log2 9) = 4 bits each
-    assert routing_bits_formula(Scheme.UNICAST, TreeConfig(3, 2)) == 36
-    assert routing_bits_formula(Scheme.HBS, TreeConfig(3, 2)) == 6
+    assert address_class(Scheme.UNICAST).routing_bits(TreeConfig(3, 2)) == 36
+    assert address_class(Scheme.HBS).routing_bits(TreeConfig(3, 2)) == 6
 
 
 def test_capability_examples():
-    assert capability_formula(Scheme.SYMBOL, CFG16) == 81
-    assert capability_formula(Scheme.SYMBOL, TreeConfig(2, 4)) == 81
-    assert capability_formula(Scheme.HBS, CFG16) == 225
-    assert capability_formula(Scheme.HBS, TreeConfig(2, 4)) == 81
-    assert capability_formula(Scheme.FBS, CFG16) == 65535
-    assert capability_formula(Scheme.UNICAST, CFG16) == 65535
+    assert address_class(Scheme.SYMBOL).capability(CFG16) == 81
+    assert address_class(Scheme.SYMBOL).capability(TreeConfig(2, 4)) == 81
+    assert address_class(Scheme.HBS).capability(CFG16) == 225
+    assert address_class(Scheme.HBS).capability(TreeConfig(2, 4)) == 81
+    assert address_class(Scheme.FBS).capability(CFG16) == 65535
+    assert address_class(Scheme.UNICAST).capability(CFG16) == 65535
 
 
 def test_capability_is_exact_arbitrary_precision():
-    cap = capability_formula(Scheme.FBS, TreeConfig(2, 12))
+    cap = address_class(Scheme.FBS).capability(TreeConfig(2, 12))
     assert isinstance(cap, int)
     assert cap == 2**4096 - 1
     assert cap.bit_length() == 4096
-    assert capability_formula(Scheme.HBS, TreeConfig(4, 6)) == 15**6
+    assert address_class(Scheme.HBS).capability(TreeConfig(4, 6)) == 15**6
 
 
 def test_formula_input_validation():
     with pytest.raises(ValueError):
-        routing_bits_formula(Scheme.SYMBOL, TreeConfig(3, 2))  # not a power of two
+        address_class(Scheme.SYMBOL).routing_bits(TreeConfig(3, 2))  # not a power of two
     with pytest.raises(ValueError):
-        capability_formula(Scheme.SYMBOL, TreeConfig(3, 2))
+        address_class(Scheme.SYMBOL).capability(TreeConfig(3, 2))
     with pytest.raises(ValueError):
         routing_scaling_factor(1)
     with pytest.raises(ValueError):
@@ -113,7 +111,7 @@ def test_enumerate_matches_formula_grid():
     for scheme, grid in grids.items():
         for k, levels in grid:
             cfg = TreeConfig(k, levels)
-            assert enumerate_capability(scheme, cfg) == capability_formula(scheme, cfg)
+            assert enumerate_capability(scheme, cfg) == address_class(scheme).capability(cfg)
 
 
 def test_enumerate_budget_error():

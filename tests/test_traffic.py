@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from treecast.traffic import (
     Connectivity,
     Layer,
     NetworkSpec,
-    NeuronMapping,
     SpikeTrace,
     build_core_luts,
     derive_events,
@@ -36,14 +36,17 @@ def test_trace_round_trip():
     buf = io.StringIO()
     save_trace(trace, buf)
     buf.seek(0)
-    assert load_trace(buf, SMALL.total_neurons, steps=trace.steps) == trace
-    buf.seek(0)
-    assert load_trace(buf, SMALL.total_neurons).steps == trace.events[-1][0] + 1
+    assert load_trace(buf, SMALL.total_neurons) == trace
 
 
 def test_load_trace_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         load_trace(io.StringIO("time,neuron\n0,1\n"), 2)
+
+
+def test_load_trace_names_the_line_of_a_negative_first_timestep():
+    with pytest.raises(ValueError, match="^<trace>:2: timestep -1 is below 0; it must not decrease$"):
+        load_trace(io.StringIO("timestep,neuron_id\n-1,0\n0,1\n"), 2)
 
 
 def test_load_trace_names_the_line_of_a_neuron_outside_the_network():
@@ -96,36 +99,49 @@ def test_chunked_draw_equals_the_one_shot_draw(rows):
 
 def test_sequential_mapping_packs_in_id_order():
     mapping = map_neurons(SMALL, TreeConfig(4, 2), strategy="sequential", capacity=4)
-    assert mapping.assignment == tuple(n // 4 for n in range(SMALL.total_neurons))
+    assert mapping == tuple(n // 4 for n in range(SMALL.total_neurons))
 
 
 def test_mapping_rejects_too_many_neurons():
     with pytest.raises(ValueError, match="exceed"):
         map_neurons(SMALL, TreeConfig(2, 2), capacity=10)
-    with pytest.raises(ValueError, match="capacity"):
-        NeuronMapping(assignment=(0, 0, 0), core_capacity=2)
 
 
-def test_mapping_rejects_negative_cores():
-    with pytest.raises(ValueError, match="neuron 1 is mapped to negative core -1"):
-        NeuronMapping(assignment=(0, -1), core_capacity=2)
+@settings(max_examples=100, deadline=None)
+@given(
+    specs,
+    st.sampled_from([TreeConfig(2, 1), TreeConfig(3, 2), TreeConfig(4, 2)]),
+    st.sampled_from(["sequential", "random_switch"]),
+    st.integers(0, 3),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(NetworkSpec((Layer(9, "recurrent"),)), TreeConfig(2, 1), "random_switch", 0, 0.0, 1)
+@example(NetworkSpec((Layer(30, "recurrent"),)), TreeConfig(4, 2), "random_switch", 0, 1.0, 2)
+def test_mapping_puts_each_neuron_on_a_core_of_the_tree_within_capacity(
+    spec, cfg, strategy, spare, switch_prob, seed
+):
+    # With no spare room the cores fill up, so random_switch must jump off a full core.
+    capacity = -(-spec.total_neurons // cfg.core_count) + spare
+    mapping = map_neurons(spec, cfg, strategy, capacity, seed, switch_prob)
+    assert len(mapping) == spec.total_neurons
+    assert all(0 <= core < cfg.core_count for core in mapping)
+    assert max(Counter(mapping).values()) <= capacity
 
 
 def test_build_core_luts_rejects_a_hand_built_mapping_outside_the_tree():
-    mapping = NeuronMapping(assignment=(0, 99), core_capacity=1)
-    with pytest.raises(ValueError, match="neuron 1 is mapped to core 99, outside the 16 cores"):
-        build_core_luts(Connectivity((0, 1, 1), (1,)), mapping, 16)
+    for bad in (99, -1):
+        with pytest.raises(ValueError, match=f"neuron 1 is mapped to core {bad}, outside the 16 cores"):
+            build_core_luts(Connectivity((0, 1, 1), (1,)), (0, bad), 16)
 
 
 def test_derive_events_on_hand_built_network():
     # fan-outs 0: (1, 2), 1: (), 2: (0, 3), 3: (3,)
     conn = Connectivity((0, 2, 2, 4, 5), (1, 2, 0, 3, 3))
-    mapping = NeuronMapping(assignment=(0, 0, 1, 2), core_capacity=2)
+    mapping = (0, 0, 1, 2)
     luts = build_core_luts(conn, mapping, 4)
     assert luts == (0b011, 0, 0b101, 0b100)
-    trace = SpikeTrace(
-        steps=3, events=((0, 2), (0, 0), (0, 1), (1, 2), (1, 0), (2, 3), (2, 1), (2, 2))
-    )
+    trace = SpikeTrace(((0, 2), (0, 0), (0, 1), (1, 2), (1, 0), (2, 3), (2, 1), (2, 2)))
     demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
     # first-spike order; neuron 1 has no targets, so its two spikes are dropped
     assert demand == [(1, 0b101, 3), (0, 0b011, 2), (2, 0b100, 1)]
@@ -139,8 +155,8 @@ def test_derive_events_sums_spikes_per_source_core_and_mask():
     # Neurons 0 and 1 share core 0 and a mask, so their spikes make one entry;
     # neuron 2 has the same mask on core 1; neuron 3's LUT row is empty.
     luts = (0b110, 0b110, 0b110, 0, 0b001)
-    mapping = NeuronMapping(assignment=(0, 0, 1, 1, 0), core_capacity=3)
-    trace = SpikeTrace(1, tuple((0, n) for n in (2, 0, 1, 3, 0, 4, 2, 3)))
+    mapping = (0, 0, 1, 1, 0)
+    trace = SpikeTrace(tuple((0, n) for n in (2, 0, 1, 3, 0, 4, 2, 3)))
     demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
     assert demand == [(1, 0b110, 2), (0, 0b110, 3), (0, 0b001, 1)]
     assert dropped == 2
@@ -148,21 +164,21 @@ def test_derive_events_sums_spikes_per_source_core_and_mask():
 
 def test_derive_events_rejects_neurons_outside_the_network():
     conn = Connectivity((0, 1, 2), (1, 0))  # fan-outs 0: (1,), 1: (0,)
-    mapping = NeuronMapping((0, 1), core_capacity=2)
+    mapping = (0, 1)
     luts = build_core_luts(conn, mapping, 2)
     for bad in (-1, 2, 7):
-        trace = SpikeTrace(1, ((0, 0), (0, bad), (0, 7)))
+        trace = SpikeTrace(((0, 0), (0, bad), (0, 7)))
         with pytest.raises(ValueError, match=f"neuron id {bad} is outside the network's 2 neurons"):
             derive_events(trace, luts, mapping, tag_bits=10)
 
 
 def test_derive_events_rejects_overwide_and_unmapped_neurons():
     luts = (0b01, 0b10, 0b01)
-    mapping = NeuronMapping((0, 1), core_capacity=2)
+    mapping = (0, 1)
     with pytest.raises(ValueError, match="unmapped neuron 2"):
-        derive_events(SpikeTrace(1, ((0, 0), (0, 2))), luts, mapping, tag_bits=10)
+        derive_events(SpikeTrace(((0, 0), (0, 2))), luts, mapping, tag_bits=10)
     with pytest.raises(ValueError, match="neuron id 5000 does not fit in 10 tag bits"):
-        derive_events(SpikeTrace(1, ((0, 5000),)), luts, mapping, tag_bits=10)
+        derive_events(SpikeTrace(((0, 5000),)), luts, mapping, tag_bits=10)
 
 
 def _default_mapping(config):
@@ -178,9 +194,9 @@ def test_core_luts_hold_exactly_the_destination_tags():
     mapping = _default_mapping(config)
     luts = build_core_luts(conn, mapping, config.tree.core_count)
     assert luts == tuple(
-        sum(1 << core for core in {mapping.assignment[t] for t in conn[n]}) for n in conn
+        sum(1 << core for core in {mapping[t] for t in conn[n]}) for n in conn
     )
-    every_neuron = SpikeTrace(steps=1, events=tuple((0, n) for n in conn))
+    every_neuron = SpikeTrace(tuple((0, n) for n in conn))
     demand, dropped = derive_events(every_neuron, luts, mapping, config.tag_width())
     assert dropped == luts.count(0) > 0
     assert sum(count for _core, _mask, count in demand) == len(conn) - dropped
@@ -201,7 +217,7 @@ def test_spike_counts_are_computed_once_per_trace():
     conn = generate_connectivity(config.network, config.network_seed)
     plain = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
     events = CountedEvents(plain.events)
-    trace = SpikeTrace(plain.steps, events)
+    trace = SpikeTrace(events)
     constructed = events.iterations
     results = []
     for seed in (config.mapping_seed, config.mapping_seed + 1):
@@ -210,7 +226,7 @@ def test_spike_counts_are_computed_once_per_trace():
         )
         luts = build_core_luts(conn, mapping, config.tree.core_count)
         result = derive_events(trace, luts, mapping, config.tag_width())
-        assert result == oracles.demand(plain.events, luts, mapping.assignment)
+        assert result == oracles.demand(plain.events, luts, mapping)
         results.append(result)
     assert results[0] != results[1]
     assert events.iterations == constructed + 1
