@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import IO, Any, Callable, Sequence
 
@@ -204,8 +204,10 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
     if layers:
         network = replace(network, layers=tuple(layers)) if network and all(layers) else None
     kw["schemes"] = tuple(Scheme(s) for s in kw.get("schemes", defaults.schemes) if s is not None)
-    for scheme in kw["schemes"]:
+    for scheme, n in Counter(kw["schemes"]).items():
         _built(errors, f"schemes: {scheme.value}", address_class(scheme).width, tree)
+        if n > 1:
+            errors.append(f"schemes: {scheme.value} is listed twice")
     if network is not None:
         n, cores = network.total_neurons, tree.core_count
         capacity = kw.get("capacity", defaults.capacity)
@@ -246,8 +248,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Sweep the scheme x mapping grid over one trace.
 
     Every scheme sees the exact same traffic per mapping; reports come
-    back in canonical (scheme, mapping index) order regardless of how
-    the grid was executed.
+    back scheme-major, schemes in config order, then by mapping index.
     """
     energy = config.energy_model()
     tag_bits = config.tag_width()
@@ -264,7 +265,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.trace_source != "file":
         trace = synth_trace(config.network, config.trace_steps, config.trace_rate, config.trace_seed)
 
-    records: list[RunRecord] = []
+    runs: dict[str, list[RunRecord]] = {s.value: [] for s in config.schemes}
     for rep in range(config.repetitions):
         seed = config.mapping_seed + rep
         mapping = map_neurons(
@@ -281,11 +282,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             report = simulate(
                 demand, scheme, config.tree, energy, tag_bits=tag_bits, turnaround=config.turnaround
             )
-            records.append(RunRecord(rep, seed, dropped, report))
+            runs[scheme.value].append(RunRecord(rep, seed, dropped, report))
 
-    order = {s.value: i for i, s in enumerate(config.schemes)}
-    records.sort(key=lambda r: (order[r.report.scheme], r.mapping_index))
-    return ExperimentResult(rows=tuple(records), summary=_summarize(records, config))
+    rows = tuple(rec for recs in runs.values() for rec in recs)
+    return ExperimentResult(rows=rows, summary=_summarize(runs, config))
 
 
 #: Cross-scheme ratios in the summary: (name, numerator, denominator, statistic).
@@ -296,13 +296,9 @@ _COMPARISONS = (
 )
 
 
-def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[str, Any]:
-    by_scheme: dict[str, list[RunRecord]] = {}
-    for rec in records:
-        by_scheme.setdefault(rec.report.scheme, []).append(rec)
-
+def _summarize(runs: dict[str, list[RunRecord]], config: ExperimentConfig) -> dict[str, Any]:
     schemes: dict[str, Any] = {}
-    for scheme, recs in by_scheme.items():
+    for scheme, recs in runs.items():
         totals = [r.report.total_energy for r in recs]
         stats: dict[str, Any] = {
             "runs": len(recs),
@@ -330,7 +326,7 @@ def _summarize(records: Sequence[RunRecord], config: ExperimentConfig) -> dict[s
         "repetitions": config.repetitions,
         # A spike is dropped when its neuron has no targets, whatever the
         # mapping, so every record carries the same per-trace count.
-        "dropped_spikes_total": records[0].dropped_spikes if records else 0,
+        "dropped_spikes_total": next((r.dropped_spikes for recs in runs.values() for r in recs), 0),
         "schemes": schemes,
         "comparisons": comparisons,
     }

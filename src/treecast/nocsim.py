@@ -17,14 +17,16 @@ only when a caller reads those lists.
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
 from sources a core does not listen to are filtered out as illegal.
-:func:`simulate` sees only the traffic, a spike count per (source core,
-destination core mask); a core listens to a source exactly when it is in
-that mask.  Within one call it encodes each distinct mask once and routes
-each distinct route key once.
+:func:`simulate` sees only the traffic, grouped by destination core mask:
+each mask with the spike count of every source core that sends to it; a
+core listens to a source exactly when it is in that mask.  Each mask is
+encoded once, and a route is computed once per mask when it does not
+depend on the source core, once per sender otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
@@ -71,12 +73,12 @@ class EnergyModel:
     def __post_init__(self) -> None:
         if not self.link_energy_per_bit:
             raise ValueError("need at least one link energy level")
-        if any(e < 0 for e in self.link_energy_per_bit):
-            raise ValueError("link energies must be nonnegative")
+        if not all(0 <= e < math.inf for e in self.link_energy_per_bit):
+            raise ValueError("link energies must be finite and nonnegative")
         if self.link_energy_per_bit[-1] < self.link_energy_per_bit[0]:
             raise ValueError("root-adjacent links must not be cheaper than leaf links")
-        if self.filter_energy_per_lookup < 0:
-            raise ValueError("filter energy must be nonnegative")
+        if not 0 <= self.filter_energy_per_lookup < math.inf:
+            raise ValueError("filter energy must be finite and nonnegative")
 
     @classmethod
     def default(
@@ -284,7 +286,7 @@ class SimReport:
 
 
 def simulate(
-    demand: Iterable[tuple[int, int, int]],
+    demand: Iterable[tuple[int, Iterable[tuple[int, int]]]],
     scheme: Scheme,
     cfg: TreeConfig,
     energy: EnergyModel,
@@ -293,21 +295,21 @@ def simulate(
 ) -> SimReport:
     """Run the traffic of one mapping through the fabric under one scheme.
 
-    Each demand entry is (source core, destination core mask, spike count),
-    as :func:`~treecast.traffic.derive_events` gives them.  Every spike of
-    an entry carries the same packet, so its counters are multiplied by the
-    spike count.  Each distinct mask is encoded once per call, and the
-    mask itself is what :func:`~treecast.addressing.encode` reads.  Each
-    distinct route is computed once: keyed by the mask for multicast under
-    the ``root`` turnaround, whose cover and per-level links do not depend
-    on the source core, and by (source core, mask) otherwise.  Every
-    arriving packet pays one LUT lookup.  A covered core outside the mask
-    does not hold the source's tag, so its lookup counts as illegal and the
-    packet is dropped there.  The counts read the route's ``cover`` and
+    Each demand entry is (destination core mask, ((source core, spike
+    count), ...)), as :func:`~treecast.traffic.derive_events` gives them.
+    Every spike of a sender carries the same packet, so its counters are
+    multiplied by the spike count.  Each entry's mask is encoded once, and
+    the mask itself is what :func:`~treecast.addressing.encode` reads.  A
+    multicast packet under the ``root`` turnaround has a cover and
+    per-level links that do not depend on the source core, so it is routed
+    once per entry; otherwise it is routed once per sender.  Every arriving
+    packet pays one LUT lookup.  A covered core outside the mask does not
+    hold the source's tag, so its lookup counts as illegal and the packet
+    is dropped there.  The counts read the route's ``cover`` and
     ``level_links``, so the switch-by-switch walk never runs here.
 
     With integer-valued energies every field equals a spike-by-spike sum.
-    Otherwise the float fields, summed per tree level and per entry, may
+    Otherwise the float fields, summed per tree level and per sender, may
     differ from it by rounding; the tests allow a relative drift of 1e-12.
     """
     scheme = Scheme(scheme)
@@ -317,37 +319,31 @@ def simulate(
             f"tree has {cfg.levels}"
         )
     header = address_class(scheme).width(cfg) + tag_bits
-    by_mask = scheme is not Scheme.UNICAST and turnaround == "root"
-    encoded: dict[int, MulticastAddress] = {}
-    # route key -> (packets, links crossed, energy per header bit, legal, illegal deliveries)
-    routed: dict[object, tuple[int, int, float, int, int]] = {}
+    per_sender = scheme is Scheme.UNICAST or turnaround != "root"
 
     spikes = packets = link_bits = legal = illegal = 0
     routing_energy = 0.0
-    for source_core, mask, count in demand:
-        if not 0 <= source_core < cfg.core_count:
-            raise ValueError(f"source core {source_core} is outside the {cfg.core_count} cores")
-        key = mask if by_mask else (source_core, mask)
-        hit = routed.get(key)
-        if hit is None:
-            addr = encoded.get(mask)
-            if addr is None:
-                addr = encoded[mask] = encode(scheme, mask, cfg)
-            if scheme is Scheme.UNICAST:
-                route = route_unicast_batch(addr, source_core, cfg)
-            else:
-                route = route_multicast(addr, source_core, cfg, turnaround)
-            e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
-            n_legal = (route.cover & mask).bit_count()
-            n_illegal = route.cover.bit_count() - n_legal
-            hit = routed[key] = (route.packets, sum(route.level_links), e_per_bit, n_legal, n_illegal)
-        route_packets, links, e_per_bit, n_legal, n_illegal = hit
-        spikes += count
-        packets += count * route_packets
-        link_bits += count * links * header
-        routing_energy += count * header * e_per_bit
-        legal += count * n_legal
-        illegal += count * n_illegal
+    for mask, senders in demand:
+        addr = encode(scheme, mask, cfg)
+        route = None
+        for source_core, count in senders:
+            if not 0 <= source_core < cfg.core_count:
+                raise ValueError(f"source core {source_core} is outside the {cfg.core_count} cores")
+            if route is None or per_sender:
+                if scheme is Scheme.UNICAST:
+                    route = route_unicast_batch(addr, source_core, cfg)
+                else:
+                    route = route_multicast(addr, source_core, cfg, turnaround)
+                links = sum(route.level_links)
+                e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
+                n_legal = (route.cover & mask).bit_count()
+                n_illegal = route.cover.bit_count() - n_legal
+            spikes += count
+            packets += count * route.packets
+            link_bits += count * links * header
+            routing_energy += count * header * e_per_bit
+            legal += count * n_legal
+            illegal += count * n_illegal
 
     filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
     return SimReport(

@@ -95,24 +95,18 @@ def enumerate_capability(
 # ---------------------------------------------------------------------------
 # tabular report
 
-CSV_HEADER = ("scheme", "N", "k", "routing_bits", "capability", "lut_bits_per_source")
+CSV_HEADER = ("scheme", "N", "k", "routing_bits", "capability")
 
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """One (scheme, N, k) evaluation of the closed forms.
-
-    ``lut_bits_per_source`` is the per-source-neuron LUT storage.  Every
-    scheme stores one routing field per source (unicast: up to N targets
-    of log2(N) bits), so it equals ``routing_bits``.
-    """
+    """One (scheme, N, k) evaluation of the closed forms."""
 
     scheme: str
     n: int
     k: int
     routing_bits: int
     capability: int
-    lut_bits_per_source: int
 
 
 def emit_scaling_table(n_values: Iterable[int], k_values: Iterable[int]) -> list[ScalingRow]:
@@ -129,7 +123,7 @@ def emit_scaling_table(n_values: Iterable[int], k_values: Iterable[int]) -> list
             for cfg in trees:
                 bits = cls.routing_bits(cfg)
                 cap = cls.capability(cfg)
-                rows.append(ScalingRow(scheme.value, n, cfg.fan_out, bits, cap, bits))
+                rows.append(ScalingRow(scheme.value, n, cfg.fan_out, bits, cap))
     return rows
 
 
@@ -138,4 +132,4 @@ def write_scaling_csv(rows: Sequence[ScalingRow], out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow([r.scheme, r.n, r.k, r.routing_bits, r.capability, r.lut_bits_per_source])
+        writer.writerow([r.scheme, r.n, r.k, r.routing_bits, r.capability])

@@ -270,16 +270,18 @@ def derive_events(
     luts: Sequence[int],
     mapping: Sequence[int],
     tag_bits: int,
-) -> tuple[list[tuple[int, int, int]], int]:
-    """The trace's traffic: (source core, destination core mask, spike count) entries.
+) -> tuple[list[tuple[int, tuple[tuple[int, int], ...]]], int]:
+    """The trace's traffic, one entry per distinct destination core mask:
+    (mask, ((source core, spike count), ...)).
 
     A neuron's mask is its LUT row, and the trace's ``spike_counts`` are
-    summed per (source core, mask) in first-spike order.  The neuron id is
-    the source tag: it must fit ``tag_bits`` and have a LUT row and a core,
-    or it raises.  Spikes of a neuron whose row is 0 (an empty fan-out)
-    make no entry; their count is returned alongside the entries.
+    summed per source core under each mask; masks and their senders are
+    listed in first-spike order.  The neuron id is the source tag: it must
+    fit ``tag_bits`` and have a LUT row and a core, or it raises.  Spikes
+    of a neuron whose row is 0 (an empty fan-out) make no entry; their
+    count is returned alongside the entries.
     """
-    demand: dict[tuple[int, int], int] = {}
+    demand: dict[int, Counter[int]] = {}
     dropped = 0
     for neuron, count in trace.spike_counts.items():
         if neuron >= 1 << tag_bits:
@@ -293,11 +295,10 @@ def derive_events(
             raise ValueError(f"unmapped neuron {neuron}")
         mask = luts[neuron]
         if mask:
-            key = (mapping[neuron], mask)
-            demand[key] = demand.get(key, 0) + count
+            demand.setdefault(mask, Counter())[mapping[neuron]] += count
         else:
             dropped += count
-    return [(core, mask, count) for (core, mask), count in demand.items()], dropped
+    return [(mask, tuple(senders.items())) for mask, senders in demand.items()], dropped
 
 
 def build_core_luts(

@@ -126,17 +126,19 @@ def divergence_depth(core, legal_targets, k, levels):
 
 
 def demand(events, luts, assignment):
-    """(source core, LUT row, spikes) per (core, row) in first-spike order, and the
-    spikes of neurons whose row is 0, from a fresh count of the (timestep, neuron) events."""
-    summed = {}
+    """(LUT row, ((source core, spikes), ...)) per distinct row, rows and their cores in
+    first-spike order, and the spikes of neurons whose row is 0, from a fresh count of the
+    (timestep, neuron) events."""
+    grouped = {}
     dropped = 0
     for neuron, count in Counter(n for _t, n in events).items():
         if luts[neuron]:
-            key = (assignment[neuron], luts[neuron])
-            summed[key] = summed.get(key, 0) + count
+            senders = grouped.setdefault(luts[neuron], {})
+            core = assignment[neuron]
+            senders[core] = senders.get(core, 0) + count
         else:
             dropped += count
-    return [(core, mask, count) for (core, mask), count in summed.items()], dropped
+    return [(mask, tuple(senders.items())) for mask, senders in grouped.items()], dropped
 
 
 def core_luts(connectivity, assignment, n_cores):

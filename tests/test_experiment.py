@@ -128,6 +128,10 @@ REJECTED = [
     ),
     ("unknown_scheme", "schemes: [fbs, nope]\n", ["schemes[1]"]),
     ("no_schemes", "schemes: []\n", ["schemes"]),
+    ("repeated_scheme", "schemes: [hbs, hbs, symbol]\n", ["schemes"]),
+    ("nan_energy_base", "energy: {base: .nan}\n", ["energy"]),
+    ("inf_filter_lookup", "energy: {filter_lookup: .inf}\n", ["energy"]),
+    ("nan_link_energy", "energy: {link: [.nan, 1]}\n", ["energy.link"]),
     ("density", "network: {density: 0}\n", ["network.density"]),
     ("section_not_mapping", "tree: 3\n", ["tree"]),
     ("empty_output_path", "output: {runs_csv: ''}\n", ["output.runs_csv"]),
@@ -218,3 +222,24 @@ def test_run_experiment_is_deterministic(strategy, tmp_path):
         result = run_experiment(config)
         assert result.rows == first.rows
         assert result.summary == first.summary
+
+
+@pytest.mark.parametrize("schemes", [("symbol", "hbs"), ("hbs", "symbol")])
+def test_symbol_runs_equal_hbs_runs_on_the_binary_tree(schemes):
+    # Symbol is hbs on the binary tree, so on a k = 2 tree each mapping's two
+    # reports differ only in their scheme name.  The rows are scheme-major, in
+    # the order the config lists the schemes.
+    text = (
+        f"tree: {{fan_out: 2, levels: 4}}\nschemes: [{', '.join(schemes)}]\n"
+        "network: {layer_size: 20}\nmapping: {capacity: 10, repetitions: 3}\ntrace: {steps: 30}\n"
+    )
+    result = run_experiment(load_config(io.StringIO(text)))
+    assert [(r.report.scheme, r.mapping_index) for r in result.rows] == [
+        (s, i) for s in schemes for i in range(3)
+    ]
+    assert list(result.summary["schemes"]) == list(schemes)
+    by_scheme = {s: result.rows[3 * j : 3 * j + 3] for j, s in enumerate(schemes)}
+    for hbs, symbol in zip(by_scheme["hbs"], by_scheme["symbol"]):
+        assert hbs.report.illegal_deliveries > 0
+        assert replace(symbol, report=replace(symbol.report, scheme="hbs")) == hbs
+    assert result.summary["comparisons"]["total_energy_hbs_over_symbol"] == 1.0

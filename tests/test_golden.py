@@ -59,6 +59,6 @@ def test_golden_outputs(config, runs_sha, summary_sha):
 def test_default_scaling_table_golden():
     out = io.StringIO()
     write_scaling_csv(emit_scaling_table(DEFAULT_SCALING_N, DEFAULT_SCALING_K), out)
-    assert _sha16(out.getvalue()) == "629d460adbaf9f8d"
+    assert _sha16(out.getvalue()) == "6075dd24241d5a04"
     with pytest.raises(ValueError):
         emit_scaling_table([24], [4])  # 24 is not a power of 4

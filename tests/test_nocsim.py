@@ -53,6 +53,10 @@ def test_energy_model_validation_and_default():
         EnergyModel((1.0, -1.0), 8.0)
     with pytest.raises(ValueError):
         EnergyModel((1.0, 4.0), -1.0)
+    # A NaN fails every comparison, so only a range check that must pass catches it.
+    for links, lookup in (((math.nan, 4.0), 8.0), ((1.0, math.inf), 8.0), ((1.0, 4.0), math.nan)):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            EnergyModel(links, lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +298,18 @@ def test_divergence_depth():
 # ---------------------------------------------------------------------------
 # simulate
 
-def random_demand(rng, entries, max_dests):
-    """Hand-built demand: (source core, destination mask, spike count) on CFG16."""
-    return [
-        (rng.randrange(16), mask_of(rng.sample(range(16), rng.randint(1, max_dests))), rng.randint(1, 4))
-        for _ in range(entries)
-    ]
+def random_demand(rng, draws, max_dests, masks=8):
+    """Hand-built demand on CFG16, grouped as derive_events groups it:
+    (destination mask, ((source core, spike count), ...)) per distinct mask.
+
+    Each of ``draws`` draws picks one of ``masks`` random masks and a source
+    core, so most masks have several senders.
+    """
+    pool = [mask_of(rng.sample(range(16), rng.randint(1, max_dests))) for _ in range(masks)]
+    grouped = {}
+    for _ in range(draws):
+        grouped.setdefault(rng.choice(pool), {})[rng.randrange(16)] = rng.randint(1, 4)
+    return [(mask, tuple(senders.items())) for mask, senders in grouped.items()]
 
 
 def test_simulate_empty_event_list():
@@ -313,7 +323,7 @@ def test_simulate_empty_event_list():
 def test_simulate_single_fbs_event_energy():
     # one spike from core 0 to core 5: 26-bit header over links costing
     # 1 + 4 + 4 + 1 energy units per bit
-    report = simulate([(0, 1 << 5, 1)], Scheme.FBS, CFG16, EnergyModel.default(2))
+    report = simulate([(1 << 5, ((0, 1),))], Scheme.FBS, CFG16, EnergyModel.default(2))
     assert report.events == 1
     assert report.packets_injected == 1
     assert report.illegal_deliveries == 0
@@ -335,7 +345,7 @@ def test_simulate_counters_close_against_manual_recount():
         link_bits = 0
         legal = illegal = packets = 0
         header = {"fbs": 26, "symbol": 18, "hbs": 18, "unicast": 14}[scheme.value]
-        spikes = [(core, mask) for core, mask, count in demand for _ in range(count)]
+        spikes = [(core, mask) for mask, senders in demand for core, count in senders for _ in range(count)]
         for core, mask in spikes:
             addr = encode(scheme, mask, CFG16)
             if scheme is Scheme.UNICAST:
@@ -378,9 +388,9 @@ def test_simulate_hbs_never_more_illegal_than_symbol():
 
 def test_simulate_rejects_a_hand_built_mapping_outside_the_tree():
     # A hand-built mapping may place a neuron past the tree, and its demand
-    # then names that core.  The second entry shares the first one's
+    # then names that core.  The second sender shares the first one's
     # root-turnaround route, so only simulate's own check can see the core.
-    demand = [(0, 1 << 2, 1), (99, 1 << 2, 1)]
+    demand = [(1 << 2, ((0, 1), (99, 1)))]
     with pytest.raises(ValueError, match="source core 99 is outside the 16 cores"):
         simulate(demand, Scheme.HBS, CFG16, EnergyModel.default(2))
 
@@ -402,9 +412,11 @@ def test_simulate_deterministic():
 def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, scheme, turnaround):
     # simulate looks encode and the routers up as nocsim attributes, as the
     # traced benchmark run relies on; counting wrappers put there see every call.
-    rng = random.Random(31)
-    masks = [mask_of(rng.sample(range(16), rng.randint(1, 5))) for _ in range(6)]
-    demand = [(rng.randrange(3), rng.choice(masks), rng.randint(1, 3)) for _ in range(50)]
+    # Demand is grouped by mask, so the data's shape alone gives one encode per
+    # mask, and one route per mask (root multicast) or per sender (otherwise).
+    demand = random_demand(random.Random(31), 50, 5, masks=6)
+    senders = sum(len(s) for _mask, s in demand)
+    assert len(demand) < senders
     energy = EnergyModel.default(2)
     want = simulate(demand, scheme, CFG16, energy, 10, turnaround)
 
@@ -423,14 +435,9 @@ def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, sc
         monkeypatch.setattr(nocsim, name, counted(name))
     assert simulate(demand, scheme, CFG16, energy, 10, turnaround) == want
 
-    distinct_masks = {mask for _core, mask, _count in demand}
-    if scheme is not Scheme.UNICAST and turnaround == "root":
-        keys = distinct_masks
-    else:
-        keys = {(core, mask) for core, mask, _count in demand}
-    assert len(keys) < len(demand)
     router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
-    assert calls == Counter({"encode": len(distinct_masks), router: len(keys)})
+    routes = len(demand) if scheme is not Scheme.UNICAST and turnaround == "root" else senders
+    assert calls == Counter({"encode": len(demand), router: routes})
 
 
 # Oracle: every spike routed on its own, filtered against LUTs built from the
@@ -502,13 +509,15 @@ def test_simulate_matches_per_spike_oracle(case, turnaround):
     view = Connectivity(np.cumsum([0] + [len(r) for r in rows]), [t for r in rows for t in r])
     luts = build_core_luts(view, assignment, cfg.core_count)
     demand, dropped = derive_events(trace, luts, assignment, tag_bits=10)
-    assert len({(core, mask) for core, mask, _count in demand}) == len(demand)
-    assert Counter({(core, mask): count for core, mask, count in demand}) == Counter(
+    assert len({mask for mask, _senders in demand}) == len(demand)
+    assert all(len(dict(senders)) == len(senders) for _mask, senders in demand)
+    spikes = Counter({(core, mask): count for mask, senders in demand for core, count in senders})
+    assert spikes == Counter(
         (assignment[n], mask_of(assignment[t] for t in connectivity[n]))
         for _t, n in trace.events
         if connectivity[n]
     )
-    assert sum(count for _core, _mask, count in demand) + dropped == len(trace.events)
+    assert sum(spikes.values()) + dropped == len(trace.events)
 
     got = simulate(demand, scheme, cfg, energy, 10, turnaround)
     want = per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, 10, turnaround)
@@ -534,7 +543,7 @@ def root_key_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(root_key_cases())
 def test_root_route_counts_do_not_depend_on_the_source_core(case):
-    # Why simulate keys a root-turnaround multicast route by its destination set alone.
+    # Why simulate routes a root-turnaround multicast packet once per destination mask.
     cfg, scheme, dests = case
     addr = encode(scheme, mask_of(dests), cfg)
     routes = {
@@ -545,7 +554,7 @@ def test_root_route_counts_do_not_depend_on_the_source_core(case):
 
 
 def test_lca_route_counts_depend_on_the_source_core():
-    # Why simulate keys an lca route by (source core, destination set): from
+    # Why simulate routes an lca packet once per sender of a mask: from
     # core 0 the packet for cores {0, 1} turns at the leaf-adjacent switch,
     # from core 15 it climbs to the root.
     addr = encode(Scheme.FBS, mask_of({0, 1}), CFG16)

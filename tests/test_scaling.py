@@ -135,12 +135,6 @@ def test_emit_scaling_table_shape_and_values():
         225,
         65535,
     ]
-    assert [at16[s].lut_bits_per_source for s in ("fbs", "symbol", "hbs", "unicast")] == [
-        16,
-        8,
-        8,
-        64,
-    ]
 
 
 def test_emit_scaling_table_empty():
@@ -158,4 +152,4 @@ def test_scaling_csv_deterministic_bytes():
     lines = bufs[0].splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 1 + len(rows)
-    assert lines[1] == "fbs,4,2,4,15,4"
+    assert lines[1] == "fbs,4,2,4,15"

@@ -144,7 +144,7 @@ def test_derive_events_on_hand_built_network():
     trace = SpikeTrace(((0, 2), (0, 0), (0, 1), (1, 2), (1, 0), (2, 3), (2, 1), (2, 2)))
     demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
     # first-spike order; neuron 1 has no targets, so its two spikes are dropped
-    assert demand == [(1, 0b101, 3), (0, 0b011, 2), (2, 0b100, 1)]
+    assert demand == [(0b101, ((1, 3),)), (0b011, ((0, 2),)), (0b100, ((2, 1),))]
     assert dropped == 2
     # the error names the first spike whose id does not fit
     with pytest.raises(ValueError, match="neuron id 2 does not fit in 1 tag bits"):
@@ -152,13 +152,14 @@ def test_derive_events_on_hand_built_network():
 
 
 def test_derive_events_sums_spikes_per_source_core_and_mask():
-    # Neurons 0 and 1 share core 0 and a mask, so their spikes make one entry;
-    # neuron 2 has the same mask on core 1; neuron 3's LUT row is empty.
+    # Neurons 0 and 1 share core 0 and a mask, so their spikes make one sender;
+    # neuron 2 has the same mask on core 1, so it is a second sender of that
+    # mask's entry; neuron 3's LUT row is empty.
     luts = (0b110, 0b110, 0b110, 0, 0b001)
     mapping = (0, 0, 1, 1, 0)
     trace = SpikeTrace(tuple((0, n) for n in (2, 0, 1, 3, 0, 4, 2, 3)))
     demand, dropped = derive_events(trace, luts, mapping, tag_bits=10)
-    assert demand == [(1, 0b110, 2), (0, 0b110, 3), (0, 0b001, 1)]
+    assert demand == [(0b110, ((1, 2), (0, 3))), (0b001, ((0, 1),))]
     assert dropped == 2
 
 
@@ -199,7 +200,7 @@ def test_core_luts_hold_exactly_the_destination_tags():
     every_neuron = SpikeTrace(tuple((0, n) for n in conn))
     demand, dropped = derive_events(every_neuron, luts, mapping, config.tag_width())
     assert dropped == luts.count(0) > 0
-    assert sum(count for _core, _mask, count in demand) == len(conn) - dropped
+    assert sum(count for _mask, senders in demand for _core, count in senders) == len(conn) - dropped
 
 
 class CountedEvents(tuple):
@@ -239,6 +240,7 @@ def test_derive_events_counts_every_spike_once():
     mapping = _default_mapping(config)
     luts = build_core_luts(conn, mapping, config.tree.core_count)
     demand, dropped = derive_events(trace, luts, mapping, config.tag_width())
-    assert len({(core, mask) for core, mask, _count in demand}) == len(demand)
+    assert len({mask for mask, _senders in demand}) == len(demand)
+    assert all(len(dict(senders)) == len(senders) for _mask, senders in demand)
     assert dropped > 0
-    assert sum(count for _core, _mask, count in demand) + dropped == len(trace.events)
+    assert sum(count for _mask, senders in demand for _core, count in senders) + dropped == len(trace.events)
