@@ -207,7 +207,7 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
     for scheme, n in Counter(kw["schemes"]).items():
         _built(errors, f"schemes: {scheme.value}", address_class(scheme).width, tree)
         if n > 1:
-            errors.append(f"schemes: {scheme.value} is listed twice")
+            errors.append(f"schemes: {scheme.value} is listed {n} times")
     if network is not None:
         n, cores = network.total_neurons, tree.core_count
         capacity = kw.get("capacity", defaults.capacity)

@@ -18,7 +18,7 @@ recorded traffic can be substituted for the synthetic one.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterator, Mapping, Sequence
@@ -281,7 +281,7 @@ def derive_events(
     of a neuron whose row is 0 (an empty fan-out) make no entry; their
     count is returned alongside the entries.
     """
-    demand: dict[int, Counter[int]] = {}
+    demand: defaultdict[int, Counter[int]] = defaultdict(Counter)
     dropped = 0
     for neuron, count in trace.spike_counts.items():
         if neuron >= 1 << tag_bits:
@@ -295,7 +295,7 @@ def derive_events(
             raise ValueError(f"unmapped neuron {neuron}")
         mask = luts[neuron]
         if mask:
-            demand.setdefault(mask, Counter())[mapping[neuron]] += count
+            demand[mask][mapping[neuron]] += count
         else:
             dropped += count
     return [(mask, tuple(senders.items())) for mask, senders in demand.items()], dropped

@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import fields
 
 import numpy as np
@@ -298,17 +298,24 @@ def test_divergence_depth():
 # ---------------------------------------------------------------------------
 # simulate
 
-def random_demand(rng, draws, max_dests, masks=8):
+def random_demand(rng, draws, max_dests, masks=None):
     """Hand-built demand on CFG16, grouped as derive_events groups it:
     (destination mask, ((source core, spike count), ...)) per distinct mask.
 
-    Each of ``draws`` draws picks one of ``masks`` random masks and a source
-    core, so most masks have several senders.
+    Each of ``draws`` draws a source core, a fresh random mask and a spike
+    count.  Given ``masks``, each draw instead picks one of that many random
+    masks, so most masks have several senders.
     """
-    pool = [mask_of(rng.sample(range(16), rng.randint(1, max_dests))) for _ in range(masks)]
-    grouped = {}
+
+    def fresh():
+        return mask_of(rng.sample(range(16), rng.randint(1, max_dests)))
+
+    pool = [fresh() for _ in range(masks)] if masks else None
+    grouped = defaultdict(Counter)
     for _ in range(draws):
-        grouped.setdefault(rng.choice(pool), {})[rng.randrange(16)] = rng.randint(1, 4)
+        core = rng.randrange(16)
+        mask = rng.choice(pool) if pool else fresh()
+        grouped[mask][core] += rng.randint(1, 4)
     return [(mask, tuple(senders.items())) for mask, senders in grouped.items()]
 
 
