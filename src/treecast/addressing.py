@@ -16,7 +16,10 @@ of four interchangeable encodings:
 
 A symbol is a 2-bit child mask (``01`` is 0, ``10`` is 1, ``11`` is *),
 so symbol is hbs on the binary tree of index bits: :class:`SymbolAddress`
-encodes, covers and walks with the hbs methods on that tree.
+encodes, covers and walks with the hbs methods on that tree.  A flat
+bitmask is one level mask of N bits, so fbs is hbs on the one-level tree
+``TreeConfig(N, 1)``: :class:`FbsAddress` keeps only its own switch port
+choice.
 
 The region-based encodings (symbol, hbs) trade header width for
 overcoverage: cores outside the requested set that still receive the
@@ -106,72 +109,14 @@ def tree_levels(n: int, k: int) -> int:
 # unicast, and ``capability`` counts the distinct nonempty covers.
 
 @dataclass(frozen=True)
-class FbsAddress:
-    """Flat bitmask: bit i set means core i is a destination."""
-
-    mask: int
-
-    scheme = Scheme.FBS
-
-    def __post_init__(self) -> None:
-        if self.mask <= 0:
-            raise ValueError("flat bitmask must be a nonzero positive integer")
-
-    @classmethod
-    def _encode(cls, mask: int, cfg: TreeConfig) -> FbsAddress:
-        """Exact flat bitmask: the destination mask itself."""
-        return cls(mask)
-
-    def cover(self, cfg: TreeConfig) -> int:
-        n = cfg.core_count
-        if self.mask >= (1 << n):
-            raise ValueError(f"flat bitmask wider than {n} cores")
-        return self.mask
-
-    @staticmethod
-    def width(cfg: TreeConfig) -> int:
-        return cfg.core_count
-
-    routing_bits = width
-
-    def text(self, cfg: TreeConfig) -> str:
-        """N-char binary string, bit N-1 leftmost."""
-        return format(self.mask, f"0{cfg.core_count}b")
-
-    @classmethod
-    def parse(cls, text: str, cfg: TreeConfig) -> FbsAddress:
-        n = cfg.core_count
-        if len(text) != n or any(c not in "01" for c in text):
-            raise ValueError(f"fbs address must be a {n}-char binary string")
-        return cls(int(text, 2))
-
-    def select(self, depth: int, switch: int, cfg: TreeConfig) -> tuple[None, tuple[int, ...]]:
-        """No head field: forward to every child whose core block the mask touches."""
-        k = cfg.fan_out
-        span = k ** (cfg.levels - depth - 1)
-        block = (1 << span) - 1
-        return None, tuple(
-            d for d in range(k) if self.mask & (block << ((switch * k + d) * span))
-        )
-
-    @staticmethod
-    def capability(cfg: TreeConfig) -> int:
-        return 2**cfg.core_count - 1
-
-    @classmethod
-    def addresses(cls, cfg: TreeConfig) -> Iterator[FbsAddress]:
-        return (cls(mask) for mask in range(1, 1 << cfg.core_count))
-
-
-@dataclass(frozen=True)
 class HbsAddress:
     """One k-bit child mask per tree level, root level first.
 
     Bit d of a level mask selects child digit d at that level.  A zero
-    mask would select no child and is rejected.  ``encode``, ``cover``,
-    ``width``, ``capability`` and ``addresses`` work on the tree that
-    ``_tree(cfg)`` gives, which is ``cfg`` itself here and the binary tree
-    of index bits for symbol.
+    mask would select no child and is rejected.  Every method but
+    ``select`` works on the tree that ``_tree(cfg)`` gives: ``cfg`` itself
+    here, the binary tree of index bits for symbol and the one-level tree
+    ``TreeConfig(N, 1)`` of N cores for fbs.
     """
 
     masks: tuple[int, ...]
@@ -194,13 +139,14 @@ class HbsAddress:
 
         Digit d of a level is set when block d of that level's mask is
         nonzero, and the OR of the k blocks is the next level's mask.  The
-        cover, the product of the per-level digit sets, is the smallest
+        leaf level's blocks are single cores, so its mask is what is left.
+        The cover, the product of the per-level digit sets, is the smallest
         such product containing the destinations.
         """
         tree = cls._tree(cfg)
         k, span = tree.fan_out, tree.core_count
         masks = []
-        for _ in range(tree.levels):
+        for _ in range(tree.levels - 1):
             span //= k
             block = (1 << span) - 1
             digits = below = 0
@@ -211,20 +157,20 @@ class HbsAddress:
                     below |= part
             masks.append(digits)
             mask = below
-        return cls(tuple(masks))
+        return cls((*masks, mask))
 
     def cover(self, cfg: TreeConfig) -> int:
-        # Replicate the partial cover into the block of every selected
-        # child digit, leaf level first.
+        # The leaf mask is the cover of one leaf switch; replicate it into
+        # the block of every selected child digit, leaf level first.
         tree = self._tree(cfg)
         k = tree.fan_out
         if len(self.masks) != tree.levels:
             raise ValueError(f"expected {tree.levels} level masks, got {len(self.masks)}")
         if any(m >= (1 << k) for m in self.masks):
             raise ValueError(f"level mask wider than fan_out={k} bits")
-        cover = 1
-        span = 1
-        for m in reversed(self.masks):
+        cover = self.masks[-1]
+        span = k
+        for m in reversed(self.masks[:-1]):
             acc = 0
             for d in range(k):
                 if m & (1 << d):
@@ -242,16 +188,18 @@ class HbsAddress:
 
     def text(self, cfg: TreeConfig) -> str:
         """Slash-separated k-bit binary masks, root level first."""
-        return "/".join(format(m, f"0{cfg.fan_out}b") for m in self.masks)
+        k = self._tree(cfg).fan_out
+        return "/".join(format(m, f"0{k}b") for m in self.masks)
 
     @classmethod
     def parse(cls, text: str, cfg: TreeConfig) -> HbsAddress:
-        parts = text.split("/")
-        if len(parts) != cfg.levels:
-            raise ValueError(f"hbs address must have {cfg.levels} slash-separated masks")
-        k = cfg.fan_out
-        if any(len(p) != k or any(c not in "01" for c in p) for p in parts):
-            raise ValueError(f"each hbs level mask must be a {k}-char binary string")
+        tree = cls._tree(cfg)
+        k, parts = tree.fan_out, text.split("/")
+        if len(parts) != tree.levels or any(len(p) != k or set(p) - {"0", "1"} for p in parts):
+            form = f"a {k}-char binary string"
+            if tree.levels > 1:
+                form = f"{tree.levels} slash-separated {k}-char binary masks"
+            raise ValueError(f"{cls.scheme.value} address must be {form}")
         return cls(tuple(int(p, 2) for p in parts))
 
     def select(self, depth: int, switch: int, cfg: TreeConfig) -> tuple[int, tuple[int, ...]]:
@@ -314,6 +262,27 @@ class SymbolAddress(HbsAddress):
             fixed = fixed << 1 | (mask != 3)
             value = value << 1 | (mask == 2)
         return head, tuple(d for d in range(cfg.fan_out) if d & fixed == value)
+
+
+class FbsAddress(HbsAddress):
+    """Flat bitmask, bit i set when core i is a destination: hbs on ``TreeConfig(N, 1)``.
+
+    Its one level mask is the destination mask itself.
+    """
+
+    scheme = Scheme.FBS
+
+    @staticmethod
+    @functools.cache
+    def _tree(cfg: TreeConfig) -> TreeConfig:
+        return TreeConfig(cfg.core_count, 1)
+
+    def select(self, depth: int, switch: int, cfg: TreeConfig) -> tuple[None, tuple[int, ...]]:
+        """No head field: forward to every child whose core block the mask touches."""
+        k, mask = cfg.fan_out, self.masks[0]
+        span = k ** (cfg.levels - depth - 1)
+        block = (1 << span) - 1
+        return None, tuple(d for d in range(k) if mask & (block << ((switch * k + d) * span)))
 
 
 @dataclass(frozen=True)
@@ -382,7 +351,7 @@ class UnicastAddress:
         )
 
 
-MulticastAddress = Union[FbsAddress, SymbolAddress, HbsAddress, UnicastAddress]
+MulticastAddress = Union[HbsAddress, UnicastAddress]
 
 _ADDRESS_CLASSES = {
     cls.scheme: cls for cls in (FbsAddress, SymbolAddress, HbsAddress, UnicastAddress)

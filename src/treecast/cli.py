@@ -17,6 +17,7 @@ but could not be written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import IO, Sequence
 
@@ -124,9 +125,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     # Both outputs are opened (without truncating) before the sweep, so a bad
     # path costs no run, and rewritten only after it, so a failed run leaves
-    # them as they were.
+    # them as they were.  One regular file cannot hold both.
     for path, what in ((runs_csv, "output.runs_csv"), (summary_json, "output.summary_json")):
         _open(path, "a", what).close()
+    if os.path.isfile(runs_csv) and os.path.samefile(runs_csv, summary_json):
+        raise ValueError(f"output.summary_json {summary_json}: is also output.runs_csv")
     result = run_experiment(config)
     with (
         _open(runs_csv, "w", "output.runs_csv") as runs_fh,

@@ -25,6 +25,7 @@ import yaml
 from .addressing import Scheme, TreeConfig, address_class
 from .nocsim import TURNAROUND_POLICIES, EnergyModel, SimReport, simulate
 from .traffic import (
+    LAYER_KINDS,
     Layer,
     NetworkSpec,
     build_core_luts,
@@ -93,7 +94,9 @@ _Field = namedtuple("_Field", "path keyword kind allowed excludes", defaults=(No
 #: and the fields it may not be set with.  Rows setting ``tree``, ``energy`` or
 #: ``network`` are arguments of TreeConfig, EnergyModel.default or
 #: NetworkSpec.default_rsnn; ``energy.link`` and ``network.layers`` replace
-#: what those built.  An absent field keeps the default of what it sets.
+#: what those built; each ``network.layers`` entry has exactly an integer
+#: ``size`` >= 1 and a ``kind`` in LAYER_KINDS.  An absent field keeps the
+#: default of what it sets.
 FIELDS = (
     _Field("tree.fan_out", "tree", int, "[2, inf)"),
     _Field("tree.levels", "tree", int, "[1, inf)"),
@@ -157,7 +160,9 @@ def _built(errors: list[str], label: str, build: Callable[..., Any], *args: Any,
         return build(*args, **kw)
     except (TypeError, ValueError) as exc:
         errors.append(f"{label}: {exc}")
-        return None
+    except OverflowError:
+        errors.append(f"{label}: a value overflows a float")
+    return None
 
 
 def load_config(inp: IO[str]) -> ExperimentConfig:
@@ -199,8 +204,11 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
     network = _built(errors, "network", NetworkSpec.default_rsnn, **args["network"])
     for i, entry in enumerate(layers or ()):
         if entry is not None:
-            size_kind = (entry.get("size", 0), entry.get("kind", ""))
-            layers[i] = _built(errors, f"network.layers[{i}]", Layer, *size_kind)
+            at = f"network.layers[{i}]"
+            errors.extend(f"{at}.{key}: unknown field" for key in entry if key not in ("size", "kind"))
+            size = _check(f"{at}.size", int, "[1, inf)", entry.get("size"), errors)
+            kind = _check(f"{at}.kind", str, LAYER_KINDS, entry.get("kind"), errors)
+            layers[i] = Layer(size, kind) if size and kind else None
     if layers:
         network = replace(network, layers=tuple(layers)) if network and all(layers) else None
     kw["schemes"] = tuple(Scheme(s) for s in kw.get("schemes", defaults.schemes) if s is not None)

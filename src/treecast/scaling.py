@@ -15,9 +15,10 @@ unicast       N*log2(N)      2**N - 1
 ============  =============  ======================
 
 Symbol is hbs on the binary tree of log2(N) levels, so its row is the hbs
-row at k = 2.  The unicast row is the worst-case total across the
-per-target packet iteration (its per-packet field is just log2(N) bits,
-see ``UnicastAddress.width``).
+row at k = 2; fbs is hbs on the one-level tree of N cores, so its row is
+the hbs row at k = N, L = 1.  The unicast row is the worst-case total
+across the per-target packet iteration (its per-packet field is just
+log2(N) bits, see ``UnicastAddress.width``).
 
 ``enumerate_capability`` recounts capability by brute force: it walks
 every well-formed address of a scheme, materializes its cover, and

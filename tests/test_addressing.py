@@ -87,10 +87,10 @@ def test_path_index_bijection(cfg):
 # encoders
 
 def test_encode_fbs_examples():
-    assert encode(Scheme.FBS, mask_of({5}), CFG16).mask == 1 << 5
-    assert encode(Scheme.FBS, mask_of(range(16)), CFG16).mask == 0xFFFF
+    assert encode(Scheme.FBS, mask_of({5}), CFG16).masks == (1 << 5,)
+    assert encode(Scheme.FBS, mask_of(range(16)), CFG16).masks == (0xFFFF,)
     a = encode(Scheme.FBS, mask_of({0, 3, 12}), CFG16)
-    assert a.mask.bit_count() == 3
+    assert a.masks[0].bit_count() == 3
     assert covered_set(a, CFG16) == frozenset({0, 3, 12})
 
 
@@ -234,11 +234,29 @@ def test_mask_encoders_match_member_wise_oracles(case):
     # The mask fold against the set-in encoders; k = 3 is not a power of two, so no symbol.
     cfg, dests = case
     mask = mask_of(dests)
-    assert encode(Scheme.FBS, mask, cfg).mask == mask
+    assert encode(Scheme.FBS, mask, cfg).masks == (mask,)
     assert encode(Scheme.HBS, mask, cfg).masks == oracles.hbs_encode(dests, cfg.fan_out, cfg.levels)
     assert encode(Scheme.UNICAST, mask, cfg).targets == oracles.unicast_encode(dests)
     if cfg.fan_out != 3:
         assert encode(Scheme.SYMBOL, mask, cfg).masks == oracles.symbol_encode(dests, cfg.core_count)
+
+
+@pytest.mark.parametrize("cfg", [CFG16, TreeConfig(3, 2), TreeConfig(2, 5)])
+def test_fbs_is_hbs_on_the_one_level_tree(cfg):
+    # As symbol is hbs on the binary tree, fbs is hbs on TreeConfig(N, 1).
+    n = cfg.core_count
+    flat = TreeConfig(n, 1)
+    fbs, hbs = address_class(Scheme.FBS), address_class(Scheme.HBS)
+    assert fbs.width(cfg) == fbs.routing_bits(cfg) == hbs.width(flat) == hbs.routing_bits(flat) == n
+    assert fbs.capability(cfg) == hbs.capability(flat) == 2**n - 1
+    rng = random.Random(n)
+    for _ in range(100):
+        mask = mask_of(random_dests(rng, n))
+        a, b = encode(Scheme.FBS, mask, cfg), encode(Scheme.HBS, mask, flat)
+        assert a.masks == b.masks == (mask,)
+        assert a.cover(cfg) == b.cover(flat) == mask
+        assert a.text(cfg) == b.text(flat) == format(mask, f"0{n}b")
+        assert fbs.parse(a.text(cfg), cfg) == a
 
 
 def test_unicast_rejects_repeated_targets():
@@ -257,7 +275,7 @@ def test_covered_set_examples():
     assert covered_set(address_class(Scheme.SYMBOL).parse("1***", CFG16), CFG16) == frozenset(
         range(8, 16)
     )
-    assert covered_set(FbsAddress(0b1), CFG16) == frozenset({0})
+    assert covered_set(FbsAddress((0b1,)), CFG16) == frozenset({0})
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,7 +339,7 @@ def test_overcoverage_examples_and_error():
     hbs = HbsAddress((0b0011, 0b0011))
     assert overcoverage(hbs, mask_of({0, 5}), CFG16) == 2
     with pytest.raises(ValueError):
-        overcoverage(FbsAddress(0b1), mask_of({0, 1}), CFG16)  # cover misses dest 1
+        overcoverage(FbsAddress((0b1,)), mask_of({0, 1}), CFG16)  # cover misses dest 1
     with pytest.raises(ValueError, match="nonempty"):
         overcoverage(hbs, 0, CFG16)
 
@@ -409,7 +427,7 @@ def test_width_non_power_of_two():
 
 def test_malformed_addresses_rejected():
     with pytest.raises(ValueError):
-        FbsAddress(0)
+        FbsAddress((0,))
     with pytest.raises(ValueError):
         HbsAddress((0b0011, 0))
     with pytest.raises(ValueError):
@@ -422,7 +440,7 @@ def test_malformed_addresses_rejected():
 
 def test_wrong_width_addresses_rejected_on_decode():
     with pytest.raises(ValueError):
-        FbsAddress(1 << 16).cover(CFG16)
+        FbsAddress((1 << 16,)).cover(CFG16)
     with pytest.raises(ValueError):
         HbsAddress((0b0011,)).cover(CFG16)  # one mask, two levels
     with pytest.raises(ValueError):
@@ -444,7 +462,7 @@ def test_decode_is_deterministic_function():
 # canonical text form
 
 def test_format_examples():
-    assert FbsAddress(0b1).text(TreeConfig(2, 2)) == "0001"
+    assert FbsAddress((0b1,)).text(TreeConfig(2, 2)) == "0001"
     assert HbsAddress((0b0011, 0b1100)).text(CFG16) == "0011/1100"
     assert UnicastAddress((2, 7, 11)).text(CFG16) == "2,7,11"
 
@@ -460,13 +478,14 @@ def test_format_parse_round_trip():
 
 
 def test_parse_rejects_malformed_text():
-    with pytest.raises(ValueError):
-        address_class(Scheme.FBS).parse("0101", CFG16)  # wrong length
+    for text in ("0101", "0000/0000"):  # wrong length, two masks
+        with pytest.raises(ValueError, match="^fbs address must be a 16-char binary string$"):
+            address_class(Scheme.FBS).parse(text, CFG16)
     with pytest.raises(ValueError):
         address_class(Scheme.SYMBOL).parse("00*", CFG16)
     with pytest.raises(ValueError):
         address_class(Scheme.SYMBOL).parse("00x*", CFG16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^hbs address must be 2 slash-separated 4-char binary masks$"):
         address_class(Scheme.HBS).parse("0011", CFG16)  # one mask
     with pytest.raises(ValueError):
         address_class(Scheme.HBS).parse("0000/0011", CFG16)  # zero mask

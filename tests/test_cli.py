@@ -20,16 +20,16 @@ def fields(out):
 
 @pytest.mark.parametrize("scheme", [s.value for s in Scheme])
 def test_encode_decode_round_trip(capsys, scheme):
-    tree = ("--k", "4", "--levels", "2")
-    code, out = run(capsys, "encode", "--scheme", scheme, "--dests", "0,5,9", *tree)
-    assert code == 0
-    enc = fields(out)
-    code, out = run(capsys, "decode", "--scheme", scheme, "--address", enc["address"], *tree)
-    assert code == 0
-    dec = fields(out)
-    assert dec["cover"] == enc["cover"]
-    assert dec["cover_size"] == enc["cover_size"]
-    assert set(enc["cover"].split(",")) >= {"0", "5", "9"}
+    for tree in (("--k", "4", "--levels", "2"), ("--k", "2", "--levels", "5")):
+        code, out = run(capsys, "encode", "--scheme", scheme, "--dests", "0,5,9", *tree)
+        assert code == 0
+        enc = fields(out)
+        code, out = run(capsys, "decode", "--scheme", scheme, "--address", enc["address"], *tree)
+        assert code == 0
+        dec = fields(out)
+        assert dec["cover"] == enc["cover"]
+        assert dec["cover_size"] == enc["cover_size"]
+        assert set(enc["cover"].split(",")) >= {"0", "5", "9"}
 
 
 def test_core_count_flag_resolves_tree_levels(capsys):
@@ -139,6 +139,17 @@ def test_simulate_writes_to_a_file_that_is_not_regular(tmp_path, capsys):
     argv = ["simulate", "--config", str(config), "--runs-csv", os.devnull, "--summary-json", os.devnull]
     assert main(argv) == 0
     assert f"wrote {os.devnull} and {os.devnull}" in capsys.readouterr().out
+
+
+def test_simulate_rejects_one_regular_file_named_as_both_outputs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiment, "generate_connectivity", lambda *a: pytest.fail("built"))
+    out = tmp_path / "same.out"
+    out.write_text("keep\n")
+    os.link(out, tmp_path / "link.out")
+    for other in (out, f"{tmp_path}/./same.out", tmp_path / "link.out"):
+        assert main(["simulate", "--runs-csv", str(out), "--summary-json", str(other)]) == 1
+        assert "is also output.runs_csv" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
 
 
 def test_decode_rejects_repeated_unicast_targets(capsys):

@@ -124,7 +124,15 @@ REJECTED = [
     (
         "layer_entries",
         "network: {layers: [{size: 0, kind: recurrent}, 5]}\n",
-        ["network.layers[0]", "network.layers[1]"],
+        ["network.layers[0].size", "network.layers[1]"],
+    ),
+    ("fractional_layer_size", "network: {layers: [{size: 10.5, kind: recurrent}]}\n", ["network.layers[0].size"]),
+    ("bool_layer_size", "network: {layers: [{size: true, kind: recurrent}]}\n", ["network.layers[0].size"]),
+    ("unknown_layer_key", "network: {layers: [{size: 20, kind: recurrent, sise: 5}]}\n", ["network.layers[0].sise"]),
+    (
+        "layer_kind_and_missing_size",
+        "network: {layers: [{kind: lateral}]}\n",
+        ["network.layers[0].kind", "network.layers[0].size"],
     ),
     ("unknown_scheme", "schemes: [fbs, nope]\n", ["schemes[1]"]),
     ("no_schemes", "schemes: []\n", ["schemes"]),
@@ -132,6 +140,7 @@ REJECTED = [
     ("nan_energy_base", "energy: {base: .nan}\n", ["energy"]),
     ("inf_filter_lookup", "energy: {filter_lookup: .inf}\n", ["energy"]),
     ("nan_link_energy", "energy: {link: [.nan, 1]}\n", ["energy.link"]),
+    ("overflowing_level_ratio", "energy: {level_ratio: 1.0e+200}\ntree: {levels: 3}\n", ["energy"]),
     ("density", "network: {density: 0}\n", ["network.density"]),
     ("section_not_mapping", "tree: 3\n", ["tree"]),
     ("empty_output_path", "output: {runs_csv: ''}\n", ["output.runs_csv"]),
