@@ -55,7 +55,12 @@ class Scheme(str, Enum):
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Shape of the core tree: ``fan_out`` children per switch, ``levels`` deep."""
+    """Shape of the core tree: ``fan_out`` children per switch, ``levels`` deep.
+
+    Two constants of the shape are computed on first read and cached on the
+    instance: ``core_count`` and ``block_leaders``.  Equality and hashing
+    read only ``fan_out`` and ``levels``.
+    """
 
     fan_out: int
     levels: int
@@ -66,9 +71,16 @@ class TreeConfig:
         if not isinstance(self.levels, int) or self.levels < 1:
             raise ValueError(f"levels must be an integer >= 1, got {self.levels!r}")
 
-    @property
+    @functools.cached_property
     def core_count(self) -> int:
         return self.fan_out ** self.levels
+
+    @functools.cached_property
+    def block_leaders(self) -> tuple[int, ...]:
+        """Core bitmask per R-level l in ``0..levels``: the first core of every
+        block of ``fan_out ** l`` cores, that is bit j * k**l for every j."""
+        full = (1 << self.core_count) - 1
+        return tuple(full // ((1 << self.fan_out**level) - 1) for level in range(self.levels + 1))
 
     @property
     def index_bits(self) -> int:
@@ -126,7 +138,7 @@ class HbsAddress:
     def __post_init__(self) -> None:
         if not self.masks:
             raise ValueError("hierarchical address must have at least one level mask")
-        if any(m <= 0 for m in self.masks):
+        if min(self.masks) <= 0:
             raise ValueError("every level mask must be nonzero (a zero mask covers no core)")
 
     @staticmethod
@@ -161,21 +173,24 @@ class HbsAddress:
 
     def cover(self, cfg: TreeConfig) -> int:
         # The leaf mask is the cover of one leaf switch; replicate it into
-        # the block of every selected child digit, leaf level first.
+        # the block of every selected child digit, leaf level first.  The
+        # cover is narrower than the block span, so its shifted copies are
+        # disjoint and their sum is the product with the digits' spread.
         tree = self._tree(cfg)
         k = tree.fan_out
         if len(self.masks) != tree.levels:
             raise ValueError(f"expected {tree.levels} level masks, got {len(self.masks)}")
-        if any(m >= (1 << k) for m in self.masks):
+        if max(self.masks) >> k:
             raise ValueError(f"level mask wider than fan_out={k} bits")
         cover = self.masks[-1]
         span = k
-        for m in reversed(self.masks[:-1]):
-            acc = 0
-            for d in range(k):
-                if m & (1 << d):
-                    acc |= cover << (d * span)
-            cover = acc
+        for m in self.masks[-2::-1]:
+            spread = 0
+            while m:
+                low = m & -m
+                spread |= 1 << (low.bit_length() - 1) * span
+                m ^= low
+            cover *= spread
             span *= k
         return cover
 
@@ -229,7 +244,7 @@ class SymbolAddress(HbsAddress):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if any(m > 3 for m in self.masks):
+        if max(self.masks) > 3:
             raise ValueError("symbol masks must be 1 (0), 2 (1) or 3 (*)")
 
     @staticmethod
@@ -296,7 +311,7 @@ class UnicastAddress:
     def __post_init__(self) -> None:
         if not self.targets:
             raise ValueError("unicast target list must be nonempty")
-        if any(t < 0 for t in self.targets):
+        if min(self.targets) < 0:
             raise ValueError("unicast targets must be nonnegative core indices")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError("unicast targets must not repeat")
@@ -307,11 +322,11 @@ class UnicastAddress:
         return cls(tuple(cores(mask)))
 
     def cover(self, cfg: TreeConfig) -> int:
-        n = cfg.core_count
+        n, top = cfg.core_count, max(self.targets)
+        if top >= n:
+            raise ValueError(f"unicast target {top} out of range [0, {n})")
         mask = 0
         for t in self.targets:
-            if t >= n:
-                raise ValueError(f"unicast target {t} out of range [0, {n})")
             mask |= 1 << t
         return mask
 
@@ -371,7 +386,8 @@ def encode(scheme: Scheme, mask: int, cfg: TreeConfig) -> MulticastAddress:
     n = cfg.core_count
     if not 0 < mask < 1 << n:
         raise ValueError(f"destination mask must name a nonempty set of cores in [0, {n})")
-    return address_class(scheme)._encode(mask, cfg)
+    # A str enum hashes as its value, so a Scheme and its name both hit the dict.
+    return (_ADDRESS_CLASSES.get(scheme) or address_class(scheme))._encode(mask, cfg)
 
 
 def cores(mask: int) -> list[int]:

@@ -125,12 +125,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     # Both outputs are opened (without truncating) before the sweep, so a bad
     # path costs no run, and rewritten only after it, so a failed run leaves
-    # them as they were.  One regular file cannot hold both.
-    for path, what in ((runs_csv, "output.runs_csv"), (summary_json, "output.summary_json")):
-        _open(path, "a", what).close()
-    if os.path.isfile(runs_csv) and os.path.samefile(runs_csv, summary_json):
-        raise ValueError(f"output.summary_json {summary_json}: is also output.runs_csv")
-    result = run_experiment(config)
+    # them as they were and removes the ones this open created.  One regular
+    # file cannot hold both.
+    created = []
+    try:
+        for path, what in ((runs_csv, "output.runs_csv"), (summary_json, "output.summary_json")):
+            existed = os.path.lexists(path)
+            _open(path, "a", what).close()
+            if not existed:
+                created.append(path)
+        if os.path.isfile(runs_csv) and os.path.samefile(runs_csv, summary_json):
+            raise ValueError(f"output.summary_json {summary_json}: is also output.runs_csv")
+        result = run_experiment(config)
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
     with (
         _open(runs_csv, "w", "output.runs_csv") as runs_fh,
         _open(summary_json, "w", "output.summary_json") as summary_fh,

@@ -20,16 +20,19 @@ from sources a core does not listen to are filtered out as illegal.
 :func:`simulate` sees only the traffic, grouped by destination core mask:
 each mask with the spike count of every source core that sends to it; a
 core listens to a source exactly when it is in that mask.  Each mask is
-encoded once, and a route is computed once per mask when it does not
-depend on the source core, once per sender otherwise.
+encoded once.  A multicast route under the ``root`` turnaround does not
+depend on the source core, so it is computed once per mask and charged
+once for the spikes of all its senders; otherwise a route is computed and
+charged once per sender.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .addressing import (
     MulticastAddress,
@@ -159,18 +162,17 @@ def _multicast_level_links(cover: int, turn_level: int, cfg: TreeConfig) -> tupl
     Each step folds the cover onto its block leaders: bit j*span of the
     folded mask is set when block j of ``span`` cores holds a covered core.
     """
-    k, levels = cfg.fan_out, cfg.levels
-    full = (1 << cfg.core_count) - 1
+    k, leaders = cfg.fan_out, cfg.block_leaders
     counts = []
     span = 1
-    for _ in range(turn_level):
+    for level in range(1, turn_level + 1):
         counts.append(1 + cover.bit_count())
         folded = cover
         for d in range(1, k):
             folded |= cover >> (d * span)
         span *= k
-        cover = folded & full // ((1 << span) - 1)
-    return tuple(counts) + (0,) * (levels - turn_level)
+        cover = folded & leaders[level]
+    return tuple(counts) + (0,) * (cfg.levels - turn_level)
 
 
 def route_multicast(
@@ -286,7 +288,7 @@ class SimReport:
 
 
 def simulate(
-    demand: Iterable[tuple[int, Iterable[tuple[int, int]]]],
+    demand: Iterable[tuple[int, Sequence[tuple[int, int]]]],
     scheme: Scheme,
     cfg: TreeConfig,
     energy: EnergyModel,
@@ -301,15 +303,17 @@ def simulate(
     multiplied by the spike count.  Each entry's mask is encoded once, and
     the mask itself is what :func:`~treecast.addressing.encode` reads.  A
     multicast packet under the ``root`` turnaround has a cover and
-    per-level links that do not depend on the source core, so it is routed
-    once per entry; otherwise it is routed once per sender.  Every arriving
-    packet pays one LUT lookup.  A covered core outside the mask does not
-    hold the source's tag, so its lookup counts as illegal and the packet
-    is dropped there.  The counts read the route's ``cover`` and
-    ``level_links``, so the switch-by-switch walk never runs here.
+    per-level links that do not depend on the source core, so once every
+    sender is range-checked it is routed once per entry and charged once
+    for the entry's summed spike count; otherwise it is routed and charged
+    once per sender.  Every arriving packet pays one LUT lookup.  A covered
+    core outside the mask does not hold the source's tag, so its lookup
+    counts as illegal and the packet is dropped there.  The counts read the
+    route's ``cover`` and ``level_links``, so the switch-by-switch walk
+    never runs here.
 
     With integer-valued energies every field equals a spike-by-spike sum.
-    Otherwise the float fields, summed per tree level and per sender, may
+    Otherwise the float fields, summed per tree level and per charge, may
     differ from it by rounding; the tests allow a relative drift of 1e-12.
     """
     scheme = Scheme(scheme)
@@ -320,30 +324,33 @@ def simulate(
         )
     header = address_class(scheme).width(cfg) + tag_bits
     per_sender = scheme is Scheme.UNICAST or turnaround != "root"
+    n_cores, link_energy = cfg.core_count, energy.link_energy_per_bit
 
     spikes = packets = link_bits = legal = illegal = 0
     routing_energy = 0.0
     for mask, senders in demand:
         addr = encode(scheme, mask, cfg)
-        route = None
+        total = 0
         for source_core, count in senders:
-            if not 0 <= source_core < cfg.core_count:
-                raise ValueError(f"source core {source_core} is outside the {cfg.core_count} cores")
-            if route is None or per_sender:
-                if scheme is Scheme.UNICAST:
-                    route = route_unicast_batch(addr, source_core, cfg)
-                else:
-                    route = route_multicast(addr, source_core, cfg, turnaround)
-                links = sum(route.level_links)
-                e_per_bit = sum(n * e for n, e in zip(route.level_links, energy.link_energy_per_bit))
-                n_legal = (route.cover & mask).bit_count()
-                n_illegal = route.cover.bit_count() - n_legal
+            if not 0 <= source_core < n_cores:
+                raise ValueError(f"source core {source_core} is outside the {n_cores} cores")
+            total += count
+        if senders and not per_sender:
+            # One route for every sender: charge it once for all their spikes.
+            senders = ((senders[0][0], total),)
+        for source_core, count in senders:
+            if scheme is Scheme.UNICAST:
+                route = route_unicast_batch(addr, source_core, cfg)
+            else:
+                route = route_multicast(addr, source_core, cfg, turnaround)
+            cover, level_links = route.cover, route.level_links
+            n_legal = (cover & mask).bit_count()
             spikes += count
             packets += count * route.packets
-            link_bits += count * links * header
-            routing_energy += count * header * e_per_bit
+            link_bits += count * sum(level_links) * header
+            routing_energy += count * header * sum(map(operator.mul, level_links, link_energy))
             legal += count * n_legal
-            illegal += count * n_illegal
+            illegal += count * (cover.bit_count() - n_legal)
 
     filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
     return SimReport(

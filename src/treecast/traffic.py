@@ -18,7 +18,7 @@ recorded traffic can be substituted for the synthetic one.
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterator, Mapping, Sequence
@@ -157,9 +157,9 @@ def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
                 density = 1.0
             blocks.append(_draw_block(rng, layer.size, spec.layers[li + 1].size, density))
         first = ranges[li].start if layer.kind == "recurrent" else ranges[li].stop
-        rows, cols = np.nonzero(np.hstack(blocks))
-        counts.append(np.bincount(rows, minlength=layer.size))
-        targets.append((cols + first).astype(np.int32))
+        hits = np.hstack(blocks)
+        counts.append(np.count_nonzero(hits, axis=1))
+        targets.append((np.flatnonzero(hits) % hits.shape[1] + first).astype(np.int32))
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return Connectivity(indptr, np.concatenate(targets))
 
@@ -281,7 +281,7 @@ def derive_events(
     of a neuron whose row is 0 (an empty fan-out) make no entry; their
     count is returned alongside the entries.
     """
-    demand: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    demand: dict[int, dict[int, int]] = {}
     dropped = 0
     for neuron, count in trace.spike_counts.items():
         if neuron >= 1 << tag_bits:
@@ -295,7 +295,8 @@ def derive_events(
             raise ValueError(f"unmapped neuron {neuron}")
         mask = luts[neuron]
         if mask:
-            demand[mask][mapping[neuron]] += count
+            senders, core = demand.setdefault(mask, {}), mapping[neuron]
+            senders[core] = senders.get(core, 0) + count
         else:
             dropped += count
     return [(mask, tuple(senders.items())) for mask, senders in demand.items()], dropped
@@ -317,4 +318,5 @@ def build_core_luts(
     sources = np.repeat(np.arange(len(connectivity), dtype=np.int32), np.diff(connectivity.indptr))
     listen[sources, np.asarray(mapping, dtype=np.int32)[connectivity.targets]] = True
     packed = np.packbits(listen, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))

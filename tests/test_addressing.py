@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -39,6 +40,20 @@ def test_tree_config_core_count():
     assert CFG16.core_count == 16
     assert CFG27.core_count == 27
     assert TreeConfig(2, 10).core_count == 1024
+
+
+def test_tree_config_cached_constants_leave_equality_alone():
+    cfg, fresh = TreeConfig(4, 2), TreeConfig(4, 2)
+    assert (cfg.core_count, cfg.block_leaders) == (16, (0xFFFF, 0x1111, 0x1))
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    deeper = dataclasses.replace(cfg, levels=3)
+    assert deeper.core_count == 64
+    assert deeper.block_leaders == tuple(
+        sum(1 << j * 4**level for j in range(64 // 4**level)) for level in range(4)
+    )
+    assert deeper != cfg and dataclasses.replace(deeper, levels=2) == cfg
+    for cls, tree in ((SymbolAddress, TreeConfig(2, 4)), (FbsAddress, TreeConfig(16, 1))):
+        assert cls._tree(cfg) == cls._tree(fresh) == cls._tree(TreeConfig(4, 2)) == tree
 
 
 def test_tree_config_rejects_bad_shape():

@@ -133,6 +133,23 @@ def test_failed_simulate_keeps_existing_outputs(tmp_path, capsys):
     assert json.loads(summary.read_text())["repetitions"] == 1
 
 
+def test_failed_simulate_removes_only_the_outputs_it_created(tmp_path, capsys):
+    runs, summary = tmp_path / "new_r.csv", tmp_path / "new_s.json"
+    config = tmp_path / "config.yaml"
+    config.write_text(f"trace: {{source: file, path: '{tmp_path / 'nope.csv'}'}}\n")
+    argv = ["simulate", "--config", str(config), "--runs-csv", str(runs), "--summary-json"]
+    assert main([*argv, str(summary)]) == 1
+    assert "trace.path" in capsys.readouterr().err
+    assert not runs.exists() and not summary.exists()
+    summary.write_text("{}\n")
+    assert main([*argv, str(summary)]) == 1
+    assert not runs.exists() and summary.read_bytes() == b"{}\n"
+    # One new path named as both outputs is created once and removed once.
+    assert main([*argv, str(runs)]) == 1
+    assert "is also output.runs_csv" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "new_s.json"]
+
+
 def test_simulate_writes_to_a_file_that_is_not_regular(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text(SMALL_RUN)

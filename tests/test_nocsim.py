@@ -238,7 +238,7 @@ def test_unicast_dominance_three_levels_outside_local_region():
 # closed-form counts against the switch-by-switch walk
 
 ROUTE_TREES = [TreeConfig(k, levels) for k in (2, 3, 4) for levels in range(1, 6)]
-ROUTE_TREES.append(TreeConfig(2, 10))
+ROUTE_TREES += [TreeConfig(2, 10), TreeConfig(8, 2), TreeConfig(32, 2)]
 
 
 @st.composite
