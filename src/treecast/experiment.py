@@ -113,7 +113,7 @@ FIELDS = (
     _Field("network.feedforward_layers", "network", int, "[0, inf)", excludes=("network.layers",)),
     _Field("network.density", "network", float, "(0, 1]"),
     _Field("network.literal_fc", "network", bool),
-    _Field("network.seed", "network_seed", int),
+    _Field("network.seed", "network_seed", int, "[0, inf)"),
     _Field("mapping.strategy", "strategy", str, ("sequential", "random_switch")),
     _Field("mapping.capacity", "capacity", int, "[1, inf)"),
     _Field("mapping.repetitions", "repetitions", int, "[1, inf)"),
@@ -122,7 +122,7 @@ FIELDS = (
     _Field("trace.source", "trace_source", str, ("synth", "file")),
     _Field("trace.steps", "trace_steps", int, "[0, inf)"),
     _Field("trace.rate", "trace_rate", float, "[0, 1]"),
-    _Field("trace.seed", "trace_seed", int),
+    _Field("trace.seed", "trace_seed", int, "[0, inf)"),
     _Field("trace.path", "trace_path", str),
     _Field("output.runs_csv", "runs_csv", str, "[1, inf)"),
     _Field("output.summary_json", "summary_json", str, "[1, inf)"),

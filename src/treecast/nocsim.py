@@ -10,9 +10,11 @@ that rotation would have brought to the head.  Unicast packets turn at
 the lowest common ancestor of source and target instead.
 
 The routers return their counts in closed form from the cover bitmask:
-the delivered cores and the links crossed per tree level.  The
+the delivered cores and the links crossed per tree level.  Each returns
+a slotted :class:`RouteResult` that also holds a module-level walk
+function and its arguments, so a route builds no closure.  The
 switch-by-switch walk, which lists every link and port decision, runs
-only when a caller reads those lists.
+only when a caller first reads those lists, and its result is kept.
 
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .addressing import (
@@ -108,33 +109,47 @@ class SwitchDecision(NamedTuple):
     selected: tuple[int, ...]  # chosen Down ports
 
 
-@dataclass(frozen=True)
+#: The RouteResult fields that the switch-by-switch walk returns, in order.
+_WALKED = ("delivered", "up_links", "down_links", "decisions")
+
+
 class RouteResult:
     """Outcome of routing one event: the delivered cores and the links crossed.
 
-    ``cover`` is the delivered cores as a bitmask and ``level_links[i]``
-    counts the links crossed at R-level i + 1, up and down together; both
-    are closed forms.  The other fields come from the switch-by-switch
-    ``walk``, run once on first read.  For a multicast packet,
-    ``delivered`` is in ascending core index, ``up_links`` go from the
-    leaf up to the turn switch, and ``down_links`` are in depth-first,
-    ascending-digit order.  For a unicast batch the same orders hold
-    packet by packet, in target order.
+    A slotted record.  ``cover`` is the delivered cores as a bitmask and
+    ``level_links[i]`` counts the links crossed at R-level i + 1, up and
+    down together; both are closed forms, set when the record is built.
+    The record also holds a module-level walk function and its arguments.
+    ``delivered``, ``up_links``, ``down_links`` and ``decisions`` come from
+    that switch-by-switch walk, which runs once, on the first read of any
+    of them, and fills their slots; ``links`` joins the up and down links.
+    For a multicast packet, ``delivered`` is in ascending core index,
+    ``up_links`` go from the leaf up to the turn switch, and ``down_links``
+    are in depth-first, ascending-digit order.  For a unicast batch the
+    same orders hold packet by packet, in target order.  Records compare by
+    identity: there is no equality over the walk fields, so compare the
+    count fields themselves.
     """
 
-    cover: int
-    level_links: tuple[int, ...]
-    packets: int
-    walk: Callable[[], tuple] = field(compare=False, repr=False)
+    __slots__ = ("cover", "level_links", "packets", "_walk", "_args") + _WALKED
 
-    @cached_property
-    def _walked(self) -> tuple:
-        return self.walk()
+    def __init__(
+        self,
+        cover: int,
+        level_links: tuple[int, ...],
+        packets: int,
+        walk: Callable[..., tuple],
+        args: tuple,
+    ) -> None:
+        self.cover, self.level_links, self.packets = cover, level_links, packets
+        self._walk, self._args = walk, args
 
-    delivered = property(lambda self: self._walked[0])
-    up_links = property(lambda self: self._walked[1])
-    down_links = property(lambda self: self._walked[2])
-    decisions = property(lambda self: self._walked[3])
+    def __getattr__(self, name: str):
+        # Reached only when a slot is unset: a walk field not yet walked.
+        if name not in _WALKED:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.delivered, self.up_links, self.down_links, self.decisions = self._walk(*self._args)
+        return getattr(self, name)
 
     @property
     def links(self) -> tuple[tuple[int, int], ...]:
@@ -197,40 +212,45 @@ def route_multicast(
         raise ValueError("unicast packets are routed with route_unicast_batch")
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
-    k, levels = cfg.fan_out, cfg.levels
     cover = addr.cover(cfg)  # validates the field
 
-    turn_level = levels
+    turn_level = cfg.levels
     if turnaround == "lca":
         turn_level = _turn_level(source_core, cover, cfg)
 
-    def walk() -> tuple:
-        delivered: list[int] = []
-        down_links: list[tuple[int, int]] = []
-        decisions: list[SwitchDecision] = []
-
-        def descend(level: int, switch: int) -> None:
-            depth = levels - level
-            head, selected = addr.select(depth, switch, cfg)
-            decisions.append(SwitchDecision(level, switch, depth, head, selected))
-            for d in selected:
-                child = switch * k + d
-                down_links.append((level, child))
-                if level == 1:
-                    delivered.append(child)
-                else:
-                    descend(level - 1, child)
-
-        descend(turn_level, source_core // k**turn_level)
-        up_links = _up_edges(source_core, turn_level, k)
-        return tuple(delivered), up_links, tuple(down_links), tuple(decisions)
-
     return RouteResult(
-        cover=cover,
-        level_links=_multicast_level_links(cover, turn_level, cfg),
-        packets=1,
-        walk=walk,
+        cover,
+        _multicast_level_links(cover, turn_level, cfg),
+        1,
+        _walk_multicast,
+        (addr, source_core, cfg, turn_level),
     )
+
+
+def _walk_multicast(
+    addr: MulticastAddress, source_core: int, cfg: TreeConfig, turn_level: int
+) -> tuple:
+    """Walk one multicast packet switch by switch; each switch reads its own head field."""
+    k, levels = cfg.fan_out, cfg.levels
+    delivered: list[int] = []
+    down_links: list[tuple[int, int]] = []
+    decisions: list[SwitchDecision] = []
+
+    def descend(level: int, switch: int) -> None:
+        depth = levels - level
+        head, selected = addr.select(depth, switch, cfg)
+        decisions.append(SwitchDecision(level, switch, depth, head, selected))
+        for d in selected:
+            child = switch * k + d
+            down_links.append((level, child))
+            if level == 1:
+                delivered.append(child)
+            else:
+                descend(level - 1, child)
+
+    descend(turn_level, source_core // k**turn_level)
+    up_links = _up_edges(source_core, turn_level, k)
+    return tuple(delivered), up_links, tuple(down_links), tuple(decisions)
 
 
 def route_unicast_batch(
@@ -256,16 +276,19 @@ def route_unicast_batch(
         block = ((1 << span) - 1) << (source_core - source_core % span)
         level_links.append(2 * (n - (cover & block).bit_count()))
 
-    def walk() -> tuple:
-        up_links: list[tuple[int, int]] = []
-        down_links: list[tuple[int, int]] = []
-        for target in addr.targets:
-            turn_level = _turn_level(source_core, 1 << target, cfg)
-            up_links.extend(_up_edges(source_core, turn_level, k))
-            down_links.extend(reversed(_up_edges(target, turn_level, k)))
-        return addr.targets, tuple(up_links), tuple(down_links), ()
+    return RouteResult(cover, tuple(level_links), n, _walk_unicast, (addr, source_core, cfg))
 
-    return RouteResult(cover=cover, level_links=tuple(level_links), packets=n, walk=walk)
+
+def _walk_unicast(addr: UnicastAddress, source_core: int, cfg: TreeConfig) -> tuple:
+    """Walk each packet of a unicast batch up to its LCA switch and down to its target."""
+    k = cfg.fan_out
+    up_links: list[tuple[int, int]] = []
+    down_links: list[tuple[int, int]] = []
+    for target in addr.targets:
+        turn_level = _turn_level(source_core, 1 << target, cfg)
+        up_links.extend(_up_edges(source_core, turn_level, k))
+        down_links.extend(reversed(_up_edges(target, turn_level, k)))
+    return addr.targets, tuple(up_links), tuple(down_links), ()
 
 
 # ---------------------------------------------------------------------------

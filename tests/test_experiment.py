@@ -93,6 +93,12 @@ ACCEPTED = [
         "energy: {link: [1, 3], filter_lookup: 2}\n",
         ExperimentConfig(energy=EnergyModel((1.0, 3.0), 2.0)),
     ),
+    # random.Random takes any integer seed.
+    (
+        "negative_mapping_seed",
+        "mapping: {seed: -3}\n",
+        ExperimentConfig(energy=EnergyModel.default(2), mapping_seed=-3),
+    ),
 ]
 
 
@@ -154,6 +160,9 @@ REJECTED = [
         "trace: {source: file, path: t.csv, steps: 3, rate: 0.1, seed: 1}\n",
         ["trace.rate", "trace.seed", "trace.steps"],
     ),
+    # numpy's default_rng rejects a negative seed without naming the field.
+    ("negative_network_seed", "network: {seed: -1}\n", ["network.seed"]),
+    ("negative_trace_seed", "trace: {seed: -5}\n", ["trace.seed"]),
 ]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter, defaultdict
@@ -266,18 +265,54 @@ def test_closed_form_counts_equal_the_walk(case, turnaround):
     assert r.cover == sum(1 << core for core in covered_set(addr, cfg))
 
 
-def test_walk_runs_once_on_first_read():
+def count_calls(monkeypatch, *names):
+    """Counter of calls to each named nocsim function, through wrappers put in its place.
+
+    nocsim looks these functions up as module attributes on every call (the
+    traced benchmark run relies on that), so the wrappers see every call made
+    after this.
+    """
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(nocsim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(nocsim, name, counted(name))
+    return calls
+
+
+def test_walk_runs_once_on_first_read(monkeypatch):
+    calls = count_calls(monkeypatch, "_walk_multicast", "_walk_unicast")
     r = route_multicast(encode(Scheme.HBS, mask_of({4, 8}), CFG16), 0, CFG16)
-    calls = []
-    walk = r.walk
-    r = dataclasses.replace(r, walk=lambda: calls.append(1) or walk())
     assert r.cover == 1 << 4 | 1 << 8
     assert r.level_links == (3, 3)
+    assert r.packets == 1
+    with pytest.raises(AttributeError, match="'walk'"):
+        r.walk  # not a walk field: reading it walks nothing
     assert not calls
     assert r.delivered == (4, 8)
     assert len(r.decisions) == 3
     assert len(r.links) == 6
-    assert calls == [1]
+    assert r.up_links == ((1, 0), (2, 0))
+    assert calls == Counter({"_walk_multicast": 1})
+
+    r = route_unicast_batch(encode(Scheme.UNICAST, mask_of({4, 8}), CFG16), 0, CFG16)
+    assert r.cover == 1 << 4 | 1 << 8
+    assert r.level_links == (4, 4)
+    assert r.packets == 2
+    assert calls == Counter({"_walk_multicast": 1})
+    assert r.delivered == (4, 8)
+    assert r.decisions == ()
+    assert len(r.links) == 8
+    assert r.down_links == ((2, 1), (1, 4), (2, 2), (1, 8))
+    assert calls == Counter({"_walk_multicast": 1, "_walk_unicast": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +452,6 @@ def test_simulate_deterministic():
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, scheme, turnaround):
-    # simulate looks encode and the routers up as nocsim attributes, as the
-    # traced benchmark run relies on; counting wrappers put there see every call.
     # Demand is grouped by mask, so the data's shape alone gives one encode per
     # mask, and one route per mask (root multicast) or per sender (otherwise).
     demand = random_demand(random.Random(31), 50, 5, masks=6)
@@ -427,24 +460,26 @@ def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, sc
     energy = EnergyModel.default(2)
     want = simulate(demand, scheme, CFG16, energy, 10, turnaround)
 
-    calls = Counter()
-
-    def counted(name):
-        original = getattr(nocsim, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("encode", "route_multicast", "route_unicast_batch"):
-        monkeypatch.setattr(nocsim, name, counted(name))
+    calls = count_calls(monkeypatch, "encode", "route_multicast", "route_unicast_batch")
     assert simulate(demand, scheme, CFG16, energy, 10, turnaround) == want
 
     router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
     routes = len(demand) if scheme is not Scheme.UNICAST and turnaround == "root" else senders
     assert calls == Counter({"encode": len(demand), router: routes})
+
+
+@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_simulate_never_walks(monkeypatch, scheme, turnaround):
+    # simulate reads only the closed-form counts of each route.
+    def no_walk(*args):
+        raise AssertionError("simulate ran the switch-by-switch walk")
+
+    demand = random_demand(random.Random(37), 40, 6, masks=8)
+    want = simulate(demand, scheme, CFG16, EnergyModel.default(2), 10, turnaround)
+    monkeypatch.setattr(nocsim, "_walk_multicast", no_walk)
+    monkeypatch.setattr(nocsim, "_walk_unicast", no_walk)
+    assert simulate(demand, scheme, CFG16, EnergyModel.default(2), 10, turnaround) == want
 
 
 # Oracle: every spike routed on its own, filtered against LUTs built from the

@@ -39,6 +39,15 @@ def test_trace_round_trip():
     assert load_trace(buf, SMALL.total_neurons) == trace
 
 
+def test_synth_trace_events_are_plain_int_pairs():
+    spec = NetworkSpec.default_rsnn(50)
+    fires = np.random.default_rng(9).random((40, spec.total_neurons)) < 0.05
+    trace = synth_trace(spec, steps=40, rate=0.05, seed=9)
+    assert trace.events == tuple((int(t), int(n)) for t, n in np.argwhere(fires))
+    assert trace.events
+    assert all(type(t) is int and type(n) is int for t, n in trace.events)
+
+
 def test_load_trace_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         load_trace(io.StringIO("time,neuron\n0,1\n"), 2)
