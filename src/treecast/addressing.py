@@ -30,7 +30,11 @@ Each encoding is one frozen address class that owns everything specific
 to its scheme: ``_encode``, ``cover``, the header ``width``, the text form
 (``text`` and ``parse``), the switch port choice ``select``, the closed
 forms ``routing_bits`` and ``capability``, and ``addresses``, which walks
-every well-formed address.  Each of these takes the tree as one
+every well-formed address.  The multicast classes also read two route
+counts off the level masks without building the cover:
+``covered_per_height``, the running products of the masks' popcounts
+(fbs folds its one mask instead), and ``cover_bounds``, the lowest and
+highest covered core.  Each of these takes the tree as one
 :class:`TreeConfig`.  The registry :func:`address_class` maps a
 :class:`Scheme` to its class, and no other module branches on the scheme.
 """
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Union
@@ -171,17 +176,21 @@ class HbsAddress:
             mask = below
         return cls((*masks, mask))
 
+    def _checked_tree(self, cfg: TreeConfig) -> TreeConfig:
+        """``_tree(cfg)``, once the field has one mask per level, none wider than k."""
+        tree = self._tree(cfg)
+        if len(self.masks) != tree.levels:
+            raise ValueError(f"expected {tree.levels} level masks, got {len(self.masks)}")
+        if max(self.masks) >> tree.fan_out:
+            raise ValueError(f"level mask wider than fan_out={tree.fan_out} bits")
+        return tree
+
     def cover(self, cfg: TreeConfig) -> int:
         # The leaf mask is the cover of one leaf switch; replicate it into
         # the block of every selected child digit, leaf level first.  The
         # cover is narrower than the block span, so its shifted copies are
         # disjoint and their sum is the product with the digits' spread.
-        tree = self._tree(cfg)
-        k = tree.fan_out
-        if len(self.masks) != tree.levels:
-            raise ValueError(f"expected {tree.levels} level masks, got {len(self.masks)}")
-        if max(self.masks) >> k:
-            raise ValueError(f"level mask wider than fan_out={k} bits")
+        k = self._checked_tree(cfg).fan_out
         cover = self.masks[-1]
         span = k
         for m in self.masks[-2::-1]:
@@ -193,6 +202,28 @@ class HbsAddress:
             cover *= spread
             span *= k
         return cover
+
+    def covered_per_height(self, cfg: TreeConfig) -> tuple[int, ...]:
+        """Covered nodes per height of ``cfg``, cores (height 0) up to the root.
+
+        A switch forwards to the popcount of its level mask children, so the
+        nodes covered at depth d are the product of the first d popcounts.
+        A height of ``cfg`` spans ``_tree(cfg).levels // cfg.levels`` levels
+        of the tree the masks describe (log2(k) for symbol), so every such
+        product is a height of ``cfg``.
+        """
+        step = self._checked_tree(cfg).levels // cfg.levels
+        per_depth = tuple(itertools.accumulate(map(int.bit_count, self.masks), operator.mul, initial=1))
+        return per_depth[::-step]
+
+    def cover_bounds(self, cfg: TreeConfig) -> tuple[int, int]:
+        """Lowest and highest covered core: the lowest and the highest digit of every level."""
+        k = self._checked_tree(cfg).fan_out
+        low = high = 0
+        for m in self.masks:
+            low = low * k + (m & -m).bit_length() - 1
+            high = high * k + m.bit_length() - 1
+        return low, high
 
     @classmethod
     def width(cls, cfg: TreeConfig) -> int:
@@ -291,6 +322,30 @@ class FbsAddress(HbsAddress):
     @functools.cache
     def _tree(cfg: TreeConfig) -> TreeConfig:
         return TreeConfig(cfg.core_count, 1)
+
+    def covered_per_height(self, cfg: TreeConfig) -> tuple[int, ...]:
+        """Covered nodes per height of ``cfg``, cores (height 0) up to the root.
+
+        The one mask is the covered cores.  Each step folds it onto its block
+        leaders: bit j*span of the folded mask is set when block j of ``span``
+        cores holds a covered core.  Once one block holds them all, every
+        height above covers one node.
+        """
+        self._checked_tree(cfg)
+        cover, k, leaders = self.masks[0], cfg.fan_out, cfg.block_leaders
+        counts = []
+        span = 1
+        for level in range(1, cfg.levels + 1):
+            count = cover.bit_count()
+            if count == 1:
+                break
+            counts.append(count)
+            folded = cover
+            for d in range(1, k):
+                folded |= cover >> (d * span)
+            span *= k
+            cover = folded & leaders[level]
+        return (*counts, *(1,) * (cfg.levels + 1 - len(counts)))
 
     def select(self, depth: int, switch: int, cfg: TreeConfig) -> tuple[None, tuple[int, ...]]:
         """No head field: forward to every child whose core block the mask touches."""

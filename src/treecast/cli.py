@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 on success; 1 on input/config validation errors, including
 a path that cannot be opened (``simulate`` checks its config and outputs
 before the sweep); 2 on runtime failures, such as an output that was opened
-but could not be written.
+but could not be written, or memory running out, which names the innermost
+treecast function that asked for it.
 """
 
 from __future__ import annotations
@@ -240,6 +241,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Walk the frames in place, allocating little while memory is short.
+        # This frame is in the package too, so some frame always matches.
+        here, tb = os.path.dirname(os.path.abspath(__file__)), exc.__traceback__
+        while tb is not None:
+            code = tb.tb_frame.f_code
+            if os.path.dirname(os.path.abspath(code.co_filename)) == here:
+                name = code.co_name
+            tb = tb.tb_next
+        print(f"error: out of memory in {name}", file=sys.stderr)
         return 2
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import statistics
 from collections import Counter, namedtuple
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -137,6 +138,22 @@ def _within(x: float, span: str) -> bool:
     return (lo < x or x == lo and span[0] == "[") and (x < hi or x == hi and span[-1] == "]")
 
 
+#: A number with an exponent, as text.  YAML 1.1 reads it as a float only with a
+#: dot in the mantissa and a sign on the exponent, and as a string otherwise.
+_EXPONENT = re.compile(r"([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))[eE]([-+]?)([0-9]+)")
+
+
+def _exponent_hint(value: Any) -> str:
+    """For a float field given such a string, how to write it so that YAML reads a
+    number; otherwise nothing."""
+    match = _EXPONENT.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        return ""
+    mantissa, sign, digits = match.groups()
+    fixed = f"{mantissa}{'' if '.' in mantissa else '.0'}e{sign or '+'}{digits}"
+    return f" (YAML 1.1 reads {value!r} as a string: an exponent needs a sign and a dot before it, as in {fixed})"
+
+
 def _check(path: str, kind: Any, allowed: Any, value: Any, errors: list[str]) -> Any:
     """``value`` if it fits, else None and why in ``errors``; a list keeps None per bad item."""
     if isinstance(kind, list) and not (isinstance(value, list) and value):
@@ -144,7 +161,7 @@ def _check(path: str, kind: Any, allowed: Any, value: Any, errors: list[str]) ->
     elif isinstance(kind, list):
         return [_check(f"{path}[{i}]", kind[0], allowed, v, errors) for i, v in enumerate(value)]
     elif type(value) not in ((int, float) if kind is float else (kind,)):
-        errors.append(f"{path}: must be {_KINDS[kind]}")
+        errors.append(f"{path}: must be {_KINDS[kind]}{_exponent_hint(value) if kind is float else ''}")
     elif isinstance(allowed, tuple) and value not in allowed:
         errors.append(f"{path}: must be one of {allowed}, got {value!r}")
     elif isinstance(allowed, str) and not _within(len(value) if kind is str else value, allowed):

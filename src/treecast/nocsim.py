@@ -9,12 +9,16 @@ reads the same head position; the router reads the field at the offset
 that rotation would have brought to the head.  Unicast packets turn at
 the lowest common ancestor of source and target instead.
 
-The routers return their counts in closed form from the cover bitmask:
-the delivered cores and the links crossed per tree level.  Each returns
-a slotted :class:`RouteResult` that also holds a module-level walk
-function and its arguments, so a route builds no closure.  The
-switch-by-switch walk, which lists every link and port decision, runs
-only when a caller first reads those lists, and its result is kept.
+The routers return their counts in closed form: the number of covered
+cores and the links crossed per tree level.  A multicast route reads them
+off the address itself, as the running products of its level masks'
+popcounts (:meth:`~treecast.addressing.HbsAddress.covered_per_height`),
+and never builds the cover bitmask; a unicast route counts its targets
+per block.  Each returns a slotted :class:`RouteResult` that also holds a
+module-level walk function and its arguments, so a route builds no
+closure.  The cover bitmask and the switch-by-switch walk, which lists
+every link and port decision, are built only when a caller first reads
+them, and are kept.
 
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
@@ -116,13 +120,16 @@ _WALKED = ("delivered", "up_links", "down_links", "decisions")
 class RouteResult:
     """Outcome of routing one event: the delivered cores and the links crossed.
 
-    A slotted record.  ``cover`` is the delivered cores as a bitmask and
+    A slotted record.  ``covered`` counts the delivered cores and
     ``level_links[i]`` counts the links crossed at R-level i + 1, up and
     down together; both are closed forms, set when the record is built.
-    The record also holds a module-level walk function and its arguments.
-    ``delivered``, ``up_links``, ``down_links`` and ``decisions`` come from
-    that switch-by-switch walk, which runs once, on the first read of any
-    of them, and fills their slots; ``links`` joins the up and down links.
+    The record also holds a module-level walk function and its arguments,
+    of which the first three are the address, the source core and the
+    tree.  ``cover``, the delivered cores as a bitmask, is the address's
+    ``cover`` on that tree, built on its first read.  ``delivered``,
+    ``up_links``, ``down_links`` and ``decisions`` come from the
+    switch-by-switch walk, which runs once, on the first read of any of
+    them, and fills their slots; ``links`` joins the up and down links.
     For a multicast packet, ``delivered`` is in ascending core index,
     ``up_links`` go from the leaf up to the turn switch, and ``down_links``
     are in depth-first, ascending-digit order.  For a unicast batch the
@@ -131,24 +138,28 @@ class RouteResult:
     count fields themselves.
     """
 
-    __slots__ = ("cover", "level_links", "packets", "_walk", "_args") + _WALKED
+    __slots__ = ("covered", "level_links", "packets", "_walk", "_args", "cover") + _WALKED
 
     def __init__(
         self,
-        cover: int,
+        covered: int,
         level_links: tuple[int, ...],
         packets: int,
         walk: Callable[..., tuple],
         args: tuple,
     ) -> None:
-        self.cover, self.level_links, self.packets = cover, level_links, packets
+        self.covered, self.level_links, self.packets = covered, level_links, packets
         self._walk, self._args = walk, args
 
     def __getattr__(self, name: str):
-        # Reached only when a slot is unset: a walk field not yet walked.
-        if name not in _WALKED:
+        # Reached only when a slot is unset: the cover or a walk field not yet built.
+        if name == "cover":
+            addr, _source_core, cfg = self._args[:3]
+            self.cover = addr.cover(cfg)
+        elif name in _WALKED:
+            self.delivered, self.up_links, self.down_links, self.decisions = self._walk(*self._args)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.delivered, self.up_links, self.down_links, self.decisions = self._walk(*self._args)
         return getattr(self, name)
 
     @property
@@ -156,38 +167,18 @@ class RouteResult:
         return self.up_links + self.down_links
 
 
-def _turn_level(source: int, cover: int, cfg: TreeConfig) -> int:
+def _turn_level(source: int, low: int, high: int, cfg: TreeConfig) -> int:
     """Lowest R-level whose source-side subtree contains the whole cover.
 
     A subtree is a contiguous core range, so it holds the cover exactly
-    when it holds the cover's lowest and highest core.
+    when it holds the cover's lowest core ``low`` and highest core ``high``.
     """
     k = cfg.fan_out
-    low, high = (cover & -cover).bit_length() - 1, cover.bit_length() - 1
     for level in range(1, cfg.levels):
         source, low, high = source // k, low // k, high // k
         if low == high == source:
             return level
     return cfg.levels
-
-
-def _multicast_level_links(cover: int, turn_level: int, cfg: TreeConfig) -> tuple[int, ...]:
-    """One up link plus the nonempty blocks of k**(l-1) cores, per R-level l <= turn.
-
-    Each step folds the cover onto its block leaders: bit j*span of the
-    folded mask is set when block j of ``span`` cores holds a covered core.
-    """
-    k, leaders = cfg.fan_out, cfg.block_leaders
-    counts = []
-    span = 1
-    for level in range(1, turn_level + 1):
-        counts.append(1 + cover.bit_count())
-        folded = cover
-        for d in range(1, k):
-            folded |= cover >> (d * span)
-        span *= k
-        cover = folded & leaders[level]
-    return tuple(counts) + (0,) * (cfg.levels - turn_level)
 
 
 def route_multicast(
@@ -201,10 +192,12 @@ def route_multicast(
     With the default ``root`` turnaround the packet always climbs to the
     root before descending, so every switch at the same depth runs the
     same head-field logic.  The ``lca`` policy turns at the lowest
-    ancestor subtree containing the whole cover instead.  The counts come
-    from the cover; the walk picks each switch's ports from its own head
-    field (``addr.select``), never from the cover, so its deliveries are
-    a check on ``covered_set``.
+    ancestor subtree containing the whole cover instead.  R-level l <= turn
+    carries one up link plus one down link per covered node at height
+    l - 1, and the address gives those counts and the cover's lowest and
+    highest core without building the cover.  The walk picks each
+    switch's ports from its own head field (``addr.select``), never from
+    the cover, so its deliveries are a check on ``covered_set``.
     """
     if turnaround not in TURNAROUND_POLICIES:
         raise ValueError(f"unknown turnaround policy {turnaround!r}")
@@ -212,15 +205,15 @@ def route_multicast(
         raise ValueError("unicast packets are routed with route_unicast_batch")
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
-    cover = addr.cover(cfg)  # validates the field
+    per_height = addr.covered_per_height(cfg)  # validates the field
 
     turn_level = cfg.levels
     if turnaround == "lca":
-        turn_level = _turn_level(source_core, cover, cfg)
+        turn_level = _turn_level(source_core, *addr.cover_bounds(cfg), cfg)
 
     return RouteResult(
-        cover,
-        _multicast_level_links(cover, turn_level, cfg),
+        per_height[0],
+        (*[1 + c for c in per_height[:turn_level]], *(0,) * (cfg.levels - turn_level)),
         1,
         _walk_multicast,
         (addr, source_core, cfg, turn_level),
@@ -276,7 +269,7 @@ def route_unicast_batch(
         block = ((1 << span) - 1) << (source_core - source_core % span)
         level_links.append(2 * (n - (cover & block).bit_count()))
 
-    return RouteResult(cover, tuple(level_links), n, _walk_unicast, (addr, source_core, cfg))
+    return RouteResult(n, tuple(level_links), n, _walk_unicast, (addr, source_core, cfg))
 
 
 def _walk_unicast(addr: UnicastAddress, source_core: int, cfg: TreeConfig) -> tuple:
@@ -285,7 +278,7 @@ def _walk_unicast(addr: UnicastAddress, source_core: int, cfg: TreeConfig) -> tu
     up_links: list[tuple[int, int]] = []
     down_links: list[tuple[int, int]] = []
     for target in addr.targets:
-        turn_level = _turn_level(source_core, 1 << target, cfg)
+        turn_level = _turn_level(source_core, target, target, cfg)
         up_links.extend(_up_edges(source_core, turn_level, k))
         down_links.extend(reversed(_up_edges(target, turn_level, k)))
     return addr.targets, tuple(up_links), tuple(down_links), ()
@@ -329,11 +322,12 @@ def simulate(
     per-level links that do not depend on the source core, so once every
     sender is range-checked it is routed once per entry and charged once
     for the entry's summed spike count; otherwise it is routed and charged
-    once per sender.  Every arriving packet pays one LUT lookup.  A covered
-    core outside the mask does not hold the source's tag, so its lookup
-    counts as illegal and the packet is dropped there.  The counts read the
-    route's ``cover`` and ``level_links``, so the switch-by-switch walk
-    never runs here.
+    once per sender.  Every arriving packet pays one LUT lookup.  Every
+    encoder's cover contains the mask, so the mask's cores are the legal
+    deliveries.  A covered core outside the mask does not hold the source's
+    tag, so its lookup counts as illegal and the packet is dropped there.
+    The counts read the route's ``covered`` and ``level_links``, so neither
+    the cover bitmask nor the switch-by-switch walk is built here.
 
     With integer-valued energies every field equals a spike-by-spike sum.
     Otherwise the float fields, summed per tree level and per charge, may
@@ -353,6 +347,7 @@ def simulate(
     routing_energy = 0.0
     for mask, senders in demand:
         addr = encode(scheme, mask, cfg)
+        n_legal = mask.bit_count()
         total = 0
         for source_core, count in senders:
             if not 0 <= source_core < n_cores:
@@ -366,14 +361,13 @@ def simulate(
                 route = route_unicast_batch(addr, source_core, cfg)
             else:
                 route = route_multicast(addr, source_core, cfg, turnaround)
-            cover, level_links = route.cover, route.level_links
-            n_legal = (cover & mask).bit_count()
+            level_links = route.level_links
             spikes += count
             packets += count * route.packets
             link_bits += count * sum(level_links) * header
             routing_energy += count * header * sum(map(operator.mul, level_links, link_energy))
             legal += count * n_legal
-            illegal += count * (cover.bit_count() - n_legal)
+            illegal += count * (route.covered - n_legal)
 
     filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
     return SimReport(

@@ -17,6 +17,7 @@ recorded traffic can be substituted for the synthetic one.
 
 from __future__ import annotations
 
+import bisect
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -178,7 +179,9 @@ def map_neurons(
     ``random_switch`` additionally jumps to a random non-full core with
     probability ``switch_prob`` per neuron, and always jumps when the
     current core is full.  Either way every core is in ``[0, N)`` and
-    holds at most ``capacity`` neurons.
+    holds at most ``capacity`` neurons.  The jump draws from an ascending
+    list of the non-full cores, which loses a core when it fills, so a
+    jump costs no scan of the N cores.
     """
     total = spec.total_neurons
     n_cores = cfg.core_count
@@ -192,15 +195,23 @@ def map_neurons(
         raise ValueError(f"unknown mapping strategy {strategy!r}")
     rng = random.Random(seed)
     counts = [0] * n_cores
+    open_cores = list(range(n_cores))  # the non-full cores, ascending
     current = 0
     assignment = []
     for _ in range(total):
         if counts[current] >= capacity or rng.random() < switch_prob:
-            candidates = [c for c in range(n_cores) if counts[c] < capacity and c != current]
-            if candidates:
-                current = rng.choice(candidates)
+            # The candidates are the open cores but current; choosing an index
+            # into them draws what rng.choice over that list would.
+            at = bisect.bisect_left(open_cores, current)
+            here = at < len(open_cores) and open_cores[at] == current
+            m = len(open_cores) - here
+            if m:
+                i = rng.choice(range(m))
+                current = open_cores[i + 1 if here and i >= at else i]
         assignment.append(current)
         counts[current] += 1
+        if counts[current] == capacity:
+            del open_cores[bisect.bisect_left(open_cores, current)]
     return tuple(assignment)
 
 

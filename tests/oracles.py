@@ -5,6 +5,7 @@ the tests never check the library against itself.
 """
 
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -174,3 +175,19 @@ def connectivity(spec, seed):
                 density = 1.0
             wire(ranges[li], ranges[li + 1], density, skip_self=False)
     return {n: tuple(sorted(ts)) for n, ts in targets.items()}
+
+
+def random_switch_mapping(total, n_cores, capacity, seed, switch_prob):
+    """``random_switch`` mapping that lists every non-full core but the current one on each switch."""
+    rng = random.Random(seed)
+    counts = [0] * n_cores
+    current = 0
+    assignment = []
+    for _ in range(total):
+        if counts[current] >= capacity or rng.random() < switch_prob:
+            candidates = [c for c in range(n_cores) if counts[c] < capacity and c != current]
+            if candidates:
+                current = rng.choice(candidates)
+        assignment.append(current)
+        counts[current] += 1
+    return tuple(assignment)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from treecast.addressing import (
     overcoverage,
     rotate_hbs,
 )
+from treecast.nocsim import TURNAROUND_POLICIES, route_multicast, route_unicast_batch
 
 import oracles
 from oracles import mask_of
@@ -454,16 +456,29 @@ def test_malformed_addresses_rejected():
 
 
 def test_wrong_width_addresses_rejected_on_decode():
-    with pytest.raises(ValueError):
-        FbsAddress((1 << 16,)).cover(CFG16)
-    with pytest.raises(ValueError):
-        HbsAddress((0b0011,)).cover(CFG16)  # one mask, two levels
-    with pytest.raises(ValueError):
-        HbsAddress((0b10000, 0b0011)).cover(CFG16)  # mask wider than k
-    with pytest.raises(ValueError):
-        SymbolAddress((0b01,)).cover(CFG16)
-    with pytest.raises(ValueError):
-        UnicastAddress((16,)).cover(CFG16)
+    malformed = (
+        FbsAddress((1 << 16,)),
+        HbsAddress((0b0011,)),  # one mask, two levels
+        HbsAddress((0b10000, 0b0011)),  # mask wider than k
+        SymbolAddress((0b01,)),
+        UnicastAddress((16,)),
+    )
+    for addr in malformed:
+        with pytest.raises(ValueError) as decoded:
+            addr.cover(CFG16)
+        # The routers reject the field with the cover's own message; a
+        # multicast route reads its counts off the masks, not off the cover.
+        exact = f"^{re.escape(str(decoded.value))}$"
+        if isinstance(addr, UnicastAddress):
+            with pytest.raises(ValueError, match=exact):
+                route_unicast_batch(addr, 0, CFG16)
+            continue
+        for read in (addr.covered_per_height, addr.cover_bounds):
+            with pytest.raises(ValueError, match=exact):
+                read(CFG16)
+        for turnaround in TURNAROUND_POLICIES:
+            with pytest.raises(ValueError, match=exact):
+                route_multicast(addr, 0, CFG16, turnaround)
 
 
 def test_decode_is_deterministic_function():

@@ -150,6 +150,23 @@ def test_failed_simulate_removes_only_the_outputs_it_created(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "new_s.json"]
 
 
+def test_out_of_memory_exits_2_naming_the_function(tmp_path, capsys):
+    # 2^40 cores: numpy refuses the neurons x cores matrix of build_core_luts
+    # at once (600 TiB), so nothing is allocated.
+    runs, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        "tree: {fan_out: 2, levels: 40}\nmapping: {strategy: sequential, repetitions: 1}\n"
+        "trace: {steps: 10}\n"
+    )
+    argv = ["simulate", "--config", str(config), "--runs-csv", str(runs), "--summary-json", str(summary)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory in build_core_luts\n"
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+
 def test_simulate_writes_to_a_file_that_is_not_regular(tmp_path, capsys):
     config = tmp_path / "config.yaml"
     config.write_text(SMALL_RUN)

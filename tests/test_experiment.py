@@ -147,6 +147,8 @@ REJECTED = [
     ("inf_filter_lookup", "energy: {filter_lookup: .inf}\n", ["energy"]),
     ("nan_link_energy", "energy: {link: [.nan, 1]}\n", ["energy.link"]),
     ("overflowing_level_ratio", "energy: {level_ratio: 1.0e+200}\ntree: {levels: 3}\n", ["energy"]),
+    # YAML 1.1 reads an unsigned exponent as a string.
+    ("unsigned_exponent", "energy: {link: [1.0e308, 1.0e308]}\n", ["energy.link[0]", "energy.link[1]"]),
     ("density", "network: {density: 0}\n", ["network.density"]),
     ("section_not_mapping", "tree: 3\n", ["tree"]),
     ("empty_output_path", "output: {runs_csv: ''}\n", ["output.runs_csv"]),
@@ -175,6 +177,21 @@ def error_paths(text):
 @pytest.mark.parametrize("text,paths", [r[1:] for r in REJECTED], ids=[r[0] for r in REJECTED])
 def test_load_config_error_paths(text, paths):
     assert error_paths(text) == paths
+
+
+def test_float_given_as_text_with_an_exponent_gets_a_hint():
+    text = "energy: {link: [2e5, 1.0e308], filter_lookup: 3e-2}\nmapping: {switch_prob: x1e5}\n"
+    with pytest.raises(ConfigError) as info:
+        load_config(io.StringIO(text))
+    hint = "(YAML 1.1 reads {!r} as a string: an exponent needs a sign and a dot before it, as in {})"
+    assert info.value.errors == (
+        "energy.link[0]: must be a number " + hint.format("2e5", "2.0e+5"),
+        "energy.link[1]: must be a number " + hint.format("1.0e308", "1.0e+308"),
+        "energy.filter_lookup: must be a number " + hint.format("3e-2", "3.0e-2"),
+        "mapping.switch_prob: must be a number",
+    )
+    # The hinted spelling is a number.
+    assert load_config(io.StringIO("energy: {link: [2.0e+5, 1.0e+308], filter_lookup: 3.0e-2}\n"))
 
 
 @pytest.mark.parametrize(
@@ -261,3 +278,15 @@ def test_symbol_runs_equal_hbs_runs_on_the_binary_tree(schemes):
         assert hbs.report.illegal_deliveries > 0
         assert replace(symbol, report=replace(symbol.report, scheme="hbs")) == hbs
     assert result.summary["comparisons"]["total_energy_hbs_over_symbol"] == 1.0
+
+
+def test_one_mapping_on_a_tree_of_65536_cores():
+    # The tree axis at 2^16 cores (4x8): random_switch draws from its list of
+    # open cores, and the fbs header is a 65,536-bit mask.
+    result = run_experiment(ExperimentConfig(tree=TreeConfig(4, 8), repetitions=1, trace_steps=100))
+    reports = {r.report.scheme: r.report for r in result.rows}
+    assert list(reports) == [s.value for s in Scheme]
+    assert len({r.legal_deliveries for r in reports.values()}) == 1
+    assert reports["fbs"].legal_deliveries > 0
+    assert reports["fbs"].illegal_deliveries == reports["unicast"].illegal_deliveries == 0
+    assert reports["hbs"].illegal_deliveries <= reports["symbol"].illegal_deliveries

@@ -260,9 +260,18 @@ def test_closed_form_counts_equal_the_walk(case, turnaround):
         r = route_multicast(addr, source, cfg, turnaround)
     per_level = Counter(level for level, _child in r.up_links + r.down_links)
     assert r.level_links == tuple(per_level[level] for level in range(1, cfg.levels + 1))
+    assert r.covered == len(r.delivered)
     assert r.cover == sum(1 << core for core in r.delivered)
     assert r.cover.bit_count() == len(r.delivered)
     assert r.cover == sum(1 << core for core in covered_set(addr, cfg))
+    if scheme is not Scheme.UNICAST:
+        assert addr.cover_bounds(cfg) == (min(r.delivered), max(r.delivered))
+        # Below the turn, a height's covered nodes are the nodes the descent
+        # enters there; the root is covered by every address.
+        entered = Counter(level - 1 for level, _child in r.down_links)
+        heights = addr.covered_per_height(cfg)
+        assert len(heights) == cfg.levels + 1 and heights[-1] == 1
+        assert all(heights[h] == n for h, n in entered.items())
 
 
 def count_calls(monkeypatch, *names):
@@ -466,6 +475,20 @@ def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, sc
     router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
     routes = len(demand) if scheme is not Scheme.UNICAST and turnaround == "root" else senders
     assert calls == Counter({"encode": len(demand), router: routes})
+
+
+@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
+@pytest.mark.parametrize("scheme", MULTICAST_SCHEMES)
+def test_simulate_builds_no_multicast_cover(monkeypatch, scheme, turnaround):
+    # simulate reads the covered count off the level masks; fbs and symbol
+    # inherit HbsAddress.cover, so this stops all three from building a cover.
+    def no_cover(*args):
+        raise AssertionError("simulate built a multicast cover")
+
+    demand = random_demand(random.Random(41), 40, 6, masks=8)
+    want = simulate(demand, scheme, CFG16, EnergyModel.default(2), 10, turnaround)
+    monkeypatch.setattr(HbsAddress, "cover", no_cover)
+    assert simulate(demand, scheme, CFG16, EnergyModel.default(2), 10, turnaround) == want
 
 
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)

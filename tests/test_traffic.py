@@ -138,6 +138,26 @@ def test_mapping_puts_each_neuron_on_a_core_of_the_tree_within_capacity(
     assert max(Counter(mapping).values()) <= capacity
 
 
+SWITCH_TREES = ((4, 2), (2, 4), (2, 10), (4, 4), (2, 12))
+
+
+@pytest.mark.parametrize("k, levels", SWITCH_TREES, ids=[f"{k}x{levels}" for k, levels in SWITCH_TREES])
+def test_random_switch_mapping_equals_the_full_scan(k, levels):
+    # map_neurons draws from its list of open cores; the oracle lists every
+    # core on each switch.  Both consume the same rng stream.
+    spec, cfg = NetworkSpec.default_rsnn(), TreeConfig(k, levels)
+    for capacity in (1, 5, 40, 600):
+        if spec.total_neurons > cfg.core_count * capacity:
+            continue
+        for switch_prob in (0.0, 0.05, 0.2, 1.0):
+            for seed in range(3):
+                got = map_neurons(spec, cfg, "random_switch", capacity, seed, switch_prob)
+                want = oracles.random_switch_mapping(
+                    spec.total_neurons, cfg.core_count, capacity, seed, switch_prob
+                )
+                assert got == want, (capacity, switch_prob, seed)
+
+
 def test_build_core_luts_rejects_a_hand_built_mapping_outside_the_tree():
     for bad in (99, -1):
         with pytest.raises(ValueError, match=f"neuron 1 is mapped to core {bad}, outside the 16 cores"):
