@@ -62,9 +62,10 @@ class Scheme(str, Enum):
 class TreeConfig:
     """Shape of the core tree: ``fan_out`` children per switch, ``levels`` deep.
 
-    Two constants of the shape are computed on first read and cached on the
-    instance: ``core_count`` and ``block_leaders``.  Equality and hashing
-    read only ``fan_out`` and ``levels``.
+    Constants of the shape are computed on first read and cached on the
+    instance: ``core_count``, ``block_leaders`` and the trees that symbol and
+    fbs address, ``index_tree`` and ``flat_tree``.  Equality and hashing read
+    only ``fan_out`` and ``levels``.
     """
 
     fan_out: int
@@ -86,6 +87,16 @@ class TreeConfig:
         block of ``fan_out ** l`` cores, that is bit j * k**l for every j."""
         full = (1 << self.core_count) - 1
         return tuple(full // ((1 << self.fan_out**level) - 1) for level in range(self.levels + 1))
+
+    @functools.cached_property
+    def index_tree(self) -> TreeConfig:
+        """The binary tree of the core index bits, ``TreeConfig(2, index_bits)``."""
+        return TreeConfig(2, self.index_bits)
+
+    @functools.cached_property
+    def flat_tree(self) -> TreeConfig:
+        """The one-level tree of the N cores, ``TreeConfig(N, 1)``."""
+        return TreeConfig(self.core_count, 1)
 
     @property
     def index_bits(self) -> int:
@@ -278,10 +289,7 @@ class SymbolAddress(HbsAddress):
         if max(self.masks) > 3:
             raise ValueError("symbol masks must be 1 (0), 2 (1) or 3 (*)")
 
-    @staticmethod
-    @functools.cache
-    def _tree(cfg: TreeConfig) -> TreeConfig:
-        return TreeConfig(2, cfg.index_bits)
+    _tree = operator.attrgetter("index_tree")
 
     def text(self, cfg: TreeConfig) -> str:
         """{0,1,*} string, root-level bit first."""
@@ -318,10 +326,7 @@ class FbsAddress(HbsAddress):
 
     scheme = Scheme.FBS
 
-    @staticmethod
-    @functools.cache
-    def _tree(cfg: TreeConfig) -> TreeConfig:
-        return TreeConfig(cfg.core_count, 1)
+    _tree = operator.attrgetter("flat_tree")
 
     def covered_per_height(self, cfg: TreeConfig) -> tuple[int, ...]:
         """Covered nodes per height of ``cfg``, cores (height 0) up to the root.

@@ -5,6 +5,12 @@ so there are no neuron dynamics here.  A network is an ordered stack of
 layers; recurrent layers get random intra-layer edges, and every
 consecutive layer pair gets random inter-layer edges, all at a
 configurable density, held as CSR arrays behind a read-only mapping.
+The edges are the uniforms of one ``default_rng(seed)`` stream taken
+block by block, row-major, so row r of a block of c columns that starts at
+stream offset o reads draws ``o + r * c`` onwards.  Each chunk of
+``DRAW_ROWS`` source rows is drawn on its own from a generator advanced to
+that offset, which lets the chunks run on several threads: one per
+``DRAWS_PER_THREAD`` draws of the network, at most one per CPU.
 Neurons are packed onto cores in id order, either strictly sequentially
 or with random core switches, and a firing trace is an independent
 Bernoulli draw per neuron per timestep.  The per-core LUTs of legal
@@ -18,7 +24,9 @@ recorded traffic can be substituted for the synthetic one.
 from __future__ import annotations
 
 import bisect
+import os
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +41,12 @@ LAYER_KINDS = ("recurrent", "feedforward")
 #: Source tags are at least this wide regardless of network size.
 MIN_TAG_BITS = 10
 
-#: Rows of uniform draws held at once while drawing a connectivity block.
+#: Source rows per job of :func:`generate_connectivity`, and per block of
+#: :func:`build_core_luts`.
 DRAW_ROWS = 256
+
+#: Uniform draws of a network that pay for one more drawing thread.
+DRAWS_PER_THREAD = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -125,13 +137,67 @@ class Connectivity(Mapping[int, np.ndarray]):
         return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.targets, other.targets)
 
 
-def _draw_block(rng: np.random.Generator, rows: int, cols: int, density: float) -> np.ndarray:
-    """The block ``rng.random((rows, cols)) < density``, drawn ``DRAW_ROWS`` rows at a time."""
-    block = np.empty((rows, cols), dtype=bool)
-    for start in range(0, rows, DRAW_ROWS):
-        chunk = block[start : start + DRAW_ROWS]
-        np.less(rng.random(chunk.shape), density, out=chunk)
-    return block
+#: A block of source rows x target columns: (stream offset, columns, density, drop diagonal).
+Part = tuple[int, int, float, bool]
+
+
+def _layer_parts(spec: NetworkSpec) -> list[tuple[int, int, tuple[Part, ...]]]:
+    """Per layer, its size, its first target id and its parts: the recurrent
+    block, then the block into the next layer.  A part's offset is where the
+    one-stream draw of every block in turn reaches it."""
+    offset = 0
+    layers = []
+    for li, (layer, ids) in enumerate(zip(spec.layers, spec.layer_ranges())):
+        parts = []
+        if layer.kind == "recurrent":
+            parts.append((offset, layer.size, spec.density, True))
+            offset += layer.size * layer.size
+        if li + 1 < len(spec.layers):
+            after = spec.layers[li + 1]
+            density = 1.0 if spec.literal_fc and after.kind == "feedforward" else spec.density
+            parts.append((offset, after.size, density, False))
+            offset += layer.size * after.size
+        first = ids.start if layer.kind == "recurrent" else ids.stop
+        layers.append((layer.size, first, tuple(parts)))
+    return layers
+
+
+def _draw_rows(seed: int, parts: tuple[Part, ...], start: int, rows: int, first: int, floats, hits):
+    """Targets per source row, and the targets, of rows ``start:start + rows``
+    of one layer whose first target id is ``first``.
+
+    Each part's rows are drawn from the seed's stream advanced to where the
+    one-stream draw reaches them.  The parts fill the hit rows side by side,
+    so the row-major hits list each source's targets in ascending order.
+    ``floats`` and ``hits`` are flat scratch buffers large enough for the rows.
+    """
+    width = sum(cols for _offset, cols, _density, _drop in parts)
+    hit = hits[: rows * width].reshape(rows, width)
+    at = 0
+    for offset, cols, density, drop_diagonal in parts:
+        stream = np.random.PCG64(seed)
+        stream.advance(offset + start * cols)
+        drawn = floats[: rows * cols].reshape(rows, cols)
+        np.random.Generator(stream).random(out=drawn)
+        block = hit[:, at : at + cols]
+        np.less(drawn, density, out=block)
+        if drop_diagonal:
+            np.fill_diagonal(block[:, start:], False)
+        at += cols
+    return np.count_nonzero(hit, axis=1), (np.flatnonzero(hit) % width + first).astype(np.int32)
+
+
+def _draw_jobs(seed: int, pending: Iterator, results: list, failures: list, sizes: tuple[int, int]) -> None:
+    """Draw the jobs of a shared iterator of ``(index, job)`` into ``results``
+    until it runs out or a thread has failed; a failure joins ``failures``."""
+    try:
+        floats, hits = np.empty(sizes[0]), np.empty(sizes[1], dtype=bool)
+        for i, job in pending:  # next() on a shared iterator runs under the GIL
+            if failures:
+                return
+            results[i] = _draw_rows(seed, *job, floats, hits)
+    except BaseException as exc:
+        failures.append(exc)
 
 
 def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
@@ -140,27 +206,44 @@ def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     Recurrent layers draw every ordered intra-layer pair (self-edges
     excluded) at the spec density; every consecutive layer pair draws
     all cross pairs, at density 1.0 for transitions into feedforward
-    layers when ``literal_fc`` is set.  A layer's recurrent block and its
-    block into the next layer span ascending target ids side by side, so
-    their row-major hits list each source's targets in sorted order.
+    layers when ``literal_fc`` is set.
+
+    The draws are those of one ``default_rng(seed)`` stream of uniforms
+    taken block by block, row-major: per layer, its recurrent block, then
+    its block into the next layer.  Row r of a block of c columns that
+    starts at offset o of the stream reads draws ``o + r * c`` onwards.  So
+    every chunk of ``DRAW_ROWS`` source rows of a layer is an independent
+    job that advances a fresh ``PCG64(seed)`` to its rows.  The jobs run on
+    one thread per ``DRAWS_PER_THREAD`` uniform draws of the whole network,
+    at least one and at most one per CPU this process may run on; the
+    calling thread is one of them, so a small network starts no thread.
     """
-    rng = np.random.default_rng(seed)
-    ranges = spec.layer_ranges()
-    counts, targets = [], []
-    for li, layer in enumerate(spec.layers):
-        blocks = [np.zeros((layer.size, 0), dtype=bool)]
-        if layer.kind == "recurrent":
-            blocks.append(_draw_block(rng, layer.size, layer.size, spec.density))
-            np.fill_diagonal(blocks[-1], False)
-        if li + 1 < len(spec.layers):
-            density = spec.density
-            if spec.literal_fc and spec.layers[li + 1].kind == "feedforward":
-                density = 1.0
-            blocks.append(_draw_block(rng, layer.size, spec.layers[li + 1].size, density))
-        first = ranges[li].start if layer.kind == "recurrent" else ranges[li].stop
-        hits = np.hstack(blocks)
-        counts.append(np.count_nonzero(hits, axis=1))
-        targets.append((np.flatnonzero(hits) % hits.shape[1] + first).astype(np.int32))
+    layers = _layer_parts(spec)
+    jobs = [
+        (parts, start, min(DRAW_ROWS, size - start), first)
+        for size, first, parts in layers
+        for start in range(0, size, DRAW_ROWS)
+    ]
+    columns = [[cols for _offset, cols, _density, _drop in parts] for _size, _first, parts in layers]
+    draws = sum(size * sum(cols) for (size, _first, _parts), cols in zip(layers, columns))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = max(1, min(draws // DRAWS_PER_THREAD, cpus, len(jobs)))
+    sizes = (DRAW_ROWS * max(max(c, default=0) for c in columns), DRAW_ROWS * max(sum(c) for c in columns))
+    results: list = [None] * len(jobs)
+    failures: list[BaseException] = []
+    args = (seed, iter(enumerate(jobs)), results, failures, sizes)
+    started = []
+    try:
+        for _ in range(threads - 1):
+            started.append(threading.Thread(target=_draw_jobs, args=args))
+            started[-1].start()
+        _draw_jobs(*args)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
+    counts, targets = zip(*results)
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return Connectivity(indptr, np.concatenate(targets))
 
@@ -325,13 +408,23 @@ def build_core_luts(
     """Legal-source LUTs by tag: bit c of ``luts[tag]`` is set when core c's
     LUT holds the tag, that is when the neuron has a synapse onto core c.
     ``mapping`` holds the core of each neuron id; one outside ``[0, n_cores)``
-    raises, where numpy would index a negative core from the end."""
+    raises, where numpy would index a negative core from the end.  The
+    tags x cores bit matrix is filled and packed ``DRAW_ROWS`` tags at a time."""
     for neuron, core in enumerate(mapping):
         if not 0 <= core < n_cores:
             raise ValueError(f"neuron {neuron} is mapped to core {core}, outside the {n_cores} cores")
-    listen = np.zeros((len(connectivity), n_cores), dtype=bool)
-    sources = np.repeat(np.arange(len(connectivity), dtype=np.int32), np.diff(connectivity.indptr))
-    listen[sources, np.asarray(mapping, dtype=np.int32)[connectivity.targets]] = True
-    packed = np.packbits(listen, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return tuple(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+    indptr, core_of = connectivity.indptr, np.asarray(mapping, dtype=np.intp)
+    listen = np.zeros((min(DRAW_ROWS, len(connectivity)), n_cores), dtype=bool)
+    width = -(-n_cores // 8)
+    luts: list[int] = []
+    for start in range(0, len(connectivity), DRAW_ROWS):
+        # Set bit (row, core) of every edge of the block's source rows at once.
+        block = listen[: min(DRAW_ROWS, len(connectivity) - start)].reshape(-1)
+        block[:] = False
+        ends = indptr[start : start + DRAW_ROWS + 1]
+        spots = np.repeat(np.arange(0, block.size, n_cores), np.diff(ends))
+        spots += core_of[connectivity.targets[ends[0] : ends[-1]]]
+        block[spots] = True
+        data = np.packbits(block.reshape(-1, n_cores), axis=1, bitorder="little").tobytes()
+        luts.extend(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
+    return tuple(luts)

@@ -1,10 +1,12 @@
+import itertools
 import json
 import os
+import threading
 
 import pytest
 
 from treecast.addressing import Scheme
-from treecast import cli, experiment
+from treecast import cli, experiment, traffic
 from treecast.cli import main
 from treecast.scaling import CSV_HEADER
 
@@ -164,6 +166,30 @@ def test_out_of_memory_exits_2_naming_the_function(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: out of memory in build_core_luts\n"
     assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+
+def test_out_of_memory_in_a_drawing_thread_exits_2_and_stops_every_thread(tmp_path, capsys, monkeypatch):
+    # Two drawing threads; the second row-chunk job of the six fails.
+    monkeypatch.setattr(traffic, "DRAWS_PER_THREAD", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    draw, jobs = traffic._draw_rows, itertools.count()
+
+    def second_job_fails(*args):
+        if next(jobs) == 1:
+            raise MemoryError
+        return draw(*args)
+
+    monkeypatch.setattr(traffic, "_draw_rows", second_job_fails)
+    runs, summary = tmp_path / "r.csv", tmp_path / "s.json"
+    config = tmp_path / "config.yaml"
+    config.write_text("mapping: {repetitions: 1}\ntrace: {steps: 10}\n")
+    before = threading.active_count()
+    argv = ["simulate", "--config", str(config), "--runs-csv", str(runs), "--summary-json", str(summary)]
+    assert main(argv) == 2
+    assert threading.active_count() == before
+    # The worker's frames travel with the error: the innermost package frame is the job loop.
+    assert capsys.readouterr().err == "error: out of memory in _draw_jobs\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
 
 

@@ -1,5 +1,9 @@
 import io
+import os
+import sys
+import threading
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -22,8 +26,9 @@ from treecast.traffic import (
     map_neurons,
     save_trace,
     synth_trace,
-    _draw_block,
+    _draw_rows,
 )
+from treecast import traffic
 
 import oracles
 
@@ -98,12 +103,80 @@ def test_connectivity_matches_row_by_row_oracle(spec, seed):
     assert {n: tuple(conn[n].tolist()) for n in conn} == oracles.connectivity(spec, seed)
 
 
-@pytest.mark.parametrize("rows", [2 * DRAW_ROWS, 2 * DRAW_ROWS + 3])
-def test_chunked_draw_equals_the_one_shot_draw(rows):
-    chunked, one_shot = np.random.default_rng(17), np.random.default_rng(17)
-    block = _draw_block(chunked, rows, 5, 0.3)
-    assert np.array_equal(block, one_shot.random((rows, 5)) < 0.3)
-    assert chunked.random() == one_shot.random()
+ROW_SPANS = ((0, DRAW_ROWS), (DRAW_ROWS, 2 * DRAW_ROWS), (DRAW_ROWS - 3, DRAW_ROWS + 4), (2 * DRAW_ROWS, 2 * DRAW_ROWS + 3))
+
+
+@pytest.mark.parametrize("a, b", ROW_SPANS)
+def test_offset_draw_equals_the_one_shot_draw(a, b):
+    # A part of 5 columns at stream offset 41: rows a:b drawn from a PCG64
+    # advanced to 41 + a * 5 are rows a:b of the one-shot draw.
+    rows, cols, offset = 2 * DRAW_ROWS + 3, 5, 41
+    one_shot = np.random.default_rng(17).random(offset + rows * cols)[offset:].reshape(rows, cols)
+    floats, hits = np.empty(DRAW_ROWS * 2 * cols), np.empty(DRAW_ROWS * 2 * cols, dtype=bool)
+    counts, targets = _draw_rows(17, ((offset, cols, 0.3, False),), a, b - a, 100, floats, hits)
+    assert np.array_equal(floats[: (b - a) * cols].reshape(b - a, cols), one_shot[a:b])
+    assert np.array_equal(counts, np.count_nonzero(one_shot[a:b] < 0.3, axis=1))
+    assert np.array_equal(targets, np.flatnonzero(one_shot[a:b] < 0.3) % cols + 100)
+
+
+# Layers that span several draw jobs, with literal feedforward wiring, ending
+# in a feedforward layer that has no block of its own.
+CHUNKED = (
+    NetworkSpec(
+        (
+            Layer(2 * DRAW_ROWS + 3, "recurrent"),
+            Layer(DRAW_ROWS, "feedforward"),
+            Layer(DRAW_ROWS, "recurrent"),
+            Layer(2 * DRAW_ROWS + 3, "feedforward"),
+        ),
+        0.05,
+        literal_fc=True,
+    ),
+    NetworkSpec((Layer(DRAW_ROWS, "feedforward"), Layer(2 * DRAW_ROWS + 3, "recurrent")), 0.1),
+)
+
+
+@cache
+def _chunked_oracle(i):
+    return oracles.connectivity(CHUNKED[i], 23)
+
+
+class CountedThread(threading.Thread):
+    starts = 0
+
+    def start(self):
+        CountedThread.starts += 1
+        super().start()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("i", range(len(CHUNKED)))
+def test_threaded_connectivity_matches_row_by_row_oracle(i, threads, monkeypatch):
+    # Every draw pays for a thread, so the CPU count sets the thread count.
+    monkeypatch.setattr(traffic, "DRAWS_PER_THREAD", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(CountedThread, "starts", 0)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    try:
+        conn = generate_connectivity(CHUNKED[i], 23)
+    finally:
+        sys.setswitchinterval(interval)
+    assert CountedThread.starts == threads - 1
+    assert threading.active_count() == before
+    assert {n: tuple(conn[n].tolist()) for n in conn} == _chunked_oracle(i)
+
+
+def test_a_thread_starts_once_the_draws_pay_for_it(monkeypatch):
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(CountedThread, "starts", 0)
+    generate_connectivity(NetworkSpec.default_rsnn(), 5)  # 80,000 draws
+    assert CountedThread.starts == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    spec = NetworkSpec((Layer(2048, "recurrent"), Layer(2048, "feedforward")), 0.001)
+    generate_connectivity(spec, 5)  # 2^23 draws pay for two threads
+    assert CountedThread.starts == 1
 
 
 def test_sequential_mapping_packs_in_id_order():
@@ -162,6 +235,18 @@ def test_build_core_luts_rejects_a_hand_built_mapping_outside_the_tree():
     for bad in (99, -1):
         with pytest.raises(ValueError, match=f"neuron 1 is mapped to core {bad}, outside the 16 cores"):
             build_core_luts(Connectivity((0, 1, 1), (1,)), (0, bad), 16)
+
+
+def test_core_luts_fill_block_by_block_as_the_oracle():
+    # More source rows than one block holds, scattered over a 4x3 tree.
+    spec, cfg = NetworkSpec((Layer(2 * DRAW_ROWS + 3, "recurrent"),), 0.02), TreeConfig(4, 3)
+    conn = generate_connectivity(spec, 3)
+    mapping = map_neurons(spec, cfg, "random_switch", 10, 3, 0.2)
+    luts = build_core_luts(conn, mapping, cfg.core_count)
+    assert len(luts) == len(conn)
+    assert [{n for n in conn if luts[n] >> core & 1} for core in range(cfg.core_count)] == oracles.core_luts(
+        conn, mapping, cfg.core_count
+    )
 
 
 def test_derive_events_on_hand_built_network():
