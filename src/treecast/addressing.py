@@ -12,14 +12,17 @@ of four interchangeable encodings:
 * hierarchical masks (``hbs``) -- one k-bit child mask per tree level;
   width k*levels, may cover extra cores but never more than the symbol
   encoding of the same destinations (for power-of-two fan-out)
-* unicast list (``unicast``) -- plain target indices, one packet each
+* unicast (``unicast``)     -- the flat bitmask, sent as one packet per
+  target that carries the target's index
 
 A symbol is a 2-bit child mask (``01`` is 0, ``10`` is 1, ``11`` is *),
 so symbol is hbs on the binary tree of index bits: :class:`SymbolAddress`
 encodes, covers and walks with the hbs methods on that tree.  A flat
 bitmask is one level mask of N bits, so fbs is hbs on the one-level tree
 ``TreeConfig(N, 1)``: :class:`FbsAddress` keeps only its own switch port
-choice.
+choice.  Unicast is fbs sent one packet per target: :class:`UnicastAddress`
+holds the same one mask and keeps only its per-packet header ``width``, its
+``routing_bits`` and its text form, a list of target indices.
 
 The region-based encodings (symbol, hbs) trade header width for
 overcoverage: cores outside the requested set that still receive the
@@ -31,7 +34,8 @@ to its scheme: ``_encode``, ``cover``, the header ``width``, the text form
 (``text`` and ``parse``), the switch port choice ``select``, the closed
 forms ``routing_bits`` and ``capability``, and ``addresses``, which walks
 every well-formed address.  The multicast classes also read two route
-counts off the level masks without building the cover:
+counts off the level masks without building the cover (unicast inherits
+them from fbs, but its packets are not routed as one multicast):
 ``covered_per_height``, the running products of the masks' popcounts
 (fbs folds its one mask instead), and ``cover_bounds``, the lowest and
 highest covered core.  Each of these takes the tree as one
@@ -46,7 +50,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Union
+from typing import Iterator
 
 
 class Scheme(str, Enum):
@@ -360,73 +364,49 @@ class FbsAddress(HbsAddress):
         return None, tuple(d for d in range(k) if mask & (block << ((switch * k + d) * span)))
 
 
-@dataclass(frozen=True)
-class UnicastAddress:
-    """Explicit target list; the simulator emits one packet per entry."""
+class UnicastAddress(FbsAddress):
+    """Flat bitmask sent one packet per target: fbs with a target index per packet.
 
-    targets: tuple[int, ...]
+    Its one level mask is the destination mask, as for fbs; the simulator
+    emits one packet for each set bit, in ascending core order.
+    """
 
     scheme = Scheme.UNICAST
 
-    def __post_init__(self) -> None:
-        if not self.targets:
-            raise ValueError("unicast target list must be nonempty")
-        if min(self.targets) < 0:
-            raise ValueError("unicast targets must be nonnegative core indices")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError("unicast targets must not repeat")
-
-    @classmethod
-    def _encode(cls, mask: int, cfg: TreeConfig) -> UnicastAddress:
-        """Target list in ascending core-index order."""
-        return cls(tuple(cores(mask)))
-
-    def cover(self, cfg: TreeConfig) -> int:
-        n, top = cfg.core_count, max(self.targets)
-        if top >= n:
-            raise ValueError(f"unicast target {top} out of range [0, {n})")
-        mask = 0
-        for t in self.targets:
-            mask |= 1 << t
-        return mask
+    @property
+    def targets(self) -> tuple[int, ...]:
+        """The destination cores, ascending."""
+        return tuple(cores(self.masks[0]))
 
     @staticmethod
     def width(cfg: TreeConfig) -> int:
         """Per-packet target index width, rounded up for non-power-of-two trees."""
         return max(1, (cfg.core_count - 1).bit_length())
 
-    def text(self, cfg: TreeConfig) -> str:
-        """Comma-separated decimal indices."""
-        return ",".join(str(t) for t in self.targets)
-
-    @classmethod
-    def parse(cls, text: str, cfg: TreeConfig) -> UnicastAddress:
-        try:
-            targets = tuple(int(p) for p in text.split(","))
-        except ValueError:
-            raise ValueError("unicast address must be comma-separated decimal indices") from None
-        addr = cls(targets)
-        addr.cover(cfg)  # range check
-        return addr
-
     @classmethod
     def routing_bits(cls, cfg: TreeConfig) -> int:
         """Worst-case total over the per-target packets: N targets of ``width`` bits."""
         return cfg.core_count * cls.width(cfg)
 
-    @staticmethod
-    def capability(cfg: TreeConfig) -> int:
-        return FbsAddress.capability(cfg)
+    def text(self, cfg: TreeConfig) -> str:
+        """Comma-separated decimal indices, ascending."""
+        return ",".join(map(str, self.targets))
 
     @classmethod
-    def addresses(cls, cfg: TreeConfig) -> Iterator[UnicastAddress]:
-        n = cfg.core_count
-        return (
-            cls(tuple(t for t in range(n) if mask >> t & 1)) for mask in range(1, 1 << n)
-        )
+    def parse(cls, text: str, cfg: TreeConfig) -> UnicastAddress:
+        try:
+            targets = [int(p) for p in text.split(",")]
+        except ValueError:
+            raise ValueError("unicast address must be comma-separated decimal indices") from None
+        n, mask = cfg.core_count, 0
+        for t in targets:
+            if not 0 <= t < n:
+                raise ValueError(f"unicast target {t} out of range [0, {n})")
+            if mask >> t & 1:
+                raise ValueError("unicast targets must not repeat")
+            mask |= 1 << t
+        return cls((mask,))
 
-
-MulticastAddress = Union[HbsAddress, UnicastAddress]
 
 _ADDRESS_CLASSES = {
     cls.scheme: cls for cls in (FbsAddress, SymbolAddress, HbsAddress, UnicastAddress)
@@ -441,7 +421,7 @@ def address_class(scheme: Scheme | str) -> type:
 # ---------------------------------------------------------------------------
 # scheme-independent entry points
 
-def encode(scheme: Scheme, mask: int, cfg: TreeConfig) -> MulticastAddress:
+def encode(scheme: Scheme, mask: int, cfg: TreeConfig) -> HbsAddress:
     """Minimal ``scheme`` address covering the cores of the bitmask ``mask``."""
     n = cfg.core_count
     if not 0 < mask < 1 << n:
@@ -460,12 +440,12 @@ def cores(mask: int) -> list[int]:
     return out[::-1]
 
 
-def covered_set(addr: MulticastAddress, cfg: TreeConfig) -> frozenset[int]:
+def covered_set(addr: HbsAddress, cfg: TreeConfig) -> frozenset[int]:
     """The set of cores that will receive a packet carrying ``addr``."""
     return frozenset(cores(addr.cover(cfg)))
 
 
-def overcoverage(addr: MulticastAddress, mask: int, cfg: TreeConfig) -> int:
+def overcoverage(addr: HbsAddress, mask: int, cfg: TreeConfig) -> int:
     """How many covered cores are not in the destination bitmask ``mask``."""
     if not mask:
         raise ValueError("destination set must be nonempty")

@@ -182,9 +182,31 @@ def _built(errors: list[str], label: str, build: Callable[..., Any], *args: Any,
     return None
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe YAML loader that rejects a repeated mapping key; PyYAML would keep the last value."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict[Any, Any]:
+        seen: list[Any] = []  # a list, as a key need not be hashable
+        for key_node, _value_node in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # ``<<`` merges a mapping, it is no key
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.MarkedYAMLError(None, None, f"repeated key {key!r}", key_node.start_mark)
+                seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(inp: IO[str]) -> ExperimentConfig:
-    """Parse a YAML experiment config against :data:`FIELDS`, collecting every error at once."""
-    raw = yaml.safe_load(inp)
+    """Parse a YAML experiment config against :data:`FIELDS`, collecting every error at once.
+
+    YAML that does not parse, or repeats a key, is one error naming the file and line.
+    """
+    try:
+        raw = yaml.load(inp, _UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = getattr(inp, "name", "<config>") + (f":{mark.line + 1}" if mark else "")
+        raise ConfigError([f"{where}: {getattr(exc, 'problem', None) or exc}"]) from None
     if not isinstance(raw, (dict, type(None))):
         raise ConfigError(["top level: config must be a mapping"])
     errors: list[str] = []

@@ -13,12 +13,12 @@ The routers return their counts in closed form: the number of covered
 cores and the links crossed per tree level.  A multicast route reads them
 off the address itself, as the running products of its level masks'
 popcounts (:meth:`~treecast.addressing.HbsAddress.covered_per_height`),
-and never builds the cover bitmask; a unicast route counts its targets
-per block.  Each returns a slotted :class:`RouteResult` that also holds a
-module-level walk function and its arguments, so a route builds no
-closure.  The cover bitmask and the switch-by-switch walk, which lists
-every link and port decision, are built only when a caller first reads
-them, and are kept.
+and never builds the cover bitmask.  A unicast address is the fbs
+destination mask sent one packet per target, so a unicast route counts
+the mask's bits per block.  Each returns a slotted :class:`RouteResult`
+that also holds a module-level walk function and its arguments, so a route
+builds no closure.  The switch-by-switch walk, which lists every link and
+port decision, is built only when a caller first reads it, and is kept.
 
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .addressing import (
-    MulticastAddress,
+    HbsAddress,
     Scheme,
     TreeConfig,
     UnicastAddress,
@@ -125,8 +125,8 @@ class RouteResult:
     down together; both are closed forms, set when the record is built.
     The record also holds a module-level walk function and its arguments,
     of which the first three are the address, the source core and the
-    tree.  ``cover``, the delivered cores as a bitmask, is the address's
-    ``cover`` on that tree, built on its first read.  ``delivered``,
+    tree; the delivered cores as a bitmask are the address's ``cover`` on
+    that tree, which the record does not keep.  ``delivered``,
     ``up_links``, ``down_links`` and ``decisions`` come from the
     switch-by-switch walk, which runs once, on the first read of any of
     them, and fills their slots; ``links`` joins the up and down links.
@@ -138,7 +138,7 @@ class RouteResult:
     count fields themselves.
     """
 
-    __slots__ = ("covered", "level_links", "packets", "_walk", "_args", "cover") + _WALKED
+    __slots__ = ("covered", "level_links", "packets", "_walk", "_args") + _WALKED
 
     def __init__(
         self,
@@ -152,14 +152,10 @@ class RouteResult:
         self._walk, self._args = walk, args
 
     def __getattr__(self, name: str):
-        # Reached only when a slot is unset: the cover or a walk field not yet built.
-        if name == "cover":
-            addr, _source_core, cfg = self._args[:3]
-            self.cover = addr.cover(cfg)
-        elif name in _WALKED:
-            self.delivered, self.up_links, self.down_links, self.decisions = self._walk(*self._args)
-        else:
+        # Reached only when a slot is unset: a walk field not yet built.
+        if name not in _WALKED:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.delivered, self.up_links, self.down_links, self.decisions = self._walk(*self._args)
         return getattr(self, name)
 
     @property
@@ -182,7 +178,7 @@ def _turn_level(source: int, low: int, high: int, cfg: TreeConfig) -> int:
 
 
 def route_multicast(
-    addr: MulticastAddress,
+    addr: HbsAddress,
     source_core: int,
     cfg: TreeConfig,
     turnaround: str = "root",
@@ -201,7 +197,7 @@ def route_multicast(
     """
     if turnaround not in TURNAROUND_POLICIES:
         raise ValueError(f"unknown turnaround policy {turnaround!r}")
-    if isinstance(addr, UnicastAddress):
+    if isinstance(addr, UnicastAddress):  # before its inherited fbs counts are read
         raise ValueError("unicast packets are routed with route_unicast_batch")
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
@@ -221,7 +217,7 @@ def route_multicast(
 
 
 def _walk_multicast(
-    addr: MulticastAddress, source_core: int, cfg: TreeConfig, turn_level: int
+    addr: HbsAddress, source_core: int, cfg: TreeConfig, turn_level: int
 ) -> tuple:
     """Walk one multicast packet switch by switch; each switch reads its own head field."""
     k, levels = cfg.fan_out, cfg.levels
@@ -260,8 +256,8 @@ def route_unicast_batch(
     """
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
-    cover = addr.cover(cfg)  # range-checks targets
-    k, n = cfg.fan_out, len(addr.targets)
+    cover = addr.cover(cfg)  # validates the field
+    k, n = cfg.fan_out, cover.bit_count()
     level_links = [2 * n]
     span = 1
     for _ in range(1, cfg.levels):
@@ -274,14 +270,14 @@ def route_unicast_batch(
 
 def _walk_unicast(addr: UnicastAddress, source_core: int, cfg: TreeConfig) -> tuple:
     """Walk each packet of a unicast batch up to its LCA switch and down to its target."""
-    k = cfg.fan_out
+    k, targets = cfg.fan_out, addr.targets
     up_links: list[tuple[int, int]] = []
     down_links: list[tuple[int, int]] = []
-    for target in addr.targets:
+    for target in targets:
         turn_level = _turn_level(source_core, target, target, cfg)
         up_links.extend(_up_edges(source_core, turn_level, k))
         down_links.extend(reversed(_up_edges(target, turn_level, k)))
-    return addr.targets, tuple(up_links), tuple(down_links), ()
+    return targets, tuple(up_links), tuple(down_links), ()
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ unicast       N*log2(N)      2**N - 1
 
 Symbol is hbs on the binary tree of log2(N) levels, so its row is the hbs
 row at k = 2; fbs is hbs on the one-level tree of N cores, so its row is
-the hbs row at k = N, L = 1.  The unicast row is the worst-case total
-across the per-target packet iteration (its per-packet field is just
-log2(N) bits, see ``UnicastAddress.width``).
+the hbs row at k = N, L = 1.  Unicast is fbs sent one packet per target,
+so its capability is the fbs one; its routing bits are the worst-case
+total over the N packets of a full mask, each carrying a log2(N)-bit
+target index (see ``UnicastAddress.width``).
 
 ``enumerate_capability`` recounts capability by brute force: it walks
 every well-formed address of a scheme, materializes its cover, and

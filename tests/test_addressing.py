@@ -276,12 +276,33 @@ def test_fbs_is_hbs_on_the_one_level_tree(cfg):
         assert fbs.parse(a.text(cfg), cfg) == a
 
 
+@st.composite
+def mask_cases(draw):
+    cfg = draw(st.sampled_from(ENCODER_TREES))
+    return cfg, draw(st.integers(1, (1 << cfg.core_count) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_cases())
+def test_unicast_is_fbs_sent_one_packet_per_target(case):
+    cfg, mask = case
+    unicast = encode(Scheme.UNICAST, mask, cfg)
+    assert unicast.masks == encode(Scheme.FBS, mask, cfg).masks == (mask,)
+    assert unicast.targets == oracles.unicast_encode(t for t in range(cfg.core_count) if mask >> t & 1)
+    assert address_class(Scheme.UNICAST).parse(unicast.text(cfg), cfg) == unicast
+
+
 def test_unicast_rejects_repeated_targets():
-    with pytest.raises(ValueError, match="repeat"):
-        UnicastAddress((3, 3))
-    with pytest.raises(ValueError, match="repeat"):
+    # Only text from outside can repeat a target; a mask holds each core once.
+    with pytest.raises(ValueError, match="^unicast targets must not repeat$"):
         address_class(Scheme.UNICAST).parse("1,3,1", CFG16)
-    assert encode(Scheme.UNICAST, mask_of([3, 3, 1]), CFG16) == UnicastAddress((1, 3))
+    assert encode(Scheme.UNICAST, mask_of([3, 3, 1]), CFG16) == UnicastAddress((mask_of({1, 3}),))
+
+
+@pytest.mark.parametrize("text, target", [("-1", -1), ("2,16", 16), ("3,-4,5", -4)])
+def test_unicast_parse_rejects_targets_out_of_range(text, target):
+    with pytest.raises(ValueError, match=re.escape(f"unicast target {target} out of range [0, 16)")):
+        address_class(Scheme.UNICAST).parse(text, CFG16)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +482,7 @@ def test_wrong_width_addresses_rejected_on_decode():
         HbsAddress((0b0011,)),  # one mask, two levels
         HbsAddress((0b10000, 0b0011)),  # mask wider than k
         SymbolAddress((0b01,)),
-        UnicastAddress((16,)),
+        UnicastAddress((1 << 16,)),  # core 16 of 16
     )
     for addr in malformed:
         with pytest.raises(ValueError) as decoded:
@@ -494,7 +515,7 @@ def test_decode_is_deterministic_function():
 def test_format_examples():
     assert FbsAddress((0b1,)).text(TreeConfig(2, 2)) == "0001"
     assert HbsAddress((0b0011, 0b1100)).text(CFG16) == "0011/1100"
-    assert UnicastAddress((2, 7, 11)).text(CFG16) == "2,7,11"
+    assert UnicastAddress((mask_of({2, 7, 11}),)).text(CFG16) == "2,7,11"
 
 
 def test_format_parse_round_trip():

@@ -106,6 +106,27 @@ def test_missing_config_exits_1_naming_it(tmp_path, capsys):
     assert f"--config {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, line, problem",
+    [
+        (": : :\n", 1, "expected <block end>, but found ':'"),
+        ("mapping:\n\trepetitions: 1\n", 2, "found character '\\t'"),
+        ("mapping: {repetitions: 1}\ntree: {fan_out: 4}\nmapping: {seed: 3}\n", 3, "repeated key 'mapping'"),
+        ("mapping:\n  repetitions: 1\n  seed: 3\n  repetitions: 2\n", 4, "repeated key 'repetitions'"),
+    ],
+    ids=["parser", "tab indent", "repeated section", "repeated field"],
+)
+def test_malformed_yaml_exits_1_naming_file_and_line(tmp_path, capsys, monkeypatch, text, line, problem):
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the sweep ran"))
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    outputs = ["--runs-csv", str(tmp_path / "r.csv"), "--summary-json", str(tmp_path / "s.json")]
+    assert main(["simulate", "--config", str(config), *outputs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:{line}: {problem}")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_unopenable_output_exits_1_before_the_sweep(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the sweep ran"))
     bad = tmp_path / "no_such_dir" / "runs.csv"
