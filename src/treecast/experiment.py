@@ -199,13 +199,19 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 def load_config(inp: IO[str]) -> ExperimentConfig:
     """Parse a YAML experiment config against :data:`FIELDS`, collecting every error at once.
 
-    YAML that does not parse, or repeats a key, is one error naming the file and line.
+    YAML that does not parse, holds a character YAML does not accept, or
+    repeats a key, is one error naming the file and line.
     """
+    name, text = getattr(inp, "name", "<config>"), inp.read()
     try:
-        raw = yaml.load(inp, _UniqueKeyLoader)
+        raw = yaml.load(text, _UniqueKeyLoader)
+    except yaml.reader.ReaderError as exc:  # it has a position in the text, not a line mark
+        line = text.count("\n", 0, exc.position) + 1
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason}"
+        raise ConfigError([f"{name}:{line}: {problem}"]) from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        where = getattr(inp, "name", "<config>") + (f":{mark.line + 1}" if mark else "")
+        where = name + (f":{mark.line + 1}" if mark else "")
         raise ConfigError([f"{where}: {getattr(exc, 'problem', None) or exc}"]) from None
     if not isinstance(raw, (dict, type(None))):
         raise ConfigError(["top level: config must be a mapping"])

@@ -10,7 +10,11 @@ block by block, row-major, so row r of a block of c columns that starts at
 stream offset o reads draws ``o + r * c`` onwards.  Each chunk of
 ``DRAW_ROWS`` source rows is drawn on its own from a generator advanced to
 that offset, which lets the chunks run on several threads: one per
-``DRAWS_PER_THREAD`` draws of the network, at most one per CPU.
+``DRAWS_PER_THREAD`` draws of the network, at most one per CPU.  The
+threads make two passes: the first keeps each chunk's hits packed 1 bit
+per draw, the second unpacks them into one target array of exactly the
+edge count, so a draw holds 4 bytes per edge, 1 bit per draw and each
+thread's scratch.
 Neurons are packed onto cores in id order, either strictly sequentially
 or with random core switches, and a firing trace is an independent
 Bernoulli draw per neuron per timestep.  The per-core LUTs of legal
@@ -113,6 +117,9 @@ class Connectivity(Mapping[int, np.ndarray]):
     """Read-only fan-out graph in CSR form: neuron id -> sorted target ids.
 
     The targets of neuron n are ``targets[indptr[n]:indptr[n + 1]]``.
+    :func:`generate_connectivity` allocates ``targets`` once, at its exact
+    size, and fills it from hit bits packed 1 per draw, so building the
+    graph takes 4 bytes per edge plus 1 bit per draw and per-thread scratch.
     """
 
     def __init__(self, indptr: Sequence[int], targets: Sequence[int]) -> None:
@@ -141,10 +148,10 @@ class Connectivity(Mapping[int, np.ndarray]):
 Part = tuple[int, int, float, bool]
 
 
-def _layer_parts(spec: NetworkSpec) -> list[tuple[int, int, tuple[Part, ...]]]:
-    """Per layer, its size, its first target id and its parts: the recurrent
-    block, then the block into the next layer.  A part's offset is where the
-    one-stream draw of every block in turn reaches it."""
+def _layer_parts(spec: NetworkSpec) -> list[tuple[range, int, tuple[Part, ...]]]:
+    """Per layer, its neuron ids, its first target id and its parts: the
+    recurrent block, then the block into the next layer.  A part's offset is
+    where the one-stream draw of every block in turn reaches it."""
     offset = 0
     layers = []
     for li, (layer, ids) in enumerate(zip(spec.layers, spec.layer_ranges())):
@@ -158,13 +165,13 @@ def _layer_parts(spec: NetworkSpec) -> list[tuple[int, int, tuple[Part, ...]]]:
             parts.append((offset, after.size, density, False))
             offset += layer.size * after.size
         first = ids.start if layer.kind == "recurrent" else ids.stop
-        layers.append((layer.size, first, tuple(parts)))
+        layers.append((ids, first, tuple(parts)))
     return layers
 
 
-def _draw_rows(seed: int, parts: tuple[Part, ...], start: int, rows: int, first: int, floats, hits):
-    """Targets per source row, and the targets, of rows ``start:start + rows``
-    of one layer whose first target id is ``first``.
+def _draw_rows(seed: int, parts: tuple[Part, ...], start: int, rows: int, floats, hits):
+    """Pass 1 of a job: the targets per source row of rows ``start:start + rows``
+    of one layer, and the row-major hit rows packed 8 draws to a byte.
 
     Each part's rows are drawn from the seed's stream advanced to where the
     one-stream draw reaches them.  The parts fill the hit rows side by side,
@@ -184,20 +191,53 @@ def _draw_rows(seed: int, parts: tuple[Part, ...], start: int, rows: int, first:
         if drop_diagonal:
             np.fill_diagonal(block[:, start:], False)
         at += cols
-    return np.count_nonzero(hit, axis=1), (np.flatnonzero(hit) % width + first).astype(np.int32)
+    return np.count_nonzero(hit, axis=1), np.packbits(hit)
 
 
-def _draw_jobs(seed: int, pending: Iterator, results: list, failures: list, sizes: tuple[int, int]) -> None:
-    """Draw the jobs of a shared iterator of ``(index, job)`` into ``results``
-    until it runs out or a thread has failed; a failure joins ``failures``."""
+def _fill_rows(packed: np.ndarray, parts: tuple[Part, ...], rows: int, first: int, out: np.ndarray) -> None:
+    """Pass 2 of a job: write the target ids of its ``rows`` packed hit rows,
+    whose first column is target ``first``, into ``out``."""
+    width = sum(cols for _offset, cols, _density, _drop in parts)
+    # The last byte is padded, so only the first rows * width bits are draws;
+    # nonzero reads bools several times faster than the unpacked bytes.
+    at = np.flatnonzero(np.unpackbits(packed, count=rows * width).view(bool))
+    np.remainder(at, width, out=at)
+    np.add(at, first, out=out, casting="unsafe")
+
+
+def _draw_jobs(
+    seed: int, jobs: list, queues: tuple, drawn: list, csr: list, barrier: threading.Barrier, failures: list, sizes
+) -> None:
+    """One thread's share of both passes over ``jobs``, each a layer's parts,
+    the job's first row in the layer, its row count, the layer's first target
+    id and the job's first source id.  Pass 1 draws the jobs that the
+    shared iterator ``queues[0]`` hands out into ``drawn``, as (counts, packed
+    hits).  The last thread to reach ``barrier`` runs its action, which puts
+    the indptr and the empty target array in ``csr``.  Pass 2 fills the
+    target slices of the jobs of ``queues[1]``.  A failure joins ``failures``
+    and breaks the barrier, which stops the other threads in either pass."""
     try:
         floats, hits = np.empty(sizes[0]), np.empty(sizes[1], dtype=bool)
-        for i, job in pending:  # next() on a shared iterator runs under the GIL
-            if failures:
+        for i in queues[0]:  # next() on a shared iterator runs under the GIL
+            if barrier.broken:
                 return
-            results[i] = _draw_rows(seed, *job, floats, hits)
+            parts, start, rows, _first, _row = jobs[i]
+            drawn[i] = _draw_rows(seed, parts, start, rows, floats, hits)
+        del floats, hits
+        barrier.wait()
+        indptr, targets = csr
+        for i in queues[1]:
+            if barrier.broken:
+                return
+            parts, _start, rows, first, row = jobs[i]
+            _counts, packed = drawn[i]
+            drawn[i] = None  # the job's bits are read once
+            _fill_rows(packed, parts, rows, first, targets[indptr[row] : indptr[row + rows]])
+    except threading.BrokenBarrierError:
+        pass  # another thread failed and broke the barrier; its error is in failures
     except BaseException as exc:
         failures.append(exc)
+        barrier.abort()
 
 
 def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
@@ -217,35 +257,52 @@ def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     one thread per ``DRAWS_PER_THREAD`` uniform draws of the whole network,
     at least one and at most one per CPU this process may run on; the
     calling thread is one of them, so a small network starts no thread.
+
+    Every job runs twice.  Pass 1 draws its rows and keeps their per-row
+    edge counts and their hits packed 1 bit per draw.  Between the passes
+    the counts give the indptr and one target array of exactly the edge
+    count.  Pass 2 unpacks each job's bits straight into its slice of that
+    array.  So the peak holds 4 bytes per edge, 1 bit per draw and 8 bytes
+    per neuron (the indptr), plus the scratch of each thread: a job's
+    floats, hits and hit indices.
     """
     layers = _layer_parts(spec)
     jobs = [
-        (parts, start, min(DRAW_ROWS, size - start), first)
-        for size, first, parts in layers
-        for start in range(0, size, DRAW_ROWS)
+        (parts, start, min(DRAW_ROWS, len(ids) - start), first, ids.start + start)
+        for ids, first, parts in layers
+        for start in range(0, len(ids), DRAW_ROWS)
     ]
-    columns = [[cols for _offset, cols, _density, _drop in parts] for _size, _first, parts in layers]
-    draws = sum(size * sum(cols) for (size, _first, _parts), cols in zip(layers, columns))
+    columns = [[cols for _offset, cols, _density, _drop in parts] for _ids, _first, parts in layers]
+    draws = sum(len(ids) * sum(cols) for (ids, _first, _parts), cols in zip(layers, columns))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = max(1, min(draws // DRAWS_PER_THREAD, cpus, len(jobs)))
     sizes = (DRAW_ROWS * max(max(c, default=0) for c in columns), DRAW_ROWS * max(sum(c) for c in columns))
-    results: list = [None] * len(jobs)
+    drawn: list = [None] * len(jobs)
+    csr: list[np.ndarray] = []
+
+    def allocate() -> None:
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate([counts for counts, _packed in drawn]))))
+        csr.extend((indptr, np.empty(indptr[-1], dtype=np.int32)))
+
+    barrier = threading.Barrier(threads, allocate)
     failures: list[BaseException] = []
-    args = (seed, iter(enumerate(jobs)), results, failures, sizes)
+    queues = (iter(range(len(jobs))), iter(range(len(jobs))))
+    args = (seed, jobs, queues, drawn, csr, barrier, failures, sizes)
     started = []
     try:
         for _ in range(threads - 1):
             started.append(threading.Thread(target=_draw_jobs, args=args))
             started[-1].start()
-        _draw_jobs(*args)
+        _draw_jobs(*args)  # records its own failure
+    except BaseException:
+        barrier.abort()  # a thread failed to start: the started ones must not wait for it
+        raise
     finally:
         for thread in started:
             thread.join()
     if failures:
         raise failures[0]
-    counts, targets = zip(*results)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return Connectivity(indptr, np.concatenate(targets))
+    return Connectivity(*csr)
 
 
 def map_neurons(

@@ -113,8 +113,13 @@ def test_missing_config_exits_1_naming_it(tmp_path, capsys):
         ("mapping:\n\trepetitions: 1\n", 2, "found character '\\t'"),
         ("mapping: {repetitions: 1}\ntree: {fan_out: 4}\nmapping: {seed: 3}\n", 3, "repeated key 'mapping'"),
         ("mapping:\n  repetitions: 1\n  seed: 3\n  repetitions: 2\n", 4, "repeated key 'repetitions'"),
+        (
+            "mapping:\n  repetitions: 1\n  seed: \x01\n",
+            3,
+            "unacceptable character #x0001: special characters are not allowed\n",
+        ),
     ],
-    ids=["parser", "tab indent", "repeated section", "repeated field"],
+    ids=["parser", "tab indent", "repeated section", "repeated field", "control character"],
 )
 def test_malformed_yaml_exits_1_naming_file_and_line(tmp_path, capsys, monkeypatch, text, line, problem):
     monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the sweep ran"))

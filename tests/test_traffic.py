@@ -1,7 +1,10 @@
 import io
+import itertools
 import os
 import sys
 import threading
+import tracemalloc
+import traceback
 from collections import Counter
 from functools import cache
 
@@ -27,6 +30,7 @@ from treecast.traffic import (
     save_trace,
     synth_trace,
     _draw_rows,
+    _fill_rows,
 )
 from treecast import traffic
 
@@ -109,11 +113,15 @@ ROW_SPANS = ((0, DRAW_ROWS), (DRAW_ROWS, 2 * DRAW_ROWS), (DRAW_ROWS - 3, DRAW_RO
 @pytest.mark.parametrize("a, b", ROW_SPANS)
 def test_offset_draw_equals_the_one_shot_draw(a, b):
     # A part of 5 columns at stream offset 41: rows a:b drawn from a PCG64
-    # advanced to 41 + a * 5 are rows a:b of the one-shot draw.
+    # advanced to 41 + a * 5 are rows a:b of the one-shot draw, and their
+    # packed hits unpack to the one-shot draw's targets.
     rows, cols, offset = 2 * DRAW_ROWS + 3, 5, 41
     one_shot = np.random.default_rng(17).random(offset + rows * cols)[offset:].reshape(rows, cols)
     floats, hits = np.empty(DRAW_ROWS * 2 * cols), np.empty(DRAW_ROWS * 2 * cols, dtype=bool)
-    counts, targets = _draw_rows(17, ((offset, cols, 0.3, False),), a, b - a, 100, floats, hits)
+    parts = ((offset, cols, 0.3, False),)
+    counts, packed = _draw_rows(17, parts, a, b - a, floats, hits)
+    targets = np.empty(counts.sum(), dtype=np.int32)
+    _fill_rows(packed, parts, b - a, 100, targets)
     assert np.array_equal(floats[: (b - a) * cols].reshape(b - a, cols), one_shot[a:b])
     assert np.array_equal(counts, np.count_nonzero(one_shot[a:b] < 0.3, axis=1))
     assert np.array_equal(targets, np.flatnonzero(one_shot[a:b] < 0.3) % cols + 100)
@@ -177,6 +185,78 @@ def test_a_thread_starts_once_the_draws_pay_for_it(monkeypatch):
     spec = NetworkSpec((Layer(2048, "recurrent"), Layer(2048, "feedforward")), 0.001)
     generate_connectivity(spec, 5)  # 2^23 draws pay for two threads
     assert CountedThread.starts == 1
+
+
+class JobFailed(Exception):
+    pass
+
+
+class DaemonThread(threading.Thread):
+    # A thread that hangs does not keep the test process from exiting.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, daemon=True, **kwargs)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("stage", ["pass 1", "barrier action", "pass 2"])
+def test_a_failed_job_reaches_the_caller_and_stops_every_thread(stage, threads, monkeypatch):
+    monkeypatch.setattr(traffic, "DRAWS_PER_THREAD", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
+    monkeypatch.setattr(threading, "Thread", DaemonThread)
+    name = "_fill_rows" if stage == "pass 2" else "_draw_rows"
+    job, calls = getattr(traffic, name), itertools.count()
+
+    def third_job_fails(*args):
+        if next(calls) != 2:
+            return job(*args)
+        if stage == "barrier action":
+            counts, packed = job(*args)
+            return counts.sum(), packed  # a 0-d count array, which the action cannot concatenate
+        raise JobFailed(stage)
+
+    monkeypatch.setattr(traffic, name, third_job_fails)
+    outcome = []
+
+    def call():
+        try:
+            generate_connectivity(CHUNKED[0], 23)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    before = threading.active_count()
+    caller = DaemonThread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "generate_connectivity hung"
+    assert threading.active_count() == before
+    [exc] = outcome
+    frames = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+    if stage == "barrier action":
+        assert isinstance(exc, ValueError) and frames[-1] == "allocate"
+    else:
+        assert isinstance(exc, JobFailed) and exc.args == (stage,)
+    assert "_draw_jobs" in frames
+
+
+def test_connectivity_peak_holds_each_edge_once():
+    # A recurrent layer, then eight feedforward layers wired at density 1, of
+    # 2 * DRAW_ROWS + 3 neurons each: 2.4M draws on one thread, 2.1M edges.
+    size = 2 * DRAW_ROWS + 3
+    spec = NetworkSpec((Layer(size, "recurrent"),) + (Layer(size, "feedforward"),) * 8, 0.05, literal_fc=True)
+    tracemalloc.start()
+    try:
+        conn = generate_connectivity(spec, 29)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    edges, draws, neurons = len(conn.targets), size * size * 9, spec.total_neurons
+    # One thread's scratch: 8 bytes per draw of the widest part (the floats),
+    # and per draw of the widest rows 1 byte each for the hits and the
+    # unpacked bits and 8 for a hit's index; 32 bytes per neuron hold the
+    # counts and the indptr.
+    scratch = DRAW_ROWS * (8 * size + 10 * 2 * size) + 32 * neurons
+    assert edges > 2_000_000
+    assert peak < 4 * edges + draws / 8 + scratch
 
 
 def test_sequential_mapping_packs_in_id_order():
