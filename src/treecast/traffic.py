@@ -13,7 +13,7 @@ that offset, which lets the chunks run on several threads: one per
 ``DRAWS_PER_THREAD`` draws of the network, at most one per CPU.  The
 threads make two passes: the first keeps each chunk's hits packed 1 bit
 per draw, the second unpacks them into one target array of exactly the
-edge count, so a draw holds 4 bytes per edge, 1 bit per draw and each
+edge count, so drawing holds 4 bytes per edge, 1 bit per draw and each
 thread's scratch.
 Neurons are packed onto cores in id order, either strictly sequentially
 or with random core switches, and a firing trace is an independent
@@ -48,6 +48,10 @@ MIN_TAG_BITS = 10
 #: Source rows per job of :func:`generate_connectivity`, and per block of
 #: :func:`build_core_luts`.
 DRAW_ROWS = 256
+
+#: Source rows per piece that pass 2 of :func:`generate_connectivity` unpacks
+#: at once; a multiple of 8, so that every piece starts on a byte.
+FILL_ROWS = 32
 
 #: Uniform draws of a network that pay for one more drawing thread.
 DRAWS_PER_THREAD = 1 << 22
@@ -196,13 +200,19 @@ def _draw_rows(seed: int, parts: tuple[Part, ...], start: int, rows: int, floats
 
 def _fill_rows(packed: np.ndarray, parts: tuple[Part, ...], rows: int, first: int, out: np.ndarray) -> None:
     """Pass 2 of a job: write the target ids of its ``rows`` packed hit rows,
-    whose first column is target ``first``, into ``out``."""
+    whose first column is target ``first``, into ``out``, ``FILL_ROWS`` rows
+    at a time, so the unpacked bits and their indices stay small."""
     width = sum(cols for _offset, cols, _density, _drop in parts)
-    # The last byte is padded, so only the first rows * width bits are draws;
-    # nonzero reads bools several times faster than the unpacked bytes.
-    at = np.flatnonzero(np.unpackbits(packed, count=rows * width).view(bool))
-    np.remainder(at, width, out=at)
-    np.add(at, first, out=out, casting="unsafe")
+    at = 0
+    for row in range(0, rows, FILL_ROWS):
+        # The piece starts on a byte as FILL_ROWS is a multiple of 8; the last
+        # byte is padded, so only the first count bits are draws.  nonzero
+        # reads bools several times faster than the unpacked bytes.
+        bits = np.unpackbits(packed[row * width // 8 :], count=min(FILL_ROWS, rows - row) * width)
+        hit_at = np.flatnonzero(bits.view(bool))
+        np.remainder(hit_at, width, out=hit_at)
+        np.add(hit_at, first, out=out[at : at + hit_at.size], casting="unsafe")
+        at += hit_at.size
 
 
 def _draw_jobs(
@@ -261,10 +271,11 @@ def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     Every job runs twice.  Pass 1 draws its rows and keeps their per-row
     edge counts and their hits packed 1 bit per draw.  Between the passes
     the counts give the indptr and one target array of exactly the edge
-    count.  Pass 2 unpacks each job's bits straight into its slice of that
-    array.  So the peak holds 4 bytes per edge, 1 bit per draw and 8 bytes
-    per neuron (the indptr), plus the scratch of each thread: a job's
-    floats, hits and hit indices.
+    count.  Pass 2 unpacks each job's bits, ``FILL_ROWS`` rows at a time,
+    straight into its slice of that array.  So the peak holds 4 bytes per
+    edge, 1 bit per draw and 8 bytes per neuron (the indptr), plus the
+    scratch of each thread: a job's floats and hits in pass 1, a piece's
+    unpacked bits and hit indices in pass 2.
     """
     layers = _layer_parts(spec)
     jobs = [

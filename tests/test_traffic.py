@@ -250,10 +250,11 @@ def test_connectivity_peak_holds_each_edge_once():
     finally:
         tracemalloc.stop()
     edges, draws, neurons = len(conn.targets), size * size * 9, spec.total_neurons
-    # One thread's scratch: 8 bytes per draw of the widest part (the floats),
-    # and per draw of the widest rows 1 byte each for the hits and the
-    # unpacked bits and 8 for a hit's index; 32 bytes per neuron hold the
-    # counts and the indptr.
+    # One thread's scratch, at most: 8 bytes per draw of the widest part (the
+    # floats), and per draw of the widest rows 1 byte each for the hits and
+    # the unpacked bits and 8 for a hit's index; 32 bytes per neuron hold the
+    # counts and the indptr.  Per-job target pieces joined by a concatenation
+    # would hold about 8 bytes per edge.
     scratch = DRAW_ROWS * (8 * size + 10 * 2 * size) + 32 * neurons
     assert edges > 2_000_000
     assert peak < 4 * edges + draws / 8 + scratch
