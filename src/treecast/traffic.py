@@ -302,8 +302,9 @@ def generate_connectivity(spec: NetworkSpec, seed: int) -> Connectivity:
     started = []
     try:
         for _ in range(threads - 1):
-            started.append(threading.Thread(target=_draw_jobs, args=args))
-            started[-1].start()
+            thread = threading.Thread(target=_draw_jobs, args=args)
+            thread.start()
+            started.append(thread)  # only a started thread can be joined
         _draw_jobs(*args)  # records its own failure
     except BaseException:
         barrier.abort()  # a thread failed to start: the started ones must not wait for it

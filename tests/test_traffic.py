@@ -197,6 +197,27 @@ class DaemonThread(threading.Thread):
         super().__init__(*args, daemon=True, **kwargs)
 
 
+def _error_of_a_draw_that_must_not_hang() -> BaseException:
+    """The error of drawing CHUNKED[0] in a helper thread, which fails the
+    test if the draw hangs or leaves a thread running."""
+    outcome = []
+
+    def call():
+        try:
+            generate_connectivity(CHUNKED[0], 23)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    before = threading.active_count()
+    caller = DaemonThread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "generate_connectivity hung"
+    assert threading.active_count() == before
+    [exc] = outcome
+    return exc
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("stage", ["pass 1", "barrier action", "pass 2"])
 def test_a_failed_job_reaches_the_caller_and_stops_every_thread(stage, threads, monkeypatch):
@@ -215,27 +236,31 @@ def test_a_failed_job_reaches_the_caller_and_stops_every_thread(stage, threads, 
         raise JobFailed(stage)
 
     monkeypatch.setattr(traffic, name, third_job_fails)
-    outcome = []
-
-    def call():
-        try:
-            generate_connectivity(CHUNKED[0], 23)
-        except BaseException as exc:
-            outcome.append(exc)
-
-    before = threading.active_count()
-    caller = DaemonThread(target=call)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive(), "generate_connectivity hung"
-    assert threading.active_count() == before
-    [exc] = outcome
+    exc = _error_of_a_draw_that_must_not_hang()
     frames = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
     if stage == "barrier action":
         assert isinstance(exc, ValueError) and frames[-1] == "allocate"
     else:
         assert isinstance(exc, JobFailed) and exc.args == (stage,)
     assert "_draw_jobs" in frames
+
+
+def test_a_thread_that_fails_to_start_stops_the_started_ones(monkeypatch):
+    monkeypatch.setattr(traffic, "DRAWS_PER_THREAD", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    class SecondFailsToStart(DaemonThread):
+        starts = 0
+
+        def start(self):
+            SecondFailsToStart.starts += 1
+            if SecondFailsToStart.starts == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", SecondFailsToStart)
+    exc = _error_of_a_draw_that_must_not_hang()
+    assert isinstance(exc, RuntimeError) and exc.args == ("can't start new thread",)
 
 
 def test_connectivity_peak_holds_each_edge_once():
