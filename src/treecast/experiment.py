@@ -17,6 +17,7 @@ import csv
 import json
 import re
 import statistics
+import sys
 from collections import Counter, namedtuple
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import IO, Any, Callable, Sequence
@@ -96,7 +97,8 @@ _Field = namedtuple("_Field", "path keyword kind allowed excludes", defaults=(No
 #: ``network`` are arguments of TreeConfig, EnergyModel.default or
 #: NetworkSpec.default_rsnn; ``energy.link`` and ``network.layers`` replace
 #: what those built; each ``network.layers`` entry has exactly an integer
-#: ``size`` >= 1 and a ``kind`` in LAYER_KINDS.  An absent field keeps the
+#: ``size`` >= 1 and a ``kind`` in LAYER_KINDS; ``tree.fan_out ** tree.levels``,
+#: the core count, is at most ``sys.maxsize``.  An absent field keeps the
 #: default of what it sets.
 FIELDS = (
     _Field("tree.fan_out", "tree", int, "[2, inf)"),
@@ -199,10 +201,24 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 def load_config(inp: IO[str]) -> ExperimentConfig:
     """Parse a YAML experiment config against :data:`FIELDS`, collecting every error at once.
 
-    YAML that does not parse, holds a character YAML does not accept, or
-    repeats a key, is one error naming the file and line.
+    Text that is not UTF-8, or YAML that does not parse, holds a character
+    YAML does not accept, or repeats a key, is one error naming the file
+    and line.  A tree whose cores an index cannot count stops the checks
+    there, before anything is sized by the tree.
     """
-    name, text = getattr(inp, "name", "<config>"), inp.read()
+    name = getattr(inp, "name", "<config>")
+    try:
+        text = inp.read()
+    except UnicodeDecodeError:
+        # The error's position is in the decoder's last chunk; decoding the
+        # whole file again gives the offset of the bad byte in the file.
+        inp.buffer.seek(0)
+        data = inp.buffer.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError([f"{name}:{line}: not UTF-8 text"]) from None
     try:
         raw = yaml.load(text, _UniqueKeyLoader)
     except yaml.reader.ReaderError as exc:  # it has a position in the text, not a line mark
@@ -239,6 +255,10 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
             kw[row.keyword] = value
     defaults = ExperimentConfig()
     tree = replace(defaults.tree, **args["tree"])
+    # levels first, so that fan_out is never raised to a huge power.
+    if tree.levels > 62 or tree.fan_out**tree.levels > sys.maxsize:
+        cores = f"{tree.fan_out} ** {tree.levels} cores"
+        raise ConfigError([*errors, f"tree: {cores} exceed {sys.maxsize}, the most an index counts"])
     link = args["energy"].pop("link", None)
     energy = _built(errors, "energy", EnergyModel.default, tree.levels, **args["energy"])
     if link is not None and len(link) != tree.levels:

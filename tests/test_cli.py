@@ -118,18 +118,41 @@ def test_missing_config_exits_1_naming_it(tmp_path, capsys):
             3,
             "unacceptable character #x0001: special characters are not allowed\n",
         ),
+        (b"mapping:\n  seed: \xff\n", 2, "not UTF-8 text\n"),
+        # A bad byte 10 kB into the file, on line 4.
+        (b"# " + b"-" * 10000 + b"\nmapping:\n\n  seed: 1 # \xfe\n", 4, "not UTF-8 text\n"),
     ],
-    ids=["parser", "tab indent", "repeated section", "repeated field", "control character"],
+    ids=["parser", "tab indent", "repeated section", "repeated field", "control character", "not UTF-8", "late bad byte"],
 )
 def test_malformed_yaml_exits_1_naming_file_and_line(tmp_path, capsys, monkeypatch, text, line, problem):
     monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the sweep ran"))
     config = tmp_path / "config.yaml"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     outputs = ["--runs-csv", str(tmp_path / "r.csv"), "--summary-json", str(tmp_path / "s.json")]
     assert main(["simulate", "--config", str(config), *outputs]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}:{line}: {problem}")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        "schemes: [hbs]\ntree: {fan_out: 2, levels: 64}\n",
+        "tree: {fan_out: 4, levels: 1000}\n",
+        "schemes: [hbs]\ntree: {fan_out: 100000000000000000000, levels: 1}\n",
+        "tree: {fan_out: 2, levels: 100000000000000000000}\n",
+    ],
+    ids=["2x64", "4x1000", "huge-fan_out", "huge-levels"],
+)
+def test_a_tree_too_large_for_an_index_exits_1_naming_tree(tmp_path, capsys, monkeypatch, tree):
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the sweep ran"))
+    config = tmp_path / "config.yaml"
+    config.write_text(tree)
+    outputs = ["--runs-csv", str(tmp_path / "r.csv"), "--summary-json", str(tmp_path / "s.json")]
+    assert main(["simulate", "--config", str(config), *outputs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tree: ") and err.count("\n") == 1
 
 
 def test_unopenable_output_exits_1_before_the_sweep(tmp_path, capsys, monkeypatch):
@@ -214,8 +237,8 @@ def test_out_of_memory_in_a_drawing_thread_exits_2_and_stops_every_thread(tmp_pa
     argv = ["simulate", "--config", str(config), "--runs-csv", str(runs), "--summary-json", str(summary)]
     assert main(argv) == 2
     assert threading.active_count() == before
-    # The worker's frames travel with the error: the innermost package frame is the job loop.
-    assert capsys.readouterr().err == "error: out of memory in _draw_jobs\n"
+    # The job's frames travel with the error: the innermost package frame is the pass-1 job.
+    assert capsys.readouterr().err == "error: out of memory in draw_job\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
 
 
