@@ -67,9 +67,9 @@ class TreeConfig:
     """Shape of the core tree: ``fan_out`` children per switch, ``levels`` deep.
 
     Constants of the shape are computed on first read and cached on the
-    instance: ``core_count``, ``block_leaders`` and the trees that symbol and
-    fbs address, ``index_tree`` and ``flat_tree``.  Equality and hashing read
-    only ``fan_out`` and ``levels``.
+    instance: ``core_count``, ``block_leaders``, the encoders' ``fold_plan``
+    and the trees that symbol and fbs address, ``index_tree`` and
+    ``flat_tree``.  Equality and hashing read only ``fan_out`` and ``levels``.
     """
 
     fan_out: int
@@ -91,6 +91,17 @@ class TreeConfig:
         block of ``fan_out ** l`` cores, that is bit j * k**l for every j."""
         full = (1 << self.core_count) - 1
         return tuple(full // ((1 << self.fan_out**level) - 1) for level in range(self.levels + 1))
+
+    @functools.cached_property
+    def fold_plan(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+        """Per level above the leaves, root first: the ``(digit bit, shift)``
+        pair of each child digit d, ``(1 << d, d * span)``, and the block mask
+        ``(1 << span) - 1``, where ``span`` is the cores below one child."""
+        k, span, plan = self.fan_out, self.core_count, []
+        for _ in range(self.levels - 1):
+            span //= k
+            plan.append((tuple((1 << d, d * span) for d in range(k)), (1 << span) - 1))
+        return tuple(plan)
 
     @functools.cached_property
     def index_tree(self) -> TreeConfig:
@@ -173,23 +184,29 @@ class HbsAddress:
         nonzero, and the OR of the k blocks is the next level's mask.  The
         leaf level's blocks are single cores, so its mask is what is left.
         The cover, the product of the per-level digit sets, is the smallest
-        such product containing the destinations.
+        such product containing the destinations.  A mask in (0, 2**N) folds
+        into nonzero level masks no wider than k, so the result skips the
+        validating constructor.
         """
-        tree = cls._tree(cfg)
-        k, span = tree.fan_out, tree.core_count
         masks = []
-        for _ in range(tree.levels - 1):
-            span //= k
-            block = (1 << span) - 1
+        for pairs, block in cls._tree(cfg).fold_plan:
             digits = below = 0
-            for d in range(k):
-                part = mask >> (d * span) & block
+            for bit, shift in pairs:
+                part = mask >> shift & block
                 if part:
-                    digits |= 1 << d
+                    digits |= bit
                     below |= part
             masks.append(digits)
             mask = below
-        return cls((*masks, mask))
+        masks.append(mask)
+        return cls._of(tuple(masks))
+
+    @classmethod
+    def _of(cls, masks: tuple[int, ...]) -> HbsAddress:
+        """An address of ``masks``, which must be valid: ``__post_init__`` does not run."""
+        addr = object.__new__(cls)
+        addr.__dict__["masks"] = masks
+        return addr
 
     def _checked_tree(self, cfg: TreeConfig) -> TreeConfig:
         """``_tree(cfg)``, once the field has one mask per level, none wider than k."""
@@ -228,8 +245,11 @@ class HbsAddress:
         product is a height of ``cfg``.
         """
         step = self._checked_tree(cfg).levels // cfg.levels
-        per_depth = tuple(itertools.accumulate(map(int.bit_count, self.masks), operator.mul, initial=1))
-        return per_depth[::-step]
+        per_depth, covered = [1], 1
+        for m in self.masks:
+            covered *= m.bit_count()
+            per_depth.append(covered)
+        return tuple(per_depth[::-step])
 
     def cover_bounds(self, cfg: TreeConfig) -> tuple[int, int]:
         """Lowest and highest covered core: the lowest and the highest digit of every level."""

@@ -28,6 +28,7 @@ from .addressing import Scheme, TreeConfig, address_class
 from .nocsim import TURNAROUND_POLICIES, EnergyModel, SimReport, simulate
 from .traffic import (
     LAYER_KINDS,
+    MAX_TRACE_DRAWS,
     Layer,
     NetworkSpec,
     build_core_luts,
@@ -98,8 +99,9 @@ _Field = namedtuple("_Field", "path keyword kind allowed excludes", defaults=(No
 #: NetworkSpec.default_rsnn; ``energy.link`` and ``network.layers`` replace
 #: what those built; each ``network.layers`` entry has exactly an integer
 #: ``size`` >= 1 and a ``kind`` in LAYER_KINDS; ``tree.fan_out ** tree.levels``,
-#: the core count, is at most ``sys.maxsize``.  An absent field keeps the
-#: default of what it sets.
+#: the core count, is at most ``sys.maxsize``; with a synth trace,
+#: ``trace.steps`` times the neuron count is at most MAX_TRACE_DRAWS.  An
+#: absent field keeps the default of what it sets.
 FIELDS = (
     _Field("tree.fan_out", "tree", int, "[2, inf)"),
     _Field("tree.levels", "tree", int, "[1, inf)"),
@@ -291,6 +293,10 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
     source = str(given.get("trace.source", defaults.trace_source))
     if source == "file" and "trace.path" not in given:
         errors.append("trace.path: required when trace.source is file")
+    steps = kw.get("trace_steps", defaults.trace_steps)
+    if source == "synth" and network is not None and steps * network.total_neurons > MAX_TRACE_DRAWS:
+        n = network.total_neurons
+        errors.append(f"trace.steps: {steps} steps x {n} neurons exceed {MAX_TRACE_DRAWS} draws")
     unread = {"synth": ["trace.path"], "file": ["trace.steps", "trace.rate", "trace.seed"]}.get(source, [])
     errors.extend(f"{p}: not read when trace.source is {source}" for p in unread if p in given)
     if errors:

@@ -209,7 +209,7 @@ def route_multicast(
 
     return RouteResult(
         per_height[0],
-        (*[1 + c for c in per_height[:turn_level]], *(0,) * (cfg.levels - turn_level)),
+        tuple([1 + c for c in per_height[:turn_level]]) + (0,) * (cfg.levels - turn_level),
         1,
         _walk_multicast,
         (addr, source_core, cfg, turn_level),
@@ -336,41 +336,45 @@ def simulate(
             f"tree has {cfg.levels}"
         )
     header = address_class(scheme).width(cfg) + tag_bits
-    per_sender = scheme is Scheme.UNICAST or turnaround != "root"
-    n_cores, link_energy = cfg.core_count, energy.link_energy_per_bit
+    unicast = scheme is Scheme.UNICAST
+    per_sender = unicast or turnaround != "root"
+    n_cores, link_energy, mul = cfg.core_count, energy.link_energy_per_bit, operator.mul
 
-    spikes = packets = link_bits = legal = illegal = 0
+    # Every spike of an entry is legal at each of the mask's cores, so spikes
+    # and legal deliveries are charged once per entry.  The routes charge the
+    # covered cores; the illegal deliveries are the covered beyond the legal.
+    spikes = packets = links = legal = covered = 0
     routing_energy = 0.0
     for mask, senders in demand:
         addr = encode(scheme, mask, cfg)
-        n_legal = mask.bit_count()
         total = 0
         for source_core, count in senders:
             if not 0 <= source_core < n_cores:
                 raise ValueError(f"source core {source_core} is outside the {n_cores} cores")
             total += count
+        spikes += total
+        legal += total * mask.bit_count()
         if senders and not per_sender:
             # One route for every sender: charge it once for all their spikes.
             senders = ((senders[0][0], total),)
         for source_core, count in senders:
-            if scheme is Scheme.UNICAST:
+            if unicast:
                 route = route_unicast_batch(addr, source_core, cfg)
             else:
                 route = route_multicast(addr, source_core, cfg, turnaround)
             level_links = route.level_links
-            spikes += count
             packets += count * route.packets
-            link_bits += count * sum(level_links) * header
-            routing_energy += count * header * sum(map(operator.mul, level_links, link_energy))
-            legal += count * n_legal
-            illegal += count * (route.covered - n_legal)
+            links += count * sum(level_links)
+            routing_energy += count * header * sum(map(mul, level_links, link_energy))
+            covered += count * route.covered
+    illegal = covered - legal
 
-    filtering_energy = (legal + illegal) * energy.filter_energy_per_lookup
+    filtering_energy = covered * energy.filter_energy_per_lookup
     return SimReport(
         scheme=scheme.value,
         events=spikes,
         packets_injected=packets,
-        link_bit_traversals=link_bits,
+        link_bit_traversals=links * header,
         legal_deliveries=legal,
         illegal_deliveries=illegal,
         routing_energy=routing_energy,

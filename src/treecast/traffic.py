@@ -57,6 +57,10 @@ FILL_ROWS = 32
 #: Uniform draws of a network that pay for one more drawing thread.
 DRAWS_PER_THREAD = 1 << 22
 
+#: The most uniforms :func:`synth_trace` draws, steps x neurons: 1 GiB of
+#: float64 in its one call.
+MAX_TRACE_DRAWS = 1 << 27
+
 
 @dataclass(frozen=True)
 class Layer:

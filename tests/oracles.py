@@ -1,14 +1,21 @@
 """Brute-force reference implementations, independent of the library code.
 
 Each function recomputes covers straight from the scheme definitions so
-the tests never check the library against itself.
+the tests never check the library against itself.  The one exception,
+:func:`per_spike_report`, charges spike by spike through the library's
+encoders and its switch-by-switch walk, against which the closed-form
+counts and the grouped charges of ``simulate`` are checked.
 """
 
 import itertools
+import operator
 import random
 from collections import Counter
 
 import numpy as np
+
+from treecast.addressing import Scheme, address_class, encode
+from treecast.nocsim import SimReport, route_multicast, route_unicast_batch
 
 
 def index_from_digits(digits, k):
@@ -79,6 +86,13 @@ def hbs_cover(masks, k):
     return frozenset(
         index_from_digits(digits, k) for digits in itertools.product(*digit_sets)
     )
+
+
+def covered_per_height(masks, step):
+    """Covered nodes per height, cores first: every ``step``-th running product of
+    the level masks' popcounts, read from the leaves up."""
+    per_depth = tuple(itertools.accumulate(map(int.bit_count, masks), operator.mul, initial=1))
+    return per_depth[::-step]
 
 
 def all_hbs_masks(k, levels):
@@ -191,3 +205,43 @@ def random_switch_mapping(total, n_cores, capacity, seed, switch_prob):
         assignment.append(current)
         counts[current] += 1
     return tuple(assignment)
+
+
+def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_bits, turnaround):
+    """The SimReport of a trace with every spike encoded, routed and filtered on its own.
+
+    Each spike's route is walked switch by switch (``route.links`` and
+    ``route.delivered``), and each delivery is judged against the LUTs that
+    :func:`core_luts` builds from the connectivity, so it checks the route
+    counts and the per-entry charges of ``treecast.nocsim.simulate``.
+    """
+    luts = core_luts(connectivity, assignment, cfg.core_count)
+    header = address_class(scheme).width(cfg) + tag_bits
+    fe = energy.filter_energy_per_lookup
+    spikes = packets = link_bits = legal = illegal = 0
+    routing = filtering = illegal_filtering = 0.0
+    for _t, tag in trace.events:
+        dests = {assignment[t] for t in connectivity[tag]}
+        if not dests:
+            continue
+        addr = encode(scheme, mask_of(dests), cfg)
+        if scheme is Scheme.UNICAST:
+            route = route_unicast_batch(addr, assignment[tag], cfg)
+        else:
+            route = route_multicast(addr, assignment[tag], cfg, turnaround)
+        spikes += 1
+        packets += route.packets
+        for level, _child in route.links:
+            link_bits += header
+            routing += header * energy.link_energy_per_bit[level - 1]
+        for core in route.delivered:
+            filtering += fe
+            if tag in luts[core]:
+                legal += 1
+            else:
+                illegal += 1
+                illegal_filtering += fe
+    return SimReport(
+        scheme.value, spikes, packets, link_bits, legal, illegal,
+        routing, filtering, illegal_filtering, routing + filtering,
+    )

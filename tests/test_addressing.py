@@ -249,6 +249,8 @@ def fold_cases(draw):
 @given(fold_cases())
 def test_mask_encoders_match_member_wise_oracles(case):
     # The mask fold against the set-in encoders; k = 3 is not a power of two, so no symbol.
+    # The encoders build their result without the validating constructor,
+    # which must accept it as it is; the multicast counts read its masks.
     cfg, dests = case
     mask = mask_of(dests)
     assert encode(Scheme.FBS, mask, cfg).masks == (mask,)
@@ -256,6 +258,19 @@ def test_mask_encoders_match_member_wise_oracles(case):
     assert encode(Scheme.UNICAST, mask, cfg).targets == oracles.unicast_encode(dests)
     if cfg.fan_out != 3:
         assert encode(Scheme.SYMBOL, mask, cfg).masks == oracles.symbol_encode(dests, cfg.core_count)
+    for scheme in Scheme:
+        if scheme is Scheme.SYMBOL and cfg.fan_out == 3:
+            continue
+        addr = encode(scheme, mask, cfg)
+        assert type(addr)(addr.masks) == addr
+        if scheme in (Scheme.HBS, Scheme.SYMBOL):
+            step = len(addr.masks) // cfg.levels
+            assert addr.covered_per_height(cfg) == oracles.covered_per_height(addr.masks, step)
+        else:  # the flat mask covers the destinations exactly
+            k = cfg.fan_out
+            assert addr.covered_per_height(cfg) == tuple(
+                len({d // k**h for d in dests}) for h in range(cfg.levels + 1)
+            )
 
 
 @pytest.mark.parametrize("cfg", [CFG16, TreeConfig(3, 2), TreeConfig(2, 5)])

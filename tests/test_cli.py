@@ -1,6 +1,9 @@
+import gc
 import itertools
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -278,6 +281,17 @@ def test_missing_trace_file_exits_1_before_connectivity(tmp_path, capsys, monkey
     assert f"trace.path: {missing}: No such file or directory" in capsys.readouterr().err
 
 
+def test_a_synth_trace_too_long_exits_1_before_connectivity(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiment, "generate_connectivity", lambda *a: pytest.fail("built"))
+    config = tmp_path / "config.yaml"
+    config.write_text("trace: {steps: 1000000000}\n")
+    outputs = ["--runs-csv", str(tmp_path / "r.csv"), "--summary-json", str(tmp_path / "s.json")]
+    assert main(["simulate", "--config", str(config), *outputs]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: trace.steps: 1000000000 steps x 600 neurons exceed {traffic.MAX_TRACE_DRAWS} draws\n"
+    assert not os.path.exists(tmp_path / "r.csv")
+
+
 SMALL_RUN = "network: {layer_size: 10}\nmapping: {repetitions: 1}\ntrace: {steps: 20}\n"
 OUTPUTS = "--runs-csv {tmp}/r.csv --summary-json {tmp}/s.json"
 
@@ -299,6 +313,34 @@ def test_subcommand_exit_codes(tmp_path, capsys, good, bad, named):
     capsys.readouterr()
     assert main(bad.format(tmp=tmp_path).split()) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, code", [(SMALL_RUN, 0), ("tree: {fan_out: 1}\n", 1)], ids=["run", "config error"])
+def test_main_leaves_the_collector_of_a_live_process_as_it_was(tmp_path, capsys, config, code):
+    # main only registers gc.freeze to run at exit; a caller that goes on
+    # running keeps an enabled collector with nothing frozen.
+    (tmp_path / "c.yaml").write_text(config)
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert main(f"simulate --config {tmp_path}/c.yaml {OUTPUTS}".format(tmp=tmp_path).split()) == code
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_collector_is_frozen_once_at_exit():
+    # A callback registered before main runs after main's (atexit is last in,
+    # first out), so it sees the freezes that two runs of main left to exit.
+    script = (
+        "import atexit, gc\n"
+        "calls, freeze = [], gc.freeze\n"
+        "gc.freeze = lambda: calls.append(freeze())\n"
+        "atexit.register(lambda: print('at exit', len(calls), gc.get_freeze_count() > 0))\n"
+        "from treecast.cli import main\n"
+        "for _ in range(2):\n"
+        "    main(['encode', '--scheme', 'hbs', '--dests', '0,5'])\n"
+        "print('live', len(calls), gc.get_freeze_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-2:] == ["live 0 0", "at exit 1 True"]
 
 
 @pytest.mark.parametrize("bad", ["--rate 2", "--layer-size 0"])

@@ -13,7 +13,7 @@ from treecast.experiment import (
     run_experiment,
 )
 from treecast.nocsim import EnergyModel
-from treecast.traffic import Layer, NetworkSpec, save_trace, synth_trace
+from treecast.traffic import MAX_TRACE_DRAWS, Layer, NetworkSpec, save_trace, synth_trace
 
 
 def test_load_config_rejects_scheme_that_does_not_fit_tree():
@@ -207,6 +207,21 @@ def test_float_given_as_text_with_an_exponent_gets_a_hint():
 )
 def test_load_config_rejects_exclusive_fields(text, paths):
     assert error_paths(text) == paths
+
+
+def test_a_synth_trace_is_bounded_by_its_draws():
+    # 512 neurons: MAX_TRACE_DRAWS / 512 steps is the longest trace allowed.
+    network = "network: {layers: [{size: 512, kind: recurrent}]}\n"
+    steps = MAX_TRACE_DRAWS // 512
+    assert load_config(io.StringIO(network + f"trace: {{steps: {steps}}}\n")).trace_steps == steps
+    with pytest.raises(ConfigError) as info:
+        load_config(io.StringIO(network + f"trace: {{steps: {steps + 1}}}\n"))
+    assert info.value.errors == (
+        f"trace.steps: {steps + 1} steps x 512 neurons exceed {MAX_TRACE_DRAWS} draws",
+    )
+    # A file trace draws nothing, however large the network.
+    big = "network: {layers: [{size: 1000000, kind: recurrent}]}\nmapping: {capacity: 100000}\n"
+    assert load_config(io.StringIO(big + "trace: {source: file, path: t.csv}\n"))
 
 
 def test_tag_bits_default_follows_network():

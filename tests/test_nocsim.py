@@ -15,7 +15,6 @@ from treecast.addressing import (
     SymbolAddress,
     TreeConfig,
     UnicastAddress,
-    address_class,
     covered_set,
     encode,
 )
@@ -506,45 +505,12 @@ def test_simulate_never_walks(monkeypatch, scheme, turnaround):
     assert simulate(demand, scheme, CFG16, EnergyModel.default(2), 10, turnaround) == want
 
 
-# Oracle: every spike routed on its own, filtered against LUTs built from the
-# connectivity by tests/oracles.py.  k = 3 trees have no symbol scheme.
+# Oracle: oracles.per_spike_report, every spike routed on its own, filtered
+# against LUTs built from the connectivity.  k = 3 trees have no symbol scheme.
 ORACLE_TREES = [
     TreeConfig(k, levels)
     for k, levels in ((2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3))
 ]
-
-
-def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_bits, turnaround):
-    luts = oracles.core_luts(connectivity, assignment, cfg.core_count)
-    header = address_class(scheme).width(cfg) + tag_bits
-    fe = energy.filter_energy_per_lookup
-    spikes = packets = link_bits = legal = illegal = 0
-    routing = filtering = illegal_filtering = 0.0
-    for _t, tag in trace.events:
-        dests = {assignment[t] for t in connectivity[tag]}
-        if not dests:
-            continue
-        addr = encode(scheme, mask_of(dests), cfg)
-        if scheme is Scheme.UNICAST:
-            route = route_unicast_batch(addr, assignment[tag], cfg)
-        else:
-            route = route_multicast(addr, assignment[tag], cfg, turnaround)
-        spikes += 1
-        packets += route.packets
-        for level, _child in route.links:
-            link_bits += header
-            routing += header * energy.link_energy_per_bit[level - 1]
-        for core in route.delivered:
-            filtering += fe
-            if tag in luts[core]:
-                legal += 1
-            else:
-                illegal += 1
-                illegal_filtering += fe
-    return SimReport(
-        scheme.value, spikes, packets, link_bits, legal, illegal,
-        routing, filtering, illegal_filtering, routing + filtering,
-    )
 
 
 @st.composite
@@ -586,7 +552,7 @@ def test_simulate_matches_per_spike_oracle(case, turnaround):
     assert sum(spikes.values()) + dropped == len(trace.events)
 
     got = simulate(demand, scheme, cfg, energy, 10, turnaround)
-    want = per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, 10, turnaround)
+    want = oracles.per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, 10, turnaround)
     integer_energies = all(e.is_integer() for e in energy.link_energy_per_bit) and (
         energy.filter_energy_per_lookup.is_integer()
     )
