@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -66,10 +67,12 @@ class Scheme(str, Enum):
 class TreeConfig:
     """Shape of the core tree: ``fan_out`` children per switch, ``levels`` deep.
 
-    Constants of the shape are computed on first read and cached on the
-    instance: ``core_count``, ``block_leaders``, the encoders' ``fold_plan``
-    and the trees that symbol and fbs address, ``index_tree`` and
-    ``flat_tree``.  Equality and hashing read only ``fan_out`` and ``levels``.
+    A core index counts at most ``sys.maxsize`` cores, so a larger tree is
+    rejected when it is built.  Constants of the shape are computed on first
+    read and cached on the instance: ``core_count``, ``block_leaders``, the
+    encoders' ``fold_plan`` and the trees that symbol and fbs address,
+    ``index_tree`` and ``flat_tree``.  Equality and hashing read only
+    ``fan_out`` and ``levels``.
     """
 
     fan_out: int
@@ -80,6 +83,10 @@ class TreeConfig:
             raise ValueError(f"fan_out must be an integer >= 2, got {self.fan_out!r}")
         if not isinstance(self.levels, int) or self.levels < 1:
             raise ValueError(f"levels must be an integer >= 1, got {self.levels!r}")
+        # levels first, so that fan_out is never raised to a huge power.
+        if self.levels > 62 or self.fan_out**self.levels > sys.maxsize:
+            cores = f"{self.fan_out} ** {self.levels} cores"
+            raise ValueError(f"{cores} exceed {sys.maxsize}, the most an index counts")
 
     @functools.cached_property
     def core_count(self) -> int:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import io
 import os
 import sys
 from typing import IO, Sequence
@@ -110,12 +111,15 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     n_values = _parse_ints(args.n_values, "--n-values") if args.n_values else DEFAULT_SCALING_N
     k_values = _parse_ints(args.k_values, "--k-values") if args.k_values else DEFAULT_SCALING_K
     rows = emit_scaling_table(sorted(n_values), sorted(k_values))
+    # Formatted in full before the output is opened, so a failure keeps an existing file.
+    text = io.StringIO()
+    write_scaling_csv(rows, text)
     if args.output:
         with _open(args.output, "w", "--output") as fh:
-            write_scaling_csv(rows, fh)
+            fh.write(text.getvalue())
         print(f"wrote {len(rows)} rows to {args.output}")
     else:
-        write_scaling_csv(rows, sys.stdout)
+        sys.stdout.write(text.getvalue())
     return 0
 
 

@@ -17,7 +17,6 @@ import csv
 import json
 import re
 import statistics
-import sys
 from collections import Counter, namedtuple
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import IO, Any, Callable, Sequence
@@ -98,10 +97,10 @@ _Field = namedtuple("_Field", "path keyword kind allowed excludes", defaults=(No
 #: ``network`` are arguments of TreeConfig, EnergyModel.default or
 #: NetworkSpec.default_rsnn; ``energy.link`` and ``network.layers`` replace
 #: what those built; each ``network.layers`` entry has exactly an integer
-#: ``size`` >= 1 and a ``kind`` in LAYER_KINDS; ``tree.fan_out ** tree.levels``,
-#: the core count, is at most ``sys.maxsize``; with a synth trace,
-#: ``trace.steps`` times the neuron count is at most MAX_TRACE_DRAWS.  An
-#: absent field keeps the default of what it sets.
+#: ``size`` >= 1 and a ``kind`` in LAYER_KINDS; TreeConfig bounds the core
+#: count, ``tree.fan_out ** tree.levels``, by ``sys.maxsize``; with a synth
+#: trace, ``trace.steps`` times the neuron count is at most MAX_TRACE_DRAWS.
+#: An absent field keeps the default of what it sets.
 FIELDS = (
     _Field("tree.fan_out", "tree", int, "[2, inf)"),
     _Field("tree.levels", "tree", int, "[1, inf)"),
@@ -256,11 +255,9 @@ def load_config(inp: IO[str]) -> ExperimentConfig:
         elif value is not None:
             kw[row.keyword] = value
     defaults = ExperimentConfig()
-    tree = replace(defaults.tree, **args["tree"])
-    # levels first, so that fan_out is never raised to a huge power.
-    if tree.levels > 62 or tree.fan_out**tree.levels > sys.maxsize:
-        cores = f"{tree.fan_out} ** {tree.levels} cores"
-        raise ConfigError([*errors, f"tree: {cores} exceed {sys.maxsize}, the most an index counts"])
+    tree = _built(errors, "tree", replace, defaults.tree, **args["tree"])
+    if tree is None:  # nothing is sized by a tree that cannot be built
+        raise ConfigError(errors)
     link = args["energy"].pop("link", None)
     energy = _built(errors, "energy", EnergyModel.default, tree.levels, **args["energy"])
     if link is not None and len(link) != tree.levels:

@@ -29,13 +29,15 @@ core listens to a source exactly when it is in that mask.  Each mask is
 encoded once.  A multicast route under the ``root`` turnaround does not
 depend on the source core, so it is computed once per mask and charged
 once for the spikes of all its senders; otherwise a route is computed and
-charged once per sender.
+charged once per sender, into a tally of spikes keyed by the route's links
+per tree level.  A spike is one packet, or one per target under unicast.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -123,6 +125,7 @@ class RouteResult:
     A slotted record.  ``covered`` counts the delivered cores and
     ``level_links[i]`` counts the links crossed at R-level i + 1, up and
     down together; both are closed forms, set when the record is built.
+    Its packets, 1 for multicast and ``covered`` for unicast, are not kept.
     The record also holds a module-level walk function and its arguments,
     of which the first three are the address, the source core and the
     tree; the delivered cores as a bitmask are the address's ``cover`` on
@@ -138,17 +141,12 @@ class RouteResult:
     count fields themselves.
     """
 
-    __slots__ = ("covered", "level_links", "packets", "_walk", "_args") + _WALKED
+    __slots__ = ("covered", "level_links", "_walk", "_args") + _WALKED
 
     def __init__(
-        self,
-        covered: int,
-        level_links: tuple[int, ...],
-        packets: int,
-        walk: Callable[..., tuple],
-        args: tuple,
+        self, covered: int, level_links: tuple[int, ...], walk: Callable[..., tuple], args: tuple
     ) -> None:
-        self.covered, self.level_links, self.packets = covered, level_links, packets
+        self.covered, self.level_links = covered, level_links
         self._walk, self._args = walk, args
 
     def __getattr__(self, name: str):
@@ -210,7 +208,6 @@ def route_multicast(
     return RouteResult(
         per_height[0],
         tuple([1 + c for c in per_height[:turn_level]]) + (0,) * (cfg.levels - turn_level),
-        1,
         _walk_multicast,
         (addr, source_core, cfg, turn_level),
     )
@@ -265,7 +262,7 @@ def route_unicast_batch(
         block = ((1 << span) - 1) << (source_core - source_core % span)
         level_links.append(2 * (n - (cover & block).bit_count()))
 
-    return RouteResult(n, tuple(level_links), n, _walk_unicast, (addr, source_core, cfg))
+    return RouteResult(n, tuple(level_links), _walk_unicast, (addr, source_core, cfg))
 
 
 def _walk_unicast(addr: UnicastAddress, source_core: int, cfg: TreeConfig) -> tuple:
@@ -311,23 +308,26 @@ def simulate(
 
     Each demand entry is (destination core mask, ((source core, spike
     count), ...)), as :func:`~treecast.traffic.derive_events` gives them.
-    Every spike of a sender carries the same packet, so its counters are
-    multiplied by the spike count.  Each entry's mask is encoded once, and
-    the mask itself is what :func:`~treecast.addressing.encode` reads.  A
-    multicast packet under the ``root`` turnaround has a cover and
-    per-level links that do not depend on the source core, so once every
-    sender is range-checked it is routed once per entry and charged once
-    for the entry's summed spike count; otherwise it is routed and charged
-    once per sender.  Every arriving packet pays one LUT lookup.  Every
-    encoder's cover contains the mask, so the mask's cores are the legal
-    deliveries.  A covered core outside the mask does not hold the source's
-    tag, so its lookup counts as illegal and the packet is dropped there.
-    The counts read the route's ``covered`` and ``level_links``, so neither
-    the cover bitmask nor the switch-by-switch walk is built here.
+    Each entry's mask is encoded once, and the mask itself is what
+    :func:`~treecast.addressing.encode` reads.  A multicast packet under the
+    ``root`` turnaround has a cover and per-level links that do not depend
+    on the source core, so once every sender is range-checked it is routed
+    once per entry and charged once for the entry's summed spike count;
+    otherwise it is routed and charged once per sender.  A charge adds its
+    spikes times the route's ``covered`` to the covered cores and its spikes
+    to a tally keyed by the route's ``level_links``, so neither the cover
+    bitmask nor the switch-by-switch walk is built here.  The tally's links
+    per tree level, times the header, sum to the link-bit traversals and
+    price the routing energy.  A multicast spike injects one packet and a
+    unicast spike one per covered core.  Every arriving packet pays one LUT
+    lookup.  Every encoder's cover contains the mask, so the mask's cores
+    are the legal deliveries.  A covered core outside the mask does not hold
+    the source's tag, so its lookup counts as illegal and the packet is
+    dropped there.
 
     With integer-valued energies every field equals a spike-by-spike sum.
-    Otherwise the float fields, summed per tree level and per charge, may
-    differ from it by rounding; the tests allow a relative drift of 1e-12.
+    Otherwise the float fields, summed per tree level, may differ from it by
+    rounding; the tests allow a relative drift of 1e-12.
     """
     scheme = Scheme(scheme)
     if len(energy.link_energy_per_bit) != cfg.levels:
@@ -338,13 +338,13 @@ def simulate(
     header = address_class(scheme).width(cfg) + tag_bits
     unicast = scheme is Scheme.UNICAST
     per_sender = unicast or turnaround != "root"
-    n_cores, link_energy, mul = cfg.core_count, energy.link_energy_per_bit, operator.mul
+    n_cores = cfg.core_count
 
     # Every spike of an entry is legal at each of the mask's cores, so spikes
     # and legal deliveries are charged once per entry.  The routes charge the
     # covered cores; the illegal deliveries are the covered beyond the legal.
-    spikes = packets = links = legal = covered = 0
-    routing_energy = 0.0
+    spikes = legal = covered = 0
+    charges: Counter[tuple[int, ...]] = Counter()
     for mask, senders in demand:
         addr = encode(scheme, mask, cfg)
         total = 0
@@ -362,19 +362,18 @@ def simulate(
                 route = route_unicast_batch(addr, source_core, cfg)
             else:
                 route = route_multicast(addr, source_core, cfg, turnaround)
-            level_links = route.level_links
-            packets += count * route.packets
-            links += count * sum(level_links)
-            routing_energy += count * header * sum(map(mul, level_links, link_energy))
+            charges[route.level_links] += count
             covered += count * route.covered
     illegal = covered - legal
+    per_level = [sum(count * links[i] for links, count in charges.items()) for i in range(cfg.levels)]
+    routing_energy = float(header * sum(map(operator.mul, per_level, energy.link_energy_per_bit)))
 
     filtering_energy = covered * energy.filter_energy_per_lookup
     return SimReport(
         scheme=scheme.value,
         events=spikes,
-        packets_injected=packets,
-        link_bit_traversals=links * header,
+        packets_injected=covered if unicast else spikes,
+        link_bit_traversals=header * sum(per_level),
         legal_deliveries=legal,
         illegal_deliveries=illegal,
         routing_energy=routing_energy,

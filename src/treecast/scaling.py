@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -130,8 +131,19 @@ def emit_scaling_table(n_values: Iterable[int], k_values: Iterable[int]) -> list
 
 
 def write_scaling_csv(rows: Sequence[ScalingRow], out: IO[str]) -> None:
-    """Write rows as CSV; capabilities are printed in full decimal."""
+    """Write rows as CSV; capabilities are printed in full decimal.
+
+    Python's limit on the digits of an int turned into text (the fbs
+    capability at N = 16384 has 4,933 digits) is lifted while the rows are
+    written, and restored after.
+    """
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([r.scheme, r.n, r.k, r.routing_bits, r.capability])
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        writer.writerows([r.scheme, r.n, r.k, r.routing_bits, r.capability] for r in rows)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

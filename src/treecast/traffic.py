@@ -365,11 +365,18 @@ class SpikeTrace:
 
 
 def synth_trace(spec: NetworkSpec, steps: int = 400, rate: float = 0.05, seed: int = 0) -> SpikeTrace:
-    """Independent Bernoulli firing at ``rate`` per neuron per step."""
+    """Independent Bernoulli firing at ``rate`` per neuron per step.
+
+    It draws one uniform per neuron per step, in one call, so ``steps``
+    times the neuron count must be at most :data:`MAX_TRACE_DRAWS`.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
+    if steps * spec.total_neurons > MAX_TRACE_DRAWS:
+        n = spec.total_neurons
+        raise ValueError(f"{steps} steps x {n} neurons exceed {MAX_TRACE_DRAWS} draws")
     rng = np.random.default_rng(seed)
     fires = rng.random((steps, spec.total_neurons)) < rate
     # Row by row: column lists of the whole np.argwhere are as fast, but their

@@ -213,7 +213,8 @@ def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_b
     Each spike's route is walked switch by switch (``route.links`` and
     ``route.delivered``), and each delivery is judged against the LUTs that
     :func:`core_luts` builds from the connectivity, so it checks the route
-    counts and the per-entry charges of ``treecast.nocsim.simulate``.
+    counts and the per-entry charges of ``treecast.nocsim.simulate``.  A
+    multicast spike injects one packet, a unicast spike one per delivery.
     """
     luts = core_luts(connectivity, assignment, cfg.core_count)
     header = address_class(scheme).width(cfg) + tag_bits
@@ -230,7 +231,7 @@ def per_spike_report(trace, connectivity, assignment, scheme, cfg, energy, tag_b
         else:
             route = route_multicast(addr, assignment[tag], cfg, turnaround)
         spikes += 1
-        packets += route.packets
+        packets += len(route.delivered) if scheme is Scheme.UNICAST else 1
         for level, _child in route.links:
             link_bits += header
             routing += header * energy.link_energy_per_bit[level - 1]

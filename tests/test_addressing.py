@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,15 @@ def test_tree_config_rejects_bad_shape():
         TreeConfig(1, 2)
     with pytest.raises(ValueError):
         TreeConfig(4, 0)
+
+
+def test_tree_config_counts_its_cores_in_an_index():
+    # levels is checked first, so a huge one costs no power.
+    assert TreeConfig(2, 62).core_count == 1 << 62
+    assert TreeConfig(sys.maxsize, 1).core_count == sys.maxsize
+    for fan_out, levels in ((2, 63), (2, 10**20), (sys.maxsize + 1, 1), (3, 40)):
+        with pytest.raises(ValueError, match=f"^{fan_out} \\*\\* {levels} cores exceed {sys.maxsize}, "):
+            TreeConfig(fan_out, levels)
 
 
 def test_index_bits_requires_power_of_two():

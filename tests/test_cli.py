@@ -67,6 +67,18 @@ def test_zero_tree_flags_exit_1(capsys, tree, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["encode --scheme hbs --dests 0", "decode --scheme hbs --address 01"],
+    ids=["encode", "decode"],
+)
+@pytest.mark.parametrize("levels", ["64", "100000000000000000000"])
+def test_a_tree_too_large_for_an_index_exits_1_from_the_flags(capsys, command, levels):
+    assert main([*command.split(), "--k", "2", "--levels", levels]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: 2 ** {levels} cores exceed ") and err.count("\n") == 1
+
+
 def test_scaling_to_stdout_starts_with_header(capsys):
     code, out = run(capsys, "scaling")
     assert code == 0
@@ -351,6 +363,28 @@ def test_trace_gen_bad_arguments_keep_existing_output(tmp_path, capsys, bad):
     assert main(["trace-gen", "--output", str(out), *bad.split()]) == 1
     assert "error:" in capsys.readouterr().err
     assert out.read_bytes() == before
+
+
+def test_trace_gen_past_the_draw_bound_exits_1_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["trace-gen", "--output", str(out), "--steps", "1000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: 1000000000 steps x 600 neurons exceed {traffic.MAX_TRACE_DRAWS} draws\n"
+    assert not out.exists()
+
+
+def test_scaling_prints_capabilities_past_the_int_digit_limit(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    out = tmp_path / "s.csv"
+    assert main(["scaling", "--n-values", "16384", "--k-values", "2,4", "--output", str(out)]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    rows = out.read_text().splitlines()
+    assert rows[0] == ",".join(CSV_HEADER) and len(rows) == 9
+    fbs = [row.split(",") for row in rows if row.startswith("fbs,")]
+    assert [row[:4] for row in fbs] == [["fbs", "16384", "2", "16384"], ["fbs", "16384", "4", "16384"]]
+    # 2**16384 - 1 in full: 4,933 digits, of which the last 100 are checked.
+    tail = str(pow(2, 16384, 10**100) - 1).zfill(100)
+    assert all(len(row[4]) == 4933 and row[4][-100:] == tail for row in fbs)
 
 
 def _raise_oserror(*args):

@@ -1,11 +1,17 @@
 import io
 import json
+import math
+import re
 from dataclasses import replace
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treecast.addressing import Scheme, TreeConfig
 from treecast.experiment import (
+    FIELDS,
     ConfigError,
     ExperimentConfig,
     default_config,
@@ -13,7 +19,7 @@ from treecast.experiment import (
     run_experiment,
 )
 from treecast.nocsim import EnergyModel
-from treecast.traffic import MAX_TRACE_DRAWS, Layer, NetworkSpec, save_trace, synth_trace
+from treecast.traffic import LAYER_KINDS, MAX_TRACE_DRAWS, Layer, NetworkSpec, save_trace, synth_trace
 
 
 def test_load_config_rejects_scheme_that_does_not_fit_tree():
@@ -305,3 +311,84 @@ def test_one_mapping_on_a_tree_of_65536_cores():
     assert reports["fbs"].legal_deliveries > 0
     assert reports["fbs"].illegal_deliveries == reports["unicast"].illegal_deliveries == 0
     assert reports["hbs"].illegal_deliveries <= reports["symbol"].illegal_deliveries
+
+
+# ---------------------------------------------------------------------------
+# configs drawn from the FIELDS rows
+
+SECTIONS = {row.path.split(".")[0] for row in FIELDS if "." in row.path}
+
+#: Values of the wrong kind for most fields, none of them the mapping that a
+#: section must be; WRONG_KIND adds a mapping.
+NOT_A_MAPPING = (
+    st.none()
+    | st.booleans()
+    | st.floats(-2, 2)
+    | st.text("x1.", max_size=2)
+    | st.lists(st.integers(0, 2), max_size=2)
+)
+WRONG_KIND = NOT_A_MAPPING | st.dictionaries(st.text("k", max_size=1), st.integers(0, 2), max_size=1)
+
+
+def right_kind(kind, allowed):
+    """Values of ``kind`` in ``allowed``, at its bounds and just outside them.
+
+    An integer is at most 70 above its lower bound: enough for a tree past
+    the 2**62 cores an index counts, and few enough layers for a quick load.
+    """
+    if kind is bool:
+        return st.booleans()
+    if kind is dict:  # a network.layers entry
+        return st.fixed_dictionaries(
+            {"size": st.integers(-1, 40), "kind": st.sampled_from([*LAYER_KINDS, "lateral"])},
+            optional={"sise": st.integers(0, 3)},
+        )
+    if isinstance(allowed, tuple):
+        return st.sampled_from(allowed) | st.text("abc", max_size=3)
+    if kind is str:  # a length interval counts from 1, so "" is below it
+        return st.text("ab./", max_size=4)
+    if allowed is None:
+        return st.integers(-3, 70) if kind is int else st.floats(allow_nan=True, allow_infinity=True)
+    lo, hi = (float(b) for b in allowed[1:-1].split(","))
+    if kind is int:
+        return st.integers(int(lo) - 3, int(lo) + 70)
+    return st.floats(lo - 1, hi + 1) | st.sampled_from([lo, hi, math.nan, math.inf])
+
+
+def field_values(row):
+    kind = row.kind[0] if isinstance(row.kind, list) else row.kind
+    value = right_kind(kind, row.allowed) | WRONG_KIND
+    return st.lists(value, max_size=4) | WRONG_KIND if isinstance(row.kind, list) else value
+
+
+@st.composite
+def drawn_configs(draw):
+    """A config mapping of a few FIELDS rows, each set to a drawn value, and
+    sometimes one section that is not a mapping."""
+    raw = {}
+    for row in draw(st.lists(st.sampled_from(FIELDS), max_size=6, unique_by=lambda row: row.path)):
+        *section, name = row.path.split(".")
+        (raw.setdefault(section[0], {}) if section else raw)[name] = draw(field_values(row))
+    if draw(st.booleans()):
+        raw[draw(st.sampled_from(sorted(SECTIONS)))] = draw(NOT_A_MAPPING)
+    return raw
+
+
+#: Where a message may start: a FIELDS path or its section, an item of a list
+#: field (and a key of a network.layers item), or the file and line.
+HEADS = "|".join(re.escape(head) for head in {row.path for row in FIELDS} | SECTIONS)
+MESSAGE_HEAD = re.compile(rf"(?:{HEADS})(?:\[\d+\](?:\.[^:]*)?)?: |<config>:\d+: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_configs())
+@example({"tree": {"levels": 63}})  # trees past the cores an index counts
+@example({"tree": {"fan_out": 72, "levels": 11}, "schemes": ["hbs"]})
+def test_a_drawn_config_loads_or_names_its_fields(raw):
+    try:
+        config = load_config(io.StringIO(yaml.safe_dump(raw)))
+    except ConfigError as exc:
+        assert exc.errors
+        assert all(MESSAGE_HEAD.match(e) for e in exc.errors), exc.errors
+    else:
+        assert isinstance(config, ExperimentConfig)

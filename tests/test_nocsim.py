@@ -193,7 +193,7 @@ def test_unicast_examples():
     r = route_unicast_batch(UnicastAddress((1 << 5,)), 0, CFG16)
     assert len(r.links) == 4
     r = route_unicast_batch(encode(Scheme.UNICAST, mask_of(range(16)), CFG16), 0, CFG16)
-    assert r.packets == 16
+    assert r.covered == 16
     assert r.delivered == tuple(range(16))
 
 
@@ -301,7 +301,6 @@ def test_walk_runs_once_on_first_read(monkeypatch):
     r = route_multicast(addr, 0, CFG16)
     assert addr.cover(CFG16) == 1 << 4 | 1 << 8
     assert r.level_links == (3, 3)
-    assert r.packets == 1
     with pytest.raises(AttributeError, match="'walk'"):
         r.walk  # not a walk field: reading it walks nothing
     assert not calls
@@ -315,7 +314,7 @@ def test_walk_runs_once_on_first_read(monkeypatch):
     r = route_unicast_batch(addr, 0, CFG16)
     assert addr.cover(CFG16) == 1 << 4 | 1 << 8
     assert r.level_links == (4, 4)
-    assert r.packets == 2
+    assert r.covered == 2
     assert calls == Counter({"_walk_multicast": 1})
     assert r.delivered == (4, 8)
     assert r.decisions == ()
@@ -403,7 +402,7 @@ def test_simulate_counters_close_against_manual_recount():
                 r = route_unicast_batch(addr, core, CFG16)
             else:
                 r = route_multicast(addr, core, CFG16)
-            packets += r.packets
+            packets += len(r.delivered) if scheme is Scheme.UNICAST else 1
             link_bits += len(r.links) * header
             routing += header * sum(energy.link_energy_per_bit[lvl - 1] for lvl, _ in r.links)
             for c in r.delivered:

@@ -57,6 +57,20 @@ def test_synth_trace_events_are_plain_int_pairs():
     assert all(type(t) is int and type(n) is int for t, n in trace.events)
 
 
+def test_synth_trace_is_bounded_by_its_draws(monkeypatch):
+    # One step over the bound is rejected before anything is drawn.
+    steps = traffic.MAX_TRACE_DRAWS // SMALL.total_neurons + 1
+    with pytest.raises(ValueError, match=f"^{steps} steps x 45 neurons exceed {traffic.MAX_TRACE_DRAWS} draws$"):
+        synth_trace(SMALL, steps=steps)
+    # A bound of 3 steps of SMALL: at it the trace is drawn, one step over it is not.
+    monkeypatch.setattr(traffic, "MAX_TRACE_DRAWS", 3 * SMALL.total_neurons)
+    assert synth_trace(SMALL, steps=3, rate=1.0).events == tuple(
+        (t, n) for t in range(3) for n in range(SMALL.total_neurons)
+    )
+    with pytest.raises(ValueError, match=f"^4 steps x 45 neurons exceed {3 * 45} draws$"):
+        synth_trace(SMALL, steps=4, rate=1.0)
+
+
 def test_load_trace_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         load_trace(io.StringIO("time,neuron\n0,1\n"), 2)
