@@ -33,14 +33,25 @@ Each encoding is one frozen address class that owns everything specific
 to its scheme: ``_encode``, ``cover``, the header ``width``, the text form
 (``text`` and ``parse``), the switch port choice ``select``, the closed
 forms ``routing_bits`` and ``capability``, and ``addresses``, which walks
-every well-formed address.  The multicast classes also read two route
-counts off the level masks without building the cover (unicast inherits
-them from fbs, but its packets are not routed as one multicast):
-``covered_per_height``, the running products of the masks' popcounts
-(fbs folds its one mask instead), and ``cover_bounds``, the lowest and
-highest covered core.  Each of these takes the tree as one
-:class:`TreeConfig`.  The registry :func:`address_class` maps a
-:class:`Scheme` to its class, and no other module branches on the scheme.
+every well-formed address.  The multicast classes also derive route counts
+from the level masks without building the cover (unicast inherits them
+from fbs, but its packets are not routed as one multicast):
+``route_counts``, the covered nodes per height (``covered_per_height``) and
+the links per tree level of a route that turns at the root, and
+``cover_bounds``, the lowest and highest covered core.  The covered nodes
+are the running products of the masks' popcounts; fbs folds its one mask
+instead.  Each scheme derives them in one place, ``_counts`` and
+``_bounds``, and each method takes the tree as one :class:`TreeConfig`.
+
+An address that :func:`encode` builds carries what it derived for the
+``TreeConfig`` instance it was encoded on: its route counts, computed right
+after the fold, and its cover bounds once first read.  A router given that
+same instance reads them without checking the field again.  Any other
+address, one built by hand or parsed from text or read on another tree, has
+its field checked and its counts derived on every call.  The carried values
+are not fields: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never
+see them.  The registry :func:`address_class` maps a :class:`Scheme` to its
+class, and no other module branches on the scheme.
 """
 
 from __future__ import annotations
@@ -52,6 +63,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
+
+#: Covered nodes per height and the links per R-level of a root-turn route.
+RouteCounts = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class Scheme(str, Enum):
@@ -172,6 +186,13 @@ class HbsAddress:
     masks: tuple[int, ...]
 
     scheme = Scheme.HBS
+    #: ``(tree, counts)``: the ``TreeConfig`` instance an encoder built the
+    #: address on and its ``route_counts`` there (None for unicast), and its
+    #: ``cover_bounds`` there once read.  Neither is a field, so ``==``,
+    #: ``hash``, ``repr`` and ``replace`` never see them; an address that no
+    #: encoder built carries nothing.
+    _carried = (None, None)
+    _carried_bounds = None
 
     def __post_init__(self) -> None:
         if not self.masks:
@@ -193,7 +214,7 @@ class HbsAddress:
         The cover, the product of the per-level digit sets, is the smallest
         such product containing the destinations.  A mask in (0, 2**N) folds
         into nonzero level masks no wider than k, so the result skips the
-        validating constructor.
+        validating constructor, and carries its route counts on ``cfg``.
         """
         masks = []
         for pairs, block in cls._tree(cfg).fold_plan:
@@ -206,13 +227,10 @@ class HbsAddress:
             masks.append(digits)
             mask = below
         masks.append(mask)
-        return cls._of(tuple(masks))
-
-    @classmethod
-    def _of(cls, masks: tuple[int, ...]) -> HbsAddress:
-        """An address of ``masks``, which must be valid: ``__post_init__`` does not run."""
         addr = object.__new__(cls)
-        addr.__dict__["masks"] = masks
+        fields = addr.__dict__
+        fields["masks"] = tuple(masks)
+        fields["_carried"] = (cfg, addr._counts(cfg))
         return addr
 
     def _checked_tree(self, cfg: TreeConfig) -> TreeConfig:
@@ -242,25 +260,61 @@ class HbsAddress:
             span *= k
         return cover
 
+    def route_counts(self, cfg: TreeConfig) -> RouteCounts:
+        """Covered nodes per height of ``cfg`` and links per R-level of a root-turn route.
+
+        An encoded address carries them from its encoder for the
+        ``TreeConfig`` instance it was encoded on.  Any other address, or that
+        one on another instance, has its field checked and its counts derived.
+        """
+        tree, counts = self._carried
+        if tree is cfg and counts:
+            return counts
+        self._checked_tree(cfg)
+        return self._counts(cfg)
+
     def covered_per_height(self, cfg: TreeConfig) -> tuple[int, ...]:
-        """Covered nodes per height of ``cfg``, cores (height 0) up to the root.
+        """Covered nodes per height of ``cfg``, cores (height 0) up to the root."""
+        return self.route_counts(cfg)[0]
+
+    def cover_bounds(self, cfg: TreeConfig) -> tuple[int, int]:
+        """Lowest and highest covered core.
+
+        Only an ``lca`` route reads them, so an encoded address derives them on
+        their first read on the tree it was encoded on, and carries them from
+        then on.  Any other address has its field checked and its bounds
+        derived.
+        """
+        if self._carried[0] is not cfg:
+            self._checked_tree(cfg)
+            return self._bounds(cfg)
+        bounds = self._carried_bounds
+        if bounds is None:
+            bounds = self.__dict__["_carried_bounds"] = self._bounds(cfg)
+        return bounds
+
+    def _counts(self, cfg: TreeConfig) -> RouteCounts:
+        """``route_counts`` of a field that is valid on ``cfg``.
 
         A switch forwards to the popcount of its level mask children, so the
         nodes covered at depth d are the product of the first d popcounts.
         A height of ``cfg`` spans ``_tree(cfg).levels // cfg.levels`` levels
         of the tree the masks describe (log2(k) for symbol), so every such
-        product is a height of ``cfg``.
+        product is a height of ``cfg``.  R-level l of a root-turn route
+        carries one up link and one down link per covered node at height
+        l - 1.
         """
-        step = self._checked_tree(cfg).levels // cfg.levels
-        per_depth, covered = [1], 1
+        per_depth, links, covered = [1], [], 1
         for m in self.masks:
             covered *= m.bit_count()
             per_depth.append(covered)
-        return tuple(per_depth[::-step])
+            links.append(1 + covered)
+        step = self._tree(cfg).levels // cfg.levels
+        return tuple(per_depth[::-step]), tuple(links[::-step])
 
-    def cover_bounds(self, cfg: TreeConfig) -> tuple[int, int]:
-        """Lowest and highest covered core: the lowest and the highest digit of every level."""
-        k = self._checked_tree(cfg).fan_out
+    def _bounds(self, cfg: TreeConfig) -> tuple[int, int]:
+        """``cover_bounds`` of a valid field: the lowest and the highest digit of every level."""
+        k = self._tree(cfg).fan_out
         low = high = 0
         for m in self.masks:
             low = low * k + (m & -m).bit_length() - 1
@@ -359,29 +413,37 @@ class FbsAddress(HbsAddress):
 
     _tree = operator.attrgetter("flat_tree")
 
-    def covered_per_height(self, cfg: TreeConfig) -> tuple[int, ...]:
-        """Covered nodes per height of ``cfg``, cores (height 0) up to the root.
+    def cover(self, cfg: TreeConfig) -> int:
+        """The one mask, once it is checked on ``cfg`` (an encoder checked its own)."""
+        if self._carried[0] is not cfg:
+            self._checked_tree(cfg)
+        return self.masks[0]
+
+    def _counts(self, cfg: TreeConfig) -> RouteCounts:
+        """``route_counts`` of a mask that is valid on ``cfg``.
 
         The one mask is the covered cores.  Each step folds it onto its block
         leaders: bit j*span of the folded mask is set when block j of ``span``
         cores holds a covered core.  Once one block holds them all, every
-        height above covers one node.
+        height above covers one node.  R-level l of a root-turn route carries
+        one up link and one down link per covered node at height l - 1.
         """
-        self._checked_tree(cfg)
-        cover, k, leaders = self.masks[0], cfg.fan_out, cfg.block_leaders
-        counts = []
-        span = 1
-        for level in range(1, cfg.levels + 1):
-            count = cover.bit_count()
+        mask, k, levels = self.masks[0], cfg.fan_out, cfg.levels
+        cover, count, span = mask, mask.bit_count(), 1
+        counts, links = [], []
+        for leaders in cfg.block_leaders[1:levels]:  # the root covers one node unfolded
             if count == 1:
                 break
             counts.append(count)
+            links.append(1 + count)
             folded = cover
             for d in range(1, k):
                 folded |= cover >> (d * span)
             span *= k
-            cover = folded & leaders[level]
-        return (*counts, *(1,) * (cfg.levels + 1 - len(counts)))
+            cover = folded & leaders
+            count = cover.bit_count()
+        above = levels - len(counts)  # heights from the last count up, all but it one node
+        return (*counts, count, *(1,) * above), (*links, 1 + count, *(2,) * (above - 1))
 
     def select(self, depth: int, switch: int, cfg: TreeConfig) -> tuple[None, tuple[int, ...]]:
         """No head field: forward to every child whose core block the mask touches."""
@@ -399,6 +461,15 @@ class UnicastAddress(FbsAddress):
     """
 
     scheme = Scheme.UNICAST
+
+    @classmethod
+    def _encode(cls, mask: int, cfg: TreeConfig) -> UnicastAddress:
+        """The mask itself.  A unicast route reads no multicast counts, so the
+        address carries only the tree its mask was checked on."""
+        addr = object.__new__(cls)
+        addr.__dict__["masks"] = (mask,)
+        addr.__dict__["_carried"] = (cfg, None)
+        return addr
 
     @property
     def targets(self) -> tuple[int, ...]:

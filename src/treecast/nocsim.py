@@ -10,15 +10,19 @@ that rotation would have brought to the head.  Unicast packets turn at
 the lowest common ancestor of source and target instead.
 
 The routers return their counts in closed form: the number of covered
-cores and the links crossed per tree level.  A multicast route reads them
-off the address itself, as the running products of its level masks'
-popcounts (:meth:`~treecast.addressing.HbsAddress.covered_per_height`),
-and never builds the cover bitmask.  A unicast address is the fbs
-destination mask sent one packet per target, so a unicast route counts
-the mask's bits per block.  Each returns a slotted :class:`RouteResult`
-that also holds a module-level walk function and its arguments, so a route
-builds no closure.  The switch-by-switch walk, which lists every link and
-port decision, is built only when a caller first reads it, and is kept.
+cores and the links crossed per tree level.  A multicast route takes them
+from the address (:meth:`~treecast.addressing.HbsAddress.route_counts`),
+which carries the counts its encoder derived for the tree it was encoded
+on, and never builds the cover bitmask.  A root-turn route uses the links
+per level as they are; an ``lca`` route finds its turn level from the
+cover's bounds and keeps the links up to it.  A unicast address is the fbs
+destination mask sent one packet per target, so a unicast route counts the
+mask's bits in the source's block at each level; it checks the mask only
+when the address was not encoded on the tree it is given.  Each returns a
+slotted :class:`RouteResult` that also holds a module-level walk function
+and its arguments, so a route builds no closure.  The switch-by-switch
+walk, which lists every link and port decision, is built only when a
+caller first reads it, and is kept.
 
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
@@ -124,7 +128,9 @@ class RouteResult:
 
     A slotted record.  ``covered`` counts the delivered cores and
     ``level_links[i]`` counts the links crossed at R-level i + 1, up and
-    down together; both are closed forms, set when the record is built.
+    down together; both are closed forms, set when the record is built from
+    the counts that the address carries (or, for an address not encoded on
+    the route's tree, derives).
     Its packets, 1 for multicast and ``covered`` for unicast, are not kept.
     The record also holds a module-level walk function and its arguments,
     of which the first three are the address, the source core and the
@@ -188,10 +194,11 @@ def route_multicast(
     same head-field logic.  The ``lca`` policy turns at the lowest
     ancestor subtree containing the whole cover instead.  R-level l <= turn
     carries one up link plus one down link per covered node at height
-    l - 1, and the address gives those counts and the cover's lowest and
-    highest core without building the cover.  The walk picks each
-    switch's ports from its own head field (``addr.select``), never from
-    the cover, so its deliveries are a check on ``covered_set``.
+    l - 1.  The address gives those links for a root turn, which an ``lca``
+    route keeps up to its turn, and the cover's lowest and highest core,
+    without building the cover.  The walk picks each switch's ports from
+    its own head field (``addr.select``), never from the cover, so its
+    deliveries are a check on ``covered_set``.
     """
     if turnaround not in TURNAROUND_POLICIES:
         raise ValueError(f"unknown turnaround policy {turnaround!r}")
@@ -199,17 +206,15 @@ def route_multicast(
         raise ValueError("unicast packets are routed with route_unicast_batch")
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
-    per_height = addr.covered_per_height(cfg)  # validates the field
+    per_height, level_links = addr.route_counts(cfg)
 
     turn_level = cfg.levels
     if turnaround == "lca":
         turn_level = _turn_level(source_core, *addr.cover_bounds(cfg), cfg)
+        level_links = level_links[:turn_level] + (0,) * (cfg.levels - turn_level)
 
     return RouteResult(
-        per_height[0],
-        tuple([1 + c for c in per_height[:turn_level]]) + (0,) * (cfg.levels - turn_level),
-        _walk_multicast,
-        (addr, source_core, cfg, turn_level),
+        per_height[0], level_links, _walk_multicast, (addr, source_core, cfg, turn_level)
     )
 
 
@@ -253,14 +258,13 @@ def route_unicast_batch(
     """
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
-    cover = addr.cover(cfg)  # validates the field
-    k, n = cfg.fan_out, cover.bit_count()
+    cover = addr.cover(cfg)  # checks the field, unless it was encoded on cfg
+    n = cover.bit_count()
     level_links = [2 * n]
-    span = 1
-    for _ in range(1, cfg.levels):
-        span *= k
-        block = ((1 << span) - 1) << (source_core - source_core % span)
-        level_links.append(2 * (n - (cover & block).bit_count()))
+    # The fold plan's block masks, leaf end first, span k**(l-1) cores at R-level l.
+    for _pairs, block in reversed(cfg.fold_plan):
+        span = block.bit_length()
+        level_links.append(2 * (n - (cover & block << source_core - source_core % span).bit_count()))
 
     return RouteResult(n, tuple(level_links), _walk_unicast, (addr, source_core, cfg))
 

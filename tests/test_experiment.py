@@ -1,14 +1,19 @@
+import contextlib
+import copy
 import io
 import json
 import math
+import os
 import re
+import tempfile
 from dataclasses import replace
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from treecast import cli
 from treecast.addressing import Scheme, TreeConfig
 from treecast.experiment import (
     FIELDS,
@@ -392,3 +397,68 @@ def test_a_drawn_config_loads_or_names_its_fields(raw):
         assert all(MESSAGE_HEAD.match(e) for e in exc.errors), exc.errors
     else:
         assert isinstance(config, ExperimentConfig)
+
+
+#: (field, cap, default) of the network sizes that small() caps.
+NETWORK_CAPS = (("layer_size", 15, 100), ("recurrent_layers", 2, 3), ("feedforward_layers", 2, 3))
+#: The most levels of each fan-out that small() allows: 64 cores at most.
+LEVELS_IN_64 = {k: int(math.log(64, k) + 1e-9) for k in range(2, 9)}
+
+
+def small(raw):
+    """A copy of ``raw`` with every integer size capped, so that a run stays small.
+
+    At most 64 cores, 60 neurons (4 layers of 15, or 2 + 2 of 15), 2
+    repetitions and 20 steps.  An absent size gets its default, capped too.
+    A value below its bound or of the wrong kind is kept, as is a section
+    that is not a mapping.
+    """
+
+    def cap(section, name, most, default=None):
+        if not isinstance(section, dict):
+            return
+        if name not in section and default is not None:
+            section[name] = default
+        if type(section.get(name)) is int:
+            section[name] = min(section[name], most)
+
+    raw = copy.deepcopy(raw)
+    tree, network = raw.setdefault("tree", {}), raw.setdefault("network", {})
+    cap(tree, "fan_out", 8, 4)
+    if isinstance(tree, dict):
+        fan_out = tree["fan_out"] if type(tree["fan_out"]) is int else None
+        cap(tree, "levels", LEVELS_IN_64.get(fan_out, 6), 2)
+    if not isinstance(network, dict) or "layers" not in network:
+        for name, most, default in NETWORK_CAPS:
+            cap(network, name, most, default)
+    elif isinstance(network["layers"], list):
+        for layer in network["layers"]:
+            cap(layer, "size", 15)
+    cap(raw.setdefault("mapping", {}), "repetitions", 2, 50)
+    cap(raw.setdefault("trace", {}), "steps", 20, 400)
+    return raw
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn_configs().map(small))
+@example(small({}))  # the default run, capped
+@example(small({"turnaround": "lca", "schemes": ["hbs", "unicast"], "tree": {"fan_out": 2, "levels": 6}}))
+def test_a_drawn_config_simulates_or_exits_1_with_a_message(tmp_path, raw):
+    # treecast simulate on a drawn config either runs, or exits 1 with an
+    # "error: " message and no traceback.  Each example runs in its own
+    # directory under tmp_path, where a relative trace.path is looked up.
+    run = tempfile.mkdtemp(dir=tmp_path)
+    with open(os.path.join(run, "config.yaml"), "w", encoding="utf-8") as fh:
+        yaml.safe_dump(raw, fh)
+    argv = ["simulate", "--config", "config.yaml", "--runs-csv", "runs.csv", "--summary-json", "summary.json"]
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(run)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(here)
+    assert code in (0, 1), (code, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter, defaultdict
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treecast import nocsim
 from treecast.addressing import (
+    FbsAddress,
     HbsAddress,
     Scheme,
     SymbolAddress,
@@ -272,17 +273,90 @@ def test_closed_form_counts_equal_the_walk(case, turnaround):
         assert all(heights[h] == n for h, n in entered.items())
 
 
-def count_calls(monkeypatch, *names):
-    """Counter of calls to each named nocsim function, through wrappers put in its place.
+@settings(max_examples=100, deadline=None)
+@given(route_cases(), st.sampled_from(TURNAROUND_POLICIES))
+def test_carried_counts_equal_the_checked_derivation(case, turnaround):
+    # An encoded address carries the counts its encoder derived, and the
+    # routers read them on the TreeConfig instance it was encoded on.  The same
+    # masks built by hand, and the encoded address on an equal but distinct
+    # tree, take the checked derivation instead; the three must agree from
+    # every source core, and the derivation must agree with the walk.
+    cfg, scheme, dests, source = case
+    addr = encode(scheme, mask_of(dests), cfg)
+    by_hand = type(addr)(addr.masks)
+    equal_tree = TreeConfig(cfg.fan_out, cfg.levels)
+    assert equal_tree == cfg and equal_tree is not cfg
+    assert addr._carried[0] is cfg and by_hand._carried == (None, None)
+    assert by_hand == addr and hash(by_hand) == hash(addr) and repr(by_hand) == repr(addr)
+    assert [f.name for f in fields(addr)] == ["masks"]
+    assert replace(addr) == addr and vars(replace(addr)) == {"masks": addr.masks}
+
+    def route(a, core, tree):
+        if scheme is Scheme.UNICAST:
+            return route_unicast_batch(a, core, tree)
+        return route_multicast(a, core, tree, turnaround)
+
+    def counts(a, core, tree):
+        r = route(a, core, tree)
+        return r.covered, r.level_links, a.covered_per_height(tree), a.cover_bounds(tree)
+
+    for core in range(cfg.core_count):
+        want = counts(addr, core, cfg)
+        assert counts(by_hand, core, cfg) == want, core
+        assert counts(addr, core, equal_tree) == want, core
+    r = route(by_hand, source, cfg)
+    per_level = Counter(level for level, _child in r.links)
+    assert r.level_links == tuple(per_level[level] for level in range(1, cfg.levels + 1))
+    assert r.covered == len(r.delivered)
+
+    # A field of the wrong length, or with a mask wider than the tree it
+    # describes, is still rejected by both routers.  Symbol's constructor
+    # already rejects a mask wider than 2 bits.
+    malformed = [type(addr)(addr.masks + (1,))]
+    if scheme is not Scheme.SYMBOL:
+        wide = addr.masks[0] | 1 << type(addr)._tree(cfg).fan_out
+        malformed.append(type(addr)((wide, *addr.masks[1:])))
+    for bad in malformed:
+        with pytest.raises(ValueError):
+            route_multicast(bad, source, cfg, turnaround)
+        with pytest.raises(ValueError):
+            route_unicast_batch(bad, source, cfg)
+
+
+@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
+def test_an_address_routed_on_another_tree_reads_that_tree(turnaround):
+    # The carried counts hold for the tree the address was encoded on, not for
+    # another tree of as many cores: there a flat mask gets that tree's counts
+    # and level masks of another fan-out are rejected.
+    mask, binary = mask_of({0, 5, 6}), TreeConfig(2, 4)
+
+    def route(scheme, tree):
+        addr = encode(scheme, mask, tree)
+        if scheme is Scheme.UNICAST:
+            return addr, route_unicast_batch(addr, 9, binary)
+        return addr, route_multicast(addr, 9, binary, turnaround)
+
+    for scheme in (Scheme.FBS, Scheme.UNICAST):
+        (addr, got), (on_binary, want) = route(scheme, CFG16), route(scheme, binary)
+        assert addr == on_binary and len(got.level_links) == 4
+        assert (got.covered, got.level_links) == (want.covered, want.level_links)
+        assert addr.covered_per_height(binary) == on_binary.covered_per_height(binary)
+    with pytest.raises(ValueError, match="^expected 4 level masks, got 2$"):
+        route_multicast(encode(Scheme.HBS, mask, CFG16), 9, binary, turnaround)
+
+
+def count_calls(monkeypatch, *names, owner=nocsim, calls=None):
+    """Counter of calls to each named function of ``owner``, through wrappers put in its place.
 
     nocsim looks these functions up as module attributes on every call (the
-    traced benchmark run relies on that), so the wrappers see every call made
-    after this.
+    traced benchmark run relies on that), and a method is looked up on its
+    class, so the wrappers see every call made after this.  Given ``calls``,
+    the counts go into that Counter.
     """
-    calls = Counter()
+    calls = Counter() if calls is None else calls
 
     def counted(name):
-        original = getattr(nocsim, name)
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -291,7 +365,7 @@ def count_calls(monkeypatch, *names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(nocsim, name, counted(name))
+        monkeypatch.setattr(owner, name, counted(name))
     return calls
 
 
@@ -474,6 +548,27 @@ def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, sc
     router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
     routes = len(demand) if scheme is not Scheme.UNICAST and turnaround == "root" else senders
     assert calls == Counter({"encode": len(demand), router: routes})
+
+
+@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_simulate_derives_each_encoded_address_counts_once(monkeypatch, scheme, turnaround):
+    # An lca packet is routed once per sender, but only its turn level depends
+    # on the sender: its address derives its counts when it is encoded, and its
+    # cover bounds on the first route, and carries both.  A root route reads no
+    # bounds, and a unicast address derives no multicast counts.
+    demand = random_demand(random.Random(43), 50, 5, masks=6)
+    assert len(demand) < sum(len(s) for _mask, s in demand)
+    energy = EnergyModel.default(2)
+    want = simulate(demand, scheme, CFG16, energy, 10, turnaround)
+
+    calls = count_calls(monkeypatch, "_counts", "_bounds", owner=HbsAddress)
+    count_calls(monkeypatch, "_counts", owner=FbsAddress, calls=calls)
+    assert simulate(demand, scheme, CFG16, energy, 10, turnaround) == want
+
+    multicast = scheme is not Scheme.UNICAST
+    bounds = multicast and turnaround == "lca"
+    assert calls == Counter({"_counts": len(demand) * multicast, "_bounds": len(demand) * bounds})
 
 
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
