@@ -38,10 +38,11 @@ from the level masks without building the cover (unicast inherits them
 from fbs, but its packets are not routed as one multicast):
 ``route_counts``, the covered nodes per height (``covered_per_height``) and
 the links per tree level of a route that turns at the root, and
-``cover_bounds``, the lowest and highest covered core.  The covered nodes
-are the running products of the masks' popcounts; fbs folds its one mask
-instead.  Each scheme derives them in one place, ``_counts`` and
-``_bounds``, and each method takes the tree as one :class:`TreeConfig`.
+``cover_bounds``, the lowest and highest covered core and the lowest tree
+level whose block holds both.  The covered nodes are the running products
+of the masks' popcounts; fbs folds its one mask instead.  Each scheme
+derives them in one place, ``_counts`` and ``_bounds``, and each method
+takes the tree as one :class:`TreeConfig`.
 
 An address that :func:`encode` builds carries what it derived for the
 ``TreeConfig`` instance it was encoded on: its route counts, computed right
@@ -277,8 +278,9 @@ class HbsAddress:
         """Covered nodes per height of ``cfg``, cores (height 0) up to the root."""
         return self.route_counts(cfg)[0]
 
-    def cover_bounds(self, cfg: TreeConfig) -> tuple[int, int]:
-        """Lowest and highest covered core.
+    def cover_bounds(self, cfg: TreeConfig) -> tuple[int, int, int]:
+        """Lowest and highest covered core, and the cover's level: the lowest
+        R-level of ``cfg``, at least 1, whose block holds both.
 
         Only an ``lca`` route reads them, so an encoded address derives them on
         their first read on the tree it was encoded on, and carries them from
@@ -312,14 +314,19 @@ class HbsAddress:
         step = self._tree(cfg).levels // cfg.levels
         return tuple(per_depth[::-step]), tuple(links[::-step])
 
-    def _bounds(self, cfg: TreeConfig) -> tuple[int, int]:
-        """``cover_bounds`` of a valid field: the lowest and the highest digit of every level."""
+    def _bounds(self, cfg: TreeConfig) -> tuple[int, int, int]:
+        """``cover_bounds`` of a valid field.  The bounds join the lowest and
+        the highest digit of every level; the level climbs ``cfg`` until one
+        block of ``fan_out ** level`` cores holds both."""
         k = self._tree(cfg).fan_out
         low = high = 0
         for m in self.masks:
             low = low * k + (m & -m).bit_length() - 1
             high = high * k + m.bit_length() - 1
-        return low, high
+        k, level, span = cfg.fan_out, 1, cfg.fan_out
+        while low // span != high // span:
+            level, span = level + 1, span * k
+        return low, high, level
 
     @classmethod
     def width(cls, cfg: TreeConfig) -> int:

@@ -14,15 +14,16 @@ cores and the links crossed per tree level.  A multicast route takes them
 from the address (:meth:`~treecast.addressing.HbsAddress.route_counts`),
 which carries the counts its encoder derived for the tree it was encoded
 on, and never builds the cover bitmask.  A root-turn route uses the links
-per level as they are; an ``lca`` route finds its turn level from the
-cover's bounds and keeps the links up to it.  A unicast address is the fbs
-destination mask sent one packet per target, so a unicast route counts the
-mask's bits in the source's block at each level; it checks the mask only
-when the address was not encoded on the tree it is given.  Each returns a
-slotted :class:`RouteResult` that also holds a module-level walk function
-and its arguments, so a route builds no closure.  The switch-by-switch
-walk, which lists every link and port decision, is built only when a
-caller first reads it, and is kept.
+per level as they are; an ``lca`` route searches for its turn level up
+from the cover's own level, none when that is the root, and keeps the
+links up to it.  A unicast address is the fbs destination mask sent one
+packet per target, so a unicast route counts the mask's bits in the
+source's block at each level; it checks the mask only when the address was
+not encoded on the tree it is given.  Each router rejects the other's
+addresses, and each returns a slotted :class:`RouteResult` that also holds
+a module-level walk function and its arguments, so a route builds no
+closure.  The switch-by-switch walk, which lists every link and port
+decision, is built only when a caller first reads it, and is kept.
 
 Energy accounting is a per-bit per-link cost (longer links near the root
 cost more) plus a per-arrival lookup cost at the cores, where packets
@@ -167,18 +168,17 @@ class RouteResult:
         return self.up_links + self.down_links
 
 
-def _turn_level(source: int, low: int, high: int, cfg: TreeConfig) -> int:
-    """Lowest R-level whose source-side subtree contains the whole cover.
+def _turn_level(source: int, low: int, high: int, cfg: TreeConfig, level: int = 1) -> int:
+    """Lowest R-level, from ``level`` up, whose source-side subtree contains the whole cover.
 
     A subtree is a contiguous core range, so it holds the cover exactly
     when it holds the cover's lowest core ``low`` and highest core ``high``.
     """
     k = cfg.fan_out
-    for level in range(1, cfg.levels):
-        source, low, high = source // k, low // k, high // k
-        if low == high == source:
-            return level
-    return cfg.levels
+    span = k**level
+    while level < cfg.levels and not source // span == low // span == high // span:
+        level, span = level + 1, span * k
+    return level
 
 
 def route_multicast(
@@ -195,10 +195,13 @@ def route_multicast(
     ancestor subtree containing the whole cover instead.  R-level l <= turn
     carries one up link plus one down link per covered node at height
     l - 1.  The address gives those links for a root turn, which an ``lca``
-    route keeps up to its turn, and the cover's lowest and highest core,
-    without building the cover.  The walk picks each switch's ports from
-    its own head field (``addr.select``), never from the cover, so its
-    deliveries are a check on ``covered_set``.
+    route keeps up to its turn, and the cover's lowest and highest core and
+    its level, the lowest R-level whose block holds both, without building
+    the cover.  No turn lies below the cover's level, so an ``lca`` route
+    searches up from there; a cover whose level is the root turns there
+    from every source, so the root-turn links stand.  The walk picks each
+    switch's ports from its own head field (``addr.select``), never from
+    the cover, so its deliveries are a check on ``covered_set``.
     """
     if turnaround not in TURNAROUND_POLICIES:
         raise ValueError(f"unknown turnaround policy {turnaround!r}")
@@ -210,8 +213,10 @@ def route_multicast(
 
     turn_level = cfg.levels
     if turnaround == "lca":
-        turn_level = _turn_level(source_core, *addr.cover_bounds(cfg), cfg)
-        level_links = level_links[:turn_level] + (0,) * (cfg.levels - turn_level)
+        low, high, cover_level = addr.cover_bounds(cfg)
+        if cover_level < turn_level:
+            turn_level = _turn_level(source_core, low, high, cfg, cover_level)
+            level_links = level_links[:turn_level] + (0,) * (cfg.levels - turn_level)
 
     return RouteResult(
         per_height[0], level_links, _walk_multicast, (addr, source_core, cfg, turn_level)
@@ -254,8 +259,11 @@ def route_unicast_batch(
     A self-addressed packet still enters the network: it climbs to the
     leaf-adjacent switch and comes straight back down.  So every target
     crosses R-level 1 twice, and R-level l >= 2 twice unless it lies in
-    the source's block of k**(l-1) cores.
+    the source's block of k**(l-1) cores.  A multicast address, fbs
+    included, is routed with :func:`route_multicast` instead.
     """
+    if not isinstance(addr, UnicastAddress):
+        raise ValueError("multicast packets are routed with route_multicast")
     if not 0 <= source_core < cfg.core_count:
         raise ValueError(f"source core {source_core} out of range")
     cover = addr.cover(cfg)  # checks the field, unless it was encoded on cfg

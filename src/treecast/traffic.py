@@ -435,22 +435,28 @@ def derive_events(
     A neuron's mask is its LUT row, and the trace's ``spike_counts`` are
     summed per source core under each mask; masks and their senders are
     listed in first-spike order.  The neuron id is the source tag: it must
-    fit ``tag_bits`` and have a LUT row and a core, or it raises.  Spikes
-    of a neuron whose row is 0 (an empty fan-out) make no entry; their
-    count is returned alongside the entries.
+    fit ``tag_bits`` and have a LUT row and a core, or it raises.  Those
+    checks are one test of the lowest and highest id against the smallest
+    of the three bounds; only when it fails are the ids checked one by one,
+    in ``spike_counts`` order, so the message names the first offender and
+    its first failed check.  Spikes of a neuron whose row is 0 (an empty
+    fan-out) make no entry; their count is returned alongside the entries.
     """
+    counts = trace.spike_counts
+    if counts and not 0 <= min(counts) <= max(counts) < min(1 << tag_bits, len(luts), len(mapping)):
+        for neuron in counts:
+            if neuron >= 1 << tag_bits:
+                raise ValueError(
+                    f"neuron id {neuron} does not fit in {tag_bits} tag bits; "
+                    f"need at least {default_tag_bits(neuron + 1)}"
+                )
+            if not 0 <= neuron < len(luts):
+                raise ValueError(f"neuron id {neuron} is outside the network's {len(luts)} neurons")
+            if neuron >= len(mapping):
+                raise ValueError(f"unmapped neuron {neuron}")
     demand: dict[int, dict[int, int]] = {}
     dropped = 0
-    for neuron, count in trace.spike_counts.items():
-        if neuron >= 1 << tag_bits:
-            raise ValueError(
-                f"neuron id {neuron} does not fit in {tag_bits} tag bits; "
-                f"need at least {default_tag_bits(neuron + 1)}"
-            )
-        if not 0 <= neuron < len(luts):
-            raise ValueError(f"neuron id {neuron} is outside the network's {len(luts)} neurons")
-        if neuron >= len(mapping):
-            raise ValueError(f"unmapped neuron {neuron}")
+    for neuron, count in counts.items():
         mask = luts[neuron]
         if mask:
             senders, core = demand.setdefault(mask, {}), mapping[neuron]
@@ -468,12 +474,22 @@ def build_core_luts(
     """Legal-source LUTs by tag: bit c of ``luts[tag]`` is set when core c's
     LUT holds the tag, that is when the neuron has a synapse onto core c.
     ``mapping`` holds the core of each neuron id; one outside ``[0, n_cores)``
-    raises, where numpy would index a negative core from the end.  The
-    tags x cores bit matrix is filled and packed ``DRAW_ROWS`` tags at a time."""
-    for neuron, core in enumerate(mapping):
-        if not 0 <= core < n_cores:
-            raise ValueError(f"neuron {neuron} is mapped to core {core}, outside the {n_cores} cores")
-    indptr, core_of = connectivity.indptr, np.asarray(mapping, dtype=np.intp)
+    raises, where numpy would index a negative core from the end.  That check
+    is one test of the lowest and highest core; only when it fails, or a core
+    does not fit an index, are the cores checked one by one, so the message
+    names the first offender.  The tags x cores bit matrix is filled and
+    packed ``DRAW_ROWS`` tags at a time; ``take`` gathers each block's cores
+    from the mapping, faster than fancy indexing with the int32 targets."""
+    try:
+        core_of = np.asarray(mapping, dtype=np.intp)
+        fits = not len(core_of) or 0 <= core_of.min() <= core_of.max() < n_cores
+    except OverflowError:  # a core beyond an index: the loop below names it
+        fits = False
+    if not fits:
+        for neuron, core in enumerate(mapping):
+            if not 0 <= core < n_cores:
+                raise ValueError(f"neuron {neuron} is mapped to core {core}, outside the {n_cores} cores")
+    indptr = connectivity.indptr
     listen = np.zeros((min(DRAW_ROWS, len(connectivity)), n_cores), dtype=bool)
     width = -(-n_cores // 8)
     luts: list[int] = []
@@ -483,7 +499,7 @@ def build_core_luts(
         block[:] = False
         ends = indptr[start : start + DRAW_ROWS + 1]
         spots = np.repeat(np.arange(0, block.size, n_cores), np.diff(ends))
-        spots += core_of[connectivity.targets[ends[0] : ends[-1]]]
+        spots += core_of.take(connectivity.targets[ends[0] : ends[-1]])
         block[spots] = True
         data = np.packbits(block.reshape(-1, n_cores), axis=1, bitorder="little").tobytes()
         luts.extend(int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))

@@ -360,21 +360,44 @@ def right_kind(kind, allowed):
     return st.floats(lo - 1, hi + 1) | st.sampled_from([lo, hi, math.nan, math.inf])
 
 
-def field_values(row):
+def in_range(kind, allowed):
+    """Values of ``kind`` in ``allowed`` only; a float field with no interval
+    gets the nonnegative finite values that an energy cost may take."""
+    if kind is bool:
+        return st.booleans()
+    if kind is dict:  # a network.layers entry
+        return st.fixed_dictionaries({"size": st.integers(1, 40), "kind": st.sampled_from(LAYER_KINDS)})
+    if isinstance(allowed, tuple):
+        return st.sampled_from(allowed)
+    if kind is str:  # a file name in the run's directory
+        return st.text("ab", min_size=1, max_size=4)
+    if allowed is None:
+        return st.integers(-3, 70) if kind is int else st.floats(0, 8)
+    lo, hi = (float(b) for b in allowed[1:-1].split(","))
+    if kind is int:
+        return st.integers(int(lo), int(lo) + 70)
+    return st.floats(lo, hi, exclude_min=allowed[0] == "(", exclude_max=allowed[-1] == ")")
+
+
+def field_values(row, valid=False):
     kind = row.kind[0] if isinstance(row.kind, list) else row.kind
+    if valid:
+        value = in_range(kind, row.allowed)
+        return st.lists(value, min_size=1, max_size=4) if isinstance(row.kind, list) else value
     value = right_kind(kind, row.allowed) | WRONG_KIND
     return st.lists(value, max_size=4) | WRONG_KIND if isinstance(row.kind, list) else value
 
 
 @st.composite
-def drawn_configs(draw):
+def drawn_configs(draw, valid=False):
     """A config mapping of a few FIELDS rows, each set to a drawn value, and
-    sometimes one section that is not a mapping."""
+    sometimes one section that is not a mapping.  With ``valid``, every value
+    is of the right kind and in range, and every section is a mapping."""
     raw = {}
     for row in draw(st.lists(st.sampled_from(FIELDS), max_size=6, unique_by=lambda row: row.path)):
         *section, name = row.path.split(".")
-        (raw.setdefault(section[0], {}) if section else raw)[name] = draw(field_values(row))
-    if draw(st.booleans()):
+        (raw.setdefault(section[0], {}) if section else raw)[name] = draw(field_values(row, valid))
+    if not valid and draw(st.booleans()):
         raw[draw(st.sampled_from(sorted(SECTIONS)))] = draw(NOT_A_MAPPING)
     return raw
 
@@ -440,7 +463,7 @@ def small(raw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn_configs().map(small))
+@given(st.one_of(drawn_configs(), drawn_configs(valid=True)).map(small))
 @example(small({}))  # the default run, capped
 @example(small({"turnaround": "lca", "schemes": ["hbs", "unicast"], "tree": {"fan_out": 2, "levels": 6}}))
 def test_a_drawn_config_simulates_or_exits_1_with_a_message(tmp_path, raw):

@@ -166,6 +166,21 @@ def test_multicast_rejects_unicast_and_bad_policy():
         route_multicast(addr, 0, CFG16, turnaround="bounce")
 
 
+def test_each_router_rejects_the_other_kind_of_address():
+    # Encoded or built by hand; FbsAddress is the parent of UnicastAddress, and
+    # its one mask is a valid unicast field, yet it is a multicast address.
+    mask = mask_of({1, 5})
+    for scheme in MULTICAST_SCHEMES:
+        addr = encode(scheme, mask, CFG16)
+        for wrong in (addr, type(addr)(addr.masks)):
+            with pytest.raises(ValueError, match="^multicast packets are routed with route_multicast$"):
+                route_unicast_batch(wrong, 0, CFG16)
+    for wrong in (encode(Scheme.UNICAST, mask, CFG16), UnicastAddress((mask,))):
+        for turnaround in TURNAROUND_POLICIES:
+            with pytest.raises(ValueError, match="^unicast packets are routed with route_unicast_batch$"):
+                route_multicast(wrong, 0, CFG16, turnaround)
+
+
 def test_lca_turnaround_shortens_local_traffic():
     addr = encode(Scheme.FBS, mask_of({1}), CFG16)
     r = route_multicast(addr, 0, CFG16, turnaround="lca")
@@ -264,7 +279,10 @@ def test_closed_form_counts_equal_the_walk(case, turnaround):
     assert addr.cover(cfg) == sum(1 << core for core in r.delivered)
     assert addr.cover(cfg).bit_count() == len(r.delivered)
     if scheme is not Scheme.UNICAST:
-        assert addr.cover_bounds(cfg) == (min(r.delivered), max(r.delivered))
+        low, high, level = addr.cover_bounds(cfg)
+        assert (low, high) == (min(r.delivered), max(r.delivered))
+        k = cfg.fan_out
+        assert level == min(l for l in range(1, cfg.levels + 1) if low // k**l == high // k**l)
         # Below the turn, a height's covered nodes are the nodes the descent
         # enters there; the root is covered by every address.
         entered = Counter(level - 1 for level, _child in r.down_links)
@@ -321,6 +339,50 @@ def test_carried_counts_equal_the_checked_derivation(case, turnaround):
             route_multicast(bad, source, cfg, turnaround)
         with pytest.raises(ValueError):
             route_unicast_batch(bad, source, cfg)
+
+
+@st.composite
+def confined_cases(draw):
+    """A multicast scheme and destinations inside one aligned block of
+    ``fan_out ** height`` cores, for a drawn height up to the root, on a tree
+    of at most 256 cores, so that a walk from every source stays quick."""
+    cfg = draw(st.sampled_from([cfg for cfg in ROUTE_TREES if cfg.core_count <= 256]))
+    schemes = [s for s in MULTICAST_SCHEMES if s is not Scheme.SYMBOL or cfg.fan_out != 3]
+    span = cfg.fan_out ** draw(st.integers(0, cfg.levels))
+    start = span * draw(st.integers(0, cfg.core_count // span - 1))
+    dests = draw(st.sets(st.integers(start, start + span - 1), min_size=1, max_size=40))
+    return cfg, draw(st.sampled_from(schemes)), dests
+
+
+@settings(max_examples=100, deadline=None)
+@given(confined_cases())
+def test_an_lca_route_turns_at_the_lowest_subtree_of_source_and_cover(case):
+    # The cover's level is the lowest R-level whose block holds the whole
+    # cover; an lca route searches for its turn from there.  From every source
+    # core the route turns where the lowest common subtree of the source and
+    # the cover is, delivers the cover and counts the walk's links.  A cover
+    # that spans the root's children turns at the root from every source: its
+    # links are the root route's, with no search for a turn.
+    cfg, scheme, dests = case
+    k, levels = cfg.fan_out, cfg.levels
+    addr = encode(scheme, mask_of(dests), cfg)
+    cover = sorted(covered_set(addr, cfg))
+    low, high = cover[0], cover[-1]
+    level = min(l for l in range(1, levels + 1) if low // k**l == high // k**l)
+    assert addr.cover_bounds(cfg) == (low, high, level)
+    root = route_multicast(addr, 0, cfg, "root")
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, "_turn_level")
+        routes = [route_multicast(addr, source, cfg, "lca") for source in range(cfg.core_count)]
+    assert calls["_turn_level"] == (0 if level == levels else cfg.core_count)
+    for source, r in enumerate(routes):
+        turn = min(l for l in range(level, levels + 1) if source // k**l == low // k**l)
+        assert len(r.up_links) == turn, source  # the walk climbs one link per level
+        assert r.delivered == tuple(cover)
+        per_level = Counter(l for l, _child in r.links)
+        assert r.level_links == tuple(per_level[l] for l in range(1, levels + 1))
+        if level == levels:
+            assert r.level_links == root.level_links
 
 
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)

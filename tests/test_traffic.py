@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -363,6 +364,20 @@ def test_build_core_luts_rejects_a_hand_built_mapping_outside_the_tree():
     for bad in (99, -1):
         with pytest.raises(ValueError, match=f"neuron 1 is mapped to core {bad}, outside the 16 cores"):
             build_core_luts(Connectivity((0, 1, 1), (1,)), (0, bad), 16)
+    # One test of the lowest and highest core passes a mapping in range.  When
+    # it fails, the cores are checked in neuron order, so the message names
+    # the first offender whatever a later core is, and a core too large for
+    # an index raises ValueError too, not OverflowError.
+    conn = Connectivity((0, 1, 1, 2), (1, 0))  # fan-outs 0: (1,), 1: (), 2: (0,)
+    for bad in (-1, 16, 2**70, -(2**70)):
+        for later in (-5, 99, 2**80):
+            with pytest.raises(ValueError, match=f"^neuron 1 is mapped to core {bad}, outside the 16 cores$"):
+                build_core_luts(conn, (0, bad, later), 16)
+    with pytest.raises(ValueError, match="^neuron 0 is mapped to core 16, outside the 16 cores$"):
+        build_core_luts(conn, np.array([16, 0, -1]), 16)
+    assert build_core_luts(conn, (3, 5, 7), 16) == (1 << 5, 0, 1 << 3)
+    assert build_core_luts(conn, np.array([3, 5, 7]), 16) == (1 << 5, 0, 1 << 3)
+    assert build_core_luts(Connectivity((0,), ()), (), 16) == ()
 
 
 def test_core_luts_fill_block_by_block_as_the_oracle():
@@ -422,6 +437,33 @@ def test_derive_events_rejects_overwide_and_unmapped_neurons():
         derive_events(SpikeTrace(((0, 0), (0, 2))), luts, mapping, tag_bits=10)
     with pytest.raises(ValueError, match="neuron id 5000 does not fit in 10 tag bits"):
         derive_events(SpikeTrace(((0, 5000),)), luts, mapping, tag_bits=10)
+
+
+def test_derive_events_checks_once_and_names_the_first_offender():
+    # One test of the lowest and highest neuron id passes a trace in range.
+    # When it fails, the ids are checked in spike_counts (first-spike) order,
+    # so the message names the first offender and the first check it fails,
+    # even when a later id fails another check.
+    luts, mapping = (0b01, 0b10, 0b01), (0, 1)
+    cases = [
+        ((0, 5000, 2, -1), "neuron id 5000 does not fit in 10 tag bits; need at least 13"),
+        ((0, -1, 5000, 2), "neuron id -1 is outside the network's 3 neurons"),
+        ((1, 3, -1, 5000), "neuron id 3 is outside the network's 3 neurons"),
+        ((1, 2, 5000, -1), "unmapped neuron 2"),
+        ((2, 0), "unmapped neuron 2"),
+    ]
+    for neurons, message in cases:
+        trace = SpikeTrace(tuple((t, n) for t, n in enumerate((*neurons, neurons[0]))))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            derive_events(trace, luts, mapping, tag_bits=10)
+    with pytest.raises(ValueError, match="^unmapped neuron 0$"):
+        derive_events(SpikeTrace(((0, 0),)), luts, (), tag_bits=10)
+    trace = SpikeTrace(((0, 1), (0, 0), (1, 1)))
+    want = ([(0b10, ((1, 2),)), (0b01, ((0, 1),))], 0)
+    assert derive_events(trace, luts, mapping, tag_bits=10) == want
+    assert derive_events(trace, luts, np.array(mapping), tag_bits=10) == want
+    assert derive_events(SpikeTrace(()), luts, mapping, tag_bits=10) == ([], 0)
+    assert derive_events(SpikeTrace(()), (), (), tag_bits=10) == ([], 0)
 
 
 def _default_mapping(config):
