@@ -51,8 +51,12 @@ same instance reads them without checking the field again.  Any other
 address, one built by hand or parsed from text or read on another tree, has
 its field checked and its counts derived on every call.  The carried values
 are not fields: ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` never
-see them.  The registry :func:`address_class` maps a :class:`Scheme` to its
-class, and no other module branches on the scheme.
+see them.  Many destination sets fold to the same hbs or symbol address, so
+each ``TreeConfig`` instance interns those two schemes' encoded addresses by
+class and level masks, and derives their carried values once per distinct
+address.  An fbs address is its destination mask, which seldom repeats, so
+it is built anew.  The registry :func:`address_class` maps a
+:class:`Scheme` to its class, and no other module branches on the scheme.
 """
 
 from __future__ import annotations
@@ -85,8 +89,9 @@ class TreeConfig:
     A core index counts at most ``sys.maxsize`` cores, so a larger tree is
     rejected when it is built.  Constants of the shape are computed on first
     read and cached on the instance: ``core_count``, ``block_leaders``, the
-    encoders' ``fold_plan`` and the trees that symbol and fbs address,
-    ``index_tree`` and ``flat_tree``.  Equality and hashing read only
+    encoders' ``fold_plan``, the trees that symbol and fbs address,
+    ``index_tree`` and ``flat_tree``, and the ``interned`` addresses.
+    Equality, hashing, ``repr`` and ``dataclasses.replace`` read only
     ``fan_out`` and ``levels``.
     """
 
@@ -124,6 +129,13 @@ class TreeConfig:
             span //= k
             plan.append((tuple((1 << d, d * span) for d in range(k)), (1 << span) - 1))
         return tuple(plan)
+
+    @functools.cached_property
+    def interned(self) -> dict[tuple[type, tuple[int, ...]], HbsAddress]:
+        """The hbs and symbol addresses encoded on this instance, by ``(class,
+        level masks)``.  It holds at most one entry per distinct pair encoded
+        here, and it is freed with the instance."""
+        return {}
 
     @functools.cached_property
     def index_tree(self) -> TreeConfig:
@@ -215,7 +227,9 @@ class HbsAddress:
         The cover, the product of the per-level digit sets, is the smallest
         such product containing the destinations.  A mask in (0, 2**N) folds
         into nonzero level masks no wider than k, so the result skips the
-        validating constructor, and carries its route counts on ``cfg``.
+        validating constructor, and carries its route counts on ``cfg``.  An
+        equal fold on the same ``cfg`` returns the address that ``cfg``
+        interned, with what it already carries.
         """
         masks = []
         for pairs, block in cls._tree(cfg).fold_plan:
@@ -228,10 +242,14 @@ class HbsAddress:
             masks.append(digits)
             mask = below
         masks.append(mask)
-        addr = object.__new__(cls)
-        fields = addr.__dict__
-        fields["masks"] = tuple(masks)
-        fields["_carried"] = (cfg, addr._counts(cfg))
+        masks = tuple(masks)
+        key = cls, masks
+        addr = cfg.interned.get(key)
+        if addr is None:
+            addr = cfg.interned[key] = object.__new__(cls)
+            fields = addr.__dict__
+            fields["masks"] = masks
+            fields["_carried"] = (cfg, addr._counts(cfg))
         return addr
 
     def _checked_tree(self, cfg: TreeConfig) -> TreeConfig:
@@ -419,6 +437,15 @@ class FbsAddress(HbsAddress):
     scheme = Scheme.FBS
 
     _tree = operator.attrgetter("flat_tree")
+
+    @classmethod
+    def _encode(cls, mask: int, cfg: TreeConfig) -> FbsAddress:
+        """The mask itself, carrying its route counts on ``cfg``.  A flat mask
+        seldom repeats, so the address is not interned."""
+        addr = object.__new__(cls)
+        addr.__dict__["masks"] = (mask,)
+        addr.__dict__["_carried"] = (cfg, addr._counts(cfg))
+        return addr
 
     def cover(self, cfg: TreeConfig) -> int:
         """The one mask, once it is checked on ``cfg`` (an encoder checked its own)."""

@@ -31,11 +31,13 @@ from sources a core does not listen to are filtered out as illegal.
 :func:`simulate` sees only the traffic, grouped by destination core mask:
 each mask with the spike count of every source core that sends to it; a
 core listens to a source exactly when it is in that mask.  Each mask is
-encoded once.  A multicast route under the ``root`` turnaround does not
-depend on the source core, so it is computed once per mask and charged
-once for the spikes of all its senders; otherwise a route is computed and
-charged once per sender, into a tally of spikes keyed by the route's links
-per tree level.  A spike is one packet, or one per target under unicast.
+encoded once.  A multicast route under the ``root`` turnaround depends
+only on the address, not on the source core, and many masks fold to one
+hbs or symbol address, so it is computed once per distinct address and
+charged once for the spikes of all its masks' senders; otherwise a route is
+computed and charged once per sender, into a tally of spikes keyed by the
+route's links per tree level.  A spike is one packet, or one per target
+under unicast.
 """
 
 from __future__ import annotations
@@ -322,20 +324,21 @@ def simulate(
     count), ...)), as :func:`~treecast.traffic.derive_events` gives them.
     Each entry's mask is encoded once, and the mask itself is what
     :func:`~treecast.addressing.encode` reads.  A multicast packet under the
-    ``root`` turnaround has a cover and per-level links that do not depend
-    on the source core, so once every sender is range-checked it is routed
-    once per entry and charged once for the entry's summed spike count;
-    otherwise it is routed and charged once per sender.  A charge adds its
-    spikes times the route's ``covered`` to the covered cores and its spikes
-    to a tally keyed by the route's ``level_links``, so neither the cover
-    bitmask nor the switch-by-switch walk is built here.  The tally's links
-    per tree level, times the header, sum to the link-bit traversals and
-    price the routing energy.  A multicast spike injects one packet and a
-    unicast spike one per covered core.  Every arriving packet pays one LUT
-    lookup.  Every encoder's cover contains the mask, so the mask's cores
-    are the legal deliveries.  A covered core outside the mask does not hold
-    the source's tag, so its lookup counts as illegal and the packet is
-    dropped there.
+    ``root`` turnaround has a cover and per-level links that depend only on
+    its address, so once every sender is range-checked its spikes are summed
+    per distinct address (by level masks, the scheme being fixed), and after
+    the traffic each address is routed once, from the first sender seen, and
+    charged once for that sum; otherwise a packet is routed and charged once
+    per sender.  A charge adds its spikes times the route's ``covered`` to
+    the covered cores and its spikes to a tally keyed by the route's
+    ``level_links``, so neither the cover bitmask nor the switch-by-switch
+    walk is built here.  The tally's links per tree level, times the
+    header, sum to the link-bit traversals and price the routing energy.  A
+    multicast spike injects one packet and a unicast spike one per covered
+    core.  Every arriving packet pays one LUT lookup.  Every encoder's cover
+    contains the mask, so the mask's cores are the legal deliveries.  A
+    covered core outside the mask does not hold the source's tag, so its
+    lookup counts as illegal and the packet is dropped there.
 
     With integer-valued energies every field equals a spike-by-spike sum.
     Otherwise the float fields, summed per tree level, may differ from it by
@@ -357,6 +360,8 @@ def simulate(
     # covered cores; the illegal deliveries are the covered beyond the legal.
     spikes = legal = covered = 0
     charges: Counter[tuple[int, ...]] = Counter()
+    # level masks -> [address, first sender's core, summed spikes] of a root route
+    shared: dict[tuple[int, ...], list] = {}
     for mask, senders in demand:
         addr = encode(scheme, mask, cfg)
         total = 0
@@ -366,16 +371,25 @@ def simulate(
             total += count
         spikes += total
         legal += total * mask.bit_count()
-        if senders and not per_sender:
-            # One route for every sender: charge it once for all their spikes.
-            senders = ((senders[0][0], total),)
-        for source_core, count in senders:
-            if unicast:
-                route = route_unicast_batch(addr, source_core, cfg)
+        if per_sender:
+            for source_core, count in senders:
+                if unicast:
+                    route = route_unicast_batch(addr, source_core, cfg)
+                else:
+                    route = route_multicast(addr, source_core, cfg, turnaround)
+                charges[route.level_links] += count
+                covered += count * route.covered
+        elif senders:
+            entry = shared.get(addr.masks)
+            if entry is None:
+                shared[addr.masks] = [addr, senders[0][0], total]
             else:
-                route = route_multicast(addr, source_core, cfg, turnaround)
-            charges[route.level_links] += count
-            covered += count * route.covered
+                entry[2] += total
+    # One route per distinct address, charged once for all its senders' spikes.
+    for addr, source_core, count in shared.values():
+        route = route_multicast(addr, source_core, cfg, turnaround)
+        charges[route.level_links] += count
+        covered += count * route.covered
     illegal = covered - legal
     per_level = [sum(count * links[i] for links, count in charges.items()) for i in range(cfg.levels)]
     routing_energy = float(header * sum(map(operator.mul, per_level, energy.link_energy_per_bit)))

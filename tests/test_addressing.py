@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import random
 import re
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,78 @@ def test_tree_config_cached_constants_leave_equality_alone():
     assert deeper != cfg and dataclasses.replace(deeper, levels=2) == cfg
     for cls, tree in ((SymbolAddress, TreeConfig(2, 4)), (FbsAddress, TreeConfig(16, 1))):
         assert cls._tree(cfg) == cls._tree(fresh) == cls._tree(TreeConfig(4, 2)) == tree
+
+
+# {0, 5} and {1, 4} on 4x2 fold to one hbs and one symbol address.
+FOLDED = (mask_of({0, 5}), mask_of({1, 4}))
+
+
+def test_equal_folds_on_one_tree_return_one_interned_address():
+    cfg = TreeConfig(4, 2)
+    for scheme, text in ((Scheme.HBS, "0011/0011"), (Scheme.SYMBOL, "0*0*")):
+        first, second = (encode(scheme, mask, cfg) for mask in FOLDED)
+        assert first is second and first.text(cfg) == text
+        assert cfg.interned[type(first), first.masks] is first
+        assert first._carried[0] is cfg
+    assert len(cfg.interned) == 2
+
+
+def test_hbs_and_symbol_never_share_an_interned_address():
+    # On the binary tree hbs and symbol give equal masks tuples.
+    cfg, mask = TreeConfig(2, 4), mask_of({0, 5, 6})
+    hbs, symbol = encode(Scheme.HBS, mask, cfg), encode(Scheme.SYMBOL, mask, cfg)
+    assert hbs.masks == symbol.masks and hbs != symbol
+    assert (type(hbs), hbs.scheme) == (HbsAddress, Scheme.HBS)
+    assert (type(symbol), symbol.scheme) == (SymbolAddress, Scheme.SYMBOL)
+    assert encode(Scheme.SYMBOL, mask, cfg) is symbol and encode(Scheme.HBS, mask, cfg) is hbs
+
+
+def test_equal_trees_never_share_an_address():
+    # Each instance interns its own addresses, carrying counts for itself, and
+    # frees them with itself.
+    cfg, other = TreeConfig(4, 2), TreeConfig(4, 2)
+    for scheme in (Scheme.HBS, Scheme.SYMBOL):
+        mine, theirs = encode(scheme, FOLDED[0], cfg), encode(scheme, FOLDED[1], other)
+        assert mine == theirs and mine is not theirs
+        assert mine._carried[0] is cfg and theirs._carried[0] is other
+    gone = weakref.ref(other)
+    del other, theirs
+    gc.collect()
+    assert gone() is None
+
+
+def test_fbs_and_unicast_addresses_are_not_interned():
+    cfg = TreeConfig(4, 2)
+    for scheme in (Scheme.FBS, Scheme.UNICAST):
+        first, second = (encode(scheme, FOLDED[0], cfg) for _ in range(2))
+        assert first == second and first is not second
+    assert not cfg.interned
+
+
+def test_interning_leaves_equality_hash_repr_and_replace_alone():
+    cfg, fresh = TreeConfig(4, 2), TreeConfig(4, 2)
+    addr = encode(Scheme.HBS, FOLDED[0], cfg)
+    assert cfg.interned and not fresh.__dict__.get("interned")
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+    assert repr(cfg) == "TreeConfig(fan_out=4, levels=2)"
+    assert dataclasses.replace(cfg) == cfg and not dataclasses.replace(cfg).interned
+    by_hand = HbsAddress((3, 3))
+    assert addr == by_hand and hash(addr) == hash(by_hand) and repr(addr) == repr(by_hand)
+    assert vars(dataclasses.replace(addr)) == {"masks": (3, 3)}
+
+
+def test_a_parsed_address_equal_to_an_interned_one_is_checked(monkeypatch):
+    cfg = TreeConfig(4, 2)
+    interned = encode(Scheme.HBS, FOLDED[0], cfg)
+    parsed = HbsAddress.parse("0011/0011", cfg)
+    assert parsed == interned and parsed is not interned
+    assert parsed._carried == (None, None)
+    checked = []
+    original = HbsAddress._checked_tree
+    monkeypatch.setattr(HbsAddress, "_checked_tree", lambda a, tree: checked.append(a) or original(a, tree))
+    assert parsed.route_counts(cfg) == interned.route_counts(cfg)
+    assert parsed.cover_bounds(cfg) == interned.cover_bounds(cfg)
+    assert checked == [parsed, parsed]
 
 
 def test_tree_config_rejects_bad_shape():

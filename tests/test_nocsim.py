@@ -593,23 +593,43 @@ def test_simulate_deterministic():
     assert a == b
 
 
+# {0, 5} and {1, 4} on 4x2 fold to one address: hbs 0011/0011 and symbol 0*0*.
+FOLDED_PAIR = [(mask_of({0, 5}), ((2, 1), (9, 3))), (mask_of({1, 4}), ((7, 2),))]
+COUNT_DEMANDS = {
+    "random": random_demand(random.Random(31), 50, 5, masks=6),
+    "folded": FOLDED_PAIR,
+}
+
+
+def distinct_addresses(demand, scheme):
+    """Distinct member-wise multicast encodings of the demand's masks on 4x2."""
+    encoders = {
+        Scheme.FBS: mask_of,
+        Scheme.HBS: lambda dests: oracles.hbs_encode(dests, 4, 2),
+        Scheme.SYMBOL: lambda dests: oracles.symbol_encode(dests, 16),
+    }
+    return len({encoders[scheme]([c for c in range(16) if mask >> c & 1]) for mask, _senders in demand})
+
+
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, scheme, turnaround):
     # Demand is grouped by mask, so the data's shape alone gives one encode per
-    # mask, and one route per mask (root multicast) or per sender (otherwise).
-    demand = random_demand(random.Random(31), 50, 5, masks=6)
-    senders = sum(len(s) for _mask, s in demand)
-    assert len(demand) < senders
+    # mask.  A root multicast route is one per distinct address, however many
+    # masks fold to it; any other route is one per sender.
     energy = EnergyModel.default(2)
-    want = simulate(demand, scheme, CFG16, energy, 10, turnaround)
-
     calls = count_calls(monkeypatch, "encode", "route_multicast", "route_unicast_batch")
-    assert simulate(demand, scheme, CFG16, energy, 10, turnaround) == want
+    for name, demand in COUNT_DEMANDS.items():
+        senders = sum(len(s) for _mask, s in demand)
+        assert len(demand) < senders
+        calls.clear()
+        want = simulate(demand, scheme, CFG16, energy, 10, turnaround)
 
-    router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
-    routes = len(demand) if scheme is not Scheme.UNICAST and turnaround == "root" else senders
-    assert calls == Counter({"encode": len(demand), router: routes})
+        router = "route_unicast_batch" if scheme is Scheme.UNICAST else "route_multicast"
+        root = scheme is not Scheme.UNICAST and turnaround == "root"
+        routes = distinct_addresses(demand, scheme) if root else senders
+        assert calls == Counter({"encode": len(demand), router: routes}), name
+        assert want == simulate(demand, scheme, TreeConfig(4, 2), energy, 10, turnaround), name
 
 
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
@@ -617,20 +637,40 @@ def test_simulate_encodes_each_set_once_and_routes_each_key_once(monkeypatch, sc
 def test_simulate_derives_each_encoded_address_counts_once(monkeypatch, scheme, turnaround):
     # An lca packet is routed once per sender, but only its turn level depends
     # on the sender: its address derives its counts when it is encoded, and its
-    # cover bounds on the first route, and carries both.  A root route reads no
-    # bounds, and a unicast address derives no multicast counts.
-    demand = random_demand(random.Random(43), 50, 5, masks=6)
-    assert len(demand) < sum(len(s) for _mask, s in demand)
+    # cover bounds on the first route, and carries both.  A fresh TreeConfig
+    # interns each distinct hbs or symbol address once, so those derive once per
+    # distinct address and nothing on a second run; fbs derives once per mask.
+    # A root route reads no bounds, and a unicast address derives no multicast
+    # counts.
     energy = EnergyModel.default(2)
-    want = simulate(demand, scheme, CFG16, energy, 10, turnaround)
-
+    lca = turnaround == "lca"
     calls = count_calls(monkeypatch, "_counts", "_bounds", owner=HbsAddress)
     count_calls(monkeypatch, "_counts", owner=FbsAddress, calls=calls)
-    assert simulate(demand, scheme, CFG16, energy, 10, turnaround) == want
+    for name, demand in COUNT_DEMANDS.items():
+        assert len(demand) < sum(len(s) for _mask, s in demand)
+        fbs = len(demand) if scheme is Scheme.FBS else 0
+        derived = 0 if scheme is Scheme.UNICAST else distinct_addresses(demand, scheme)
+        cfg = TreeConfig(4, 2)
+        calls.clear()
+        want = simulate(demand, scheme, cfg, energy, 10, turnaround)
+        assert calls == Counter({"_counts": derived, "_bounds": derived * lca}), name
+        calls.clear()
+        assert simulate(demand, scheme, cfg, energy, 10, turnaround) == want, name
+        assert calls == Counter({"_counts": fbs, "_bounds": fbs * lca}), name
 
-    multicast = scheme is not Scheme.UNICAST
-    bounds = multicast and turnaround == "lca"
-    assert calls == Counter({"_counts": len(demand) * multicast, "_bounds": len(demand) * bounds})
+
+@pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_simulate_charges_a_shared_route_for_every_mask(scheme, turnaround):
+    # Two masks that fold to one address share its root route; the route is
+    # charged for the spikes of both masks' senders, so the report is the sum
+    # of the two masks' reports.
+    energy = EnergyModel.default(2)
+    whole = simulate(FOLDED_PAIR, scheme, CFG16, energy, 10, turnaround)
+    parts = [simulate([entry], scheme, TreeConfig(4, 2), energy, 10, turnaround) for entry in FOLDED_PAIR]
+    for f in fields(SimReport):
+        if f.name != "scheme":
+            assert getattr(whole, f.name) == sum(getattr(p, f.name) for p in parts), f.name
 
 
 @pytest.mark.parametrize("turnaround", TURNAROUND_POLICIES)
@@ -731,7 +771,7 @@ def root_key_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(root_key_cases())
 def test_root_route_counts_do_not_depend_on_the_source_core(case):
-    # Why simulate routes a root-turnaround multicast packet once per destination mask.
+    # Why simulate routes a root-turnaround multicast packet once per distinct address.
     cfg, scheme, dests = case
     addr = encode(scheme, mask_of(dests), cfg)
     routes = {
